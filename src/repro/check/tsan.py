@@ -29,6 +29,7 @@ field access — built for tests, not production replays.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 from contextlib import contextmanager
@@ -127,6 +128,11 @@ class TrackedLock:
         self.release()
 
 
+class _ThreadId(threading.local):
+    def __init__(self, ids: Iterator[int]):
+        self.value = next(ids)
+
+
 class Monitor:
     """Collects accesses, lock-sets, and thread happens-before edges.
 
@@ -143,13 +149,16 @@ class Monitor:
         self._locksets: dict[int, set[int]] = {}
         self._finished_clocks: dict[int, dict[int, int]] = {}
         self._seq = 0
+        # Logical ids: pthread hands a finished thread's OS ident to the
+        # next thread, which would merge two threads' accesses into one.
+        self._thread_id = _ThreadId(itertools.count(1))
 
     # -- recording ---------------------------------------------------------
 
     def record_access(
         self, owner: str, field: str, *, write: bool, location: str = ""
     ) -> None:
-        ident = threading.get_ident()
+        ident = self._thread_id.value
         with self._lock:
             clock = self._tick(ident)
             self._seq += 1
@@ -167,12 +176,12 @@ class Monitor:
             )
 
     def _on_acquire(self, lock_id: int) -> None:
-        ident = threading.get_ident()
+        ident = self._thread_id.value
         with self._lock:
             self._locksets.setdefault(ident, set()).add(lock_id)
 
     def _on_release(self, lock_id: int) -> None:
-        ident = threading.get_ident()
+        ident = self._thread_id.value
         with self._lock:
             self._locksets.get(ident, set()).discard(lock_id)
 
@@ -353,11 +362,11 @@ def watch_threads(monitor: Monitor) -> Iterator[Monitor]:
     original_join = threading.Thread.join
 
     def start(self):
-        inherited = monitor.on_thread_start(threading.get_ident())
+        inherited = monitor.on_thread_start(monitor._thread_id.value)
         original_run = self.run
 
         def run():
-            ident = threading.get_ident()
+            ident = self._tsan_thread_id = monitor._thread_id.value
             monitor.on_thread_begin(ident, inherited)
             try:
                 original_run()
@@ -369,8 +378,9 @@ def watch_threads(monitor: Monitor) -> Iterator[Monitor]:
 
     def join(self, timeout=None):
         original_join(self, timeout)
-        if not self.is_alive() and self.ident is not None:
-            monitor.on_thread_join(threading.get_ident(), self.ident)
+        child = getattr(self, "_tsan_thread_id", None)
+        if not self.is_alive() and child is not None:
+            monitor.on_thread_join(monitor._thread_id.value, child)
 
     threading.Thread.start = start  # type: ignore[method-assign]
     threading.Thread.join = join  # type: ignore[method-assign]

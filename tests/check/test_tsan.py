@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 from repro.check.tsan import Monitor, TrackedLock, instrument, watch_threads
 
@@ -45,6 +46,29 @@ class TestRaceDetection:
         assert races[0].field == "value"
         assert races[0].first.thread != races[0].second.thread
         assert "write" in races[0].describe()
+
+    def test_race_found_when_os_thread_idents_repeat(self, monkeypatch):
+        """pthread reuses a finished thread's ident, and on one CPU the
+        first worker often exits before the second starts: the detector
+        must still tell the two threads apart."""
+        monitor = Monitor()
+        counter = Counter()
+        instrument(counter, monitor, fields=("value",))
+        threads = [threading.Thread(target=counter.bump_unlocked) for __ in range(2)]
+        with watch_threads(monitor), monkeypatch.context() as patch:
+            patch.setattr(threading, "get_ident", lambda: 1)
+            for thread in threads:
+                thread.start()
+                # Finished, but not joined: nothing orders the two.
+                deadline = time.monotonic() + 5.0
+                while thread.is_alive() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        races = monitor.races()
+        assert races
+        assert races[0].first.thread != races[0].second.thread
 
     def test_lock_guarded_writes_are_clean(self):
         monitor = Monitor()

@@ -16,6 +16,7 @@ import pytest
 from repro.core import binfmt, codec
 from repro.core.connectors import (
     PipeSpec,
+    PipeTransport,
     TcpReceiver,
     TcpSpec,
     TransportSpec,
@@ -439,6 +440,28 @@ class TestShardedReplayer:
             mixed_stream(), PipeSpec(target=str(out)), rate=FAST, workers=1
         ).run()
         assert report.events_emitted == 40
+
+    def test_csv_decode_runs_follow_batch_size(self, tmp_path, monkeypatch):
+        source = tmp_path / "stream.csv"
+        GraphStream([add_vertex(i) for i in range(30)]).write(source)
+        counts = []
+        send_raw = PipeTransport.send_raw
+
+        def spy(transport, data, count):
+            counts.append(count)
+            send_raw(transport, data, count)
+
+        monkeypatch.setattr(PipeTransport, "send_raw", spy)
+        report = ShardedReplayer(
+            str(source),
+            PipeSpec(target=str(tmp_path / "out.csv")),
+            rate=FAST,
+            workers=1,
+            emission="decode",
+            batch_size=4,
+        ).run()
+        assert report.events_emitted == sum(counts) == 30
+        assert max(counts) == 4
 
 
 def decode_wire_capture(data: bytes):

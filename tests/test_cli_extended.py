@@ -366,6 +366,34 @@ class TestReplayScaleOut:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("emission", ["decode", "raw"])
+    def test_one_worker_runs_the_requested_emission(
+        self, small_stream, emission, capsys
+    ):
+        from repro.core.connectors import TcpReceiver
+
+        expected = len(list(GraphStream.read(small_stream).graph_events()))
+        with TcpReceiver() as receiver:
+            code = main([
+                "replay", str(small_stream), "--rate", "100000",
+                "--emission", emission,
+                "--transport", "tcp", "--port", str(receiver.port),
+            ])
+        assert code == 0
+        assert receiver.counter.total == expected
+        err = capsys.readouterr().err
+        assert f"shards: 1 workers (round-robin, {emission})" in err
+
+    def test_trace_out_refusal_names_the_emission(
+        self, small_stream, tmp_path, capsys
+    ):
+        code = main([
+            "replay", str(small_stream), "--emission", "raw",
+            "--trace-out", str(tmp_path / "trace.json"),
+        ])
+        assert code == 2
+        assert "--emission raw" in capsys.readouterr().err
+
     def test_per_worker_fault_breakdown_printed(self, small_stream, capsys):
         from repro.core.connectors import TcpReceiver
 
