@@ -1,20 +1,34 @@
 """Transports and connectors binding the replayer to a system under test
 (paper sections 3.3 and 4.1).
 
-The framework's generic streaming interface supports different modes of
-operation, adapted by platform-specific connectors.  For live
-(wall-clock) replays three transports are provided:
+A :class:`Transport` takes batches through three verbs, one per payload
+shape: :meth:`~Transport.send_many` (a list of CSV lines),
+:meth:`~Transport.send_raw` (stored CSV line bytes, the sharded
+zero-copy path) and :meth:`~Transport.send_frame` (one GTB1 binary
+frame).  Live replays attach through:
 
-* :class:`CallbackTransport` — in-process delivery to a Python callable
-  (the "platform-specific connector plugged into the replayer");
-* :class:`PipeTransport` — newline-delimited CSV lines onto a file
-  descriptor / file object (the paper's STDOUT→STDIN piping);
-* :class:`TcpTransport` — the same lines over a TCP socket, where the
+* :class:`CallbackTransport` — in-process delivery of each line to a
+  Python callable (the "platform-specific connector plugged into the
+  replayer");
+* :class:`PipeTransport` — the batch onto a file descriptor / file
+  object (the paper's STDOUT→STDIN piping);
+* :class:`TcpTransport` — the same bytes over a TCP socket, where the
   kernel's flow control provides backpressure (section 3.2);
 * :class:`ShmTransport` — batches through a
   :class:`~repro.core.shm.ShmRing` shared-memory ring (one producer,
   one consumer, same machine): the zero-syscall local path, where
   backpressure is the ring filling up.
+
+Decoding bytes into lines is the adapter at the edge: the base class's
+:meth:`~Transport.send_raw` and :meth:`~Transport.send_frame` decode
+into :meth:`~Transport.send_many` for line targets (callbacks, text
+files), while the byte-stream transports write the bytes verbatim.
+The wrappers in :mod:`repro.core.resilience` and
+:mod:`repro.core.tracing` forward each verb to the same verb of their
+inner transport, so one batch keeps its shape down the whole chain.
+The verbs stay separate methods on each byte-stream class because
+``benchmarks/e2e`` times a run by patching ``send_many``, ``send_raw``,
+``send_frame`` and ``close`` on each of those classes by name.
 
 Matching receivers (:class:`PipeReceiver`, :class:`TcpReceiver`,
 :class:`ShmReceiver`) count arriving events per time window; they
@@ -63,20 +77,16 @@ SOCKET_BUFFER_BYTES = 1 << 20
 
 
 class Transport:
-    """Interface: deliver serialized event lines to a system under test."""
+    """Interface: deliver batches of serialized events to a system under test.
 
-    def send(self, line: str) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
+    :meth:`send_many` is the one verb a transport must implement; the
+    byte verbs default to decoding into it.  Every verb delivers the
+    whole batch or raises :class:`ConnectorError`.
+    """
 
     def send_many(self, lines: Iterable[str]) -> None:
-        """Deliver a batch of lines (the replayer's batched fast path).
-
-        The default delegates to :meth:`send` per line; concrete
-        transports override this with a single buffered write so a
-        whole batch costs one I/O operation.
-        """
-        for line in lines:
-            self.send(line)
+        """Deliver a batch of CSV lines (without newlines), in order."""
+        raise NotImplementedError  # pragma: no cover - interface
 
     def send_raw(self, data: "bytes | memoryview", count: int) -> None:
         """Deliver ``count`` pre-serialized, newline-terminated lines.
@@ -84,9 +94,7 @@ class Transport:
         The sharded replayer's zero-copy path: ``data`` holds the exact
         wire bytes of whole lines (a :class:`~repro.core.codec.RawBatch`
         slice).  The default decodes and delegates to :meth:`send_many`
-        so wrappers (chaos, retry, tracing) and in-process transports
-        keep their per-line semantics; byte-stream transports override
-        this with a verbatim write.
+        for line targets; byte-stream transports write it verbatim.
         """
         text = bytes(data).decode("utf-8")
         lines = text.split("\n")
@@ -101,10 +109,8 @@ class Transport:
         exact bytes of one :mod:`repro.core.binfmt` frame.  Byte-stream
         transports put it on the wire verbatim (prefixing the stream
         magic on the first frame of a connection, so the peer can
-        autodetect the format); the default decodes the frame and
-        delegates to :meth:`send_many` as CSV lines, which keeps
-        in-process transports and line-oriented targets working
-        unchanged when a binary source feeds them.
+        autodetect the format); the default decodes the frame into CSV
+        lines for :meth:`send_many`.
         """
         from repro.core import binfmt, codec
 
@@ -120,11 +126,6 @@ class CallbackTransport(Transport):
     def __init__(self, callback: Callable[[str], None]):
         self._callback = callback
         self._closed = False
-
-    def send(self, line: str) -> None:
-        if self._closed:
-            raise ConnectorError("transport is closed")
-        self._callback(line)
 
     def send_many(self, lines: Iterable[str]) -> None:
         if self._closed:
@@ -158,19 +159,6 @@ class PipeTransport(Transport):
         self._since_flush = 0
         self._closed = False
         self._magic_sent = False
-
-    def send(self, line: str) -> None:
-        if self._closed:
-            raise ConnectorError("transport is closed")
-        try:
-            self._file.write(line)
-            self._file.write("\n")
-        except (OSError, ValueError) as exc:
-            raise ConnectorError(f"pipe write failed: {exc}") from exc
-        self._since_flush += 1
-        if self._since_flush >= self._flush_every:
-            self._file.flush()
-            self._since_flush = 0
 
     def send_many(self, lines: Iterable[str]) -> None:
         if self._closed:
@@ -306,19 +294,6 @@ class TcpTransport(Transport):
         self._since_flush = 0
         self._closed = False
         self._magic_sent = False
-
-    def send(self, line: str) -> None:
-        if self._closed:
-            raise ConnectorError("transport is closed")
-        try:
-            self._file.write(line)
-            self._file.write("\n")
-        except OSError as exc:
-            raise ConnectorError(f"tcp write failed: {exc}") from exc
-        self._since_flush += 1
-        if self._since_flush >= self._flush_every:
-            self._file.flush()
-            self._since_flush = 0
 
     def send_many(self, lines: Iterable[str]) -> None:
         if self._closed:
@@ -466,11 +441,6 @@ class ShmTransport(Transport):
             items = self._pending
             self._pending = []
             self._producer.push_many(items, self._pending_kind)
-
-    def send(self, line: str) -> None:
-        from repro.core.shm import SLOT_RAW
-
-        self._append(line.encode("utf-8") + b"\n", 1, SLOT_RAW)
 
     def send_many(self, lines: Iterable[str]) -> None:
         if not isinstance(lines, list):
@@ -699,19 +669,50 @@ def _count_stream(file, record: Callable[[int], None]) -> None:
         record(batch)
 
 
-class PipeReceiver:
+class _Receiver:
+    """Ingest recording shared by the receivers.
+
+    Each arriving batch counts into ``counter`` (looked up per batch, so
+    a caller may swap in its own counter after construction).  With a
+    :class:`~repro.core.tracing.Tracer` it also records the *ingest*
+    side of the pipeline: an exact ``ingested`` count plus sampled
+    ``ingested`` instants, whose event ids are drawn in arrival order
+    from one counter shared by every connection or ring.
+    """
+
+    def __init__(
+        self,
+        window_seconds: float,
+        clock: "TraceClock | None",
+        tracer: "Tracer | None",
+    ):
+        self.counter = WindowCounter(window_seconds, clock=clock)
+        self._tracer = tracer
+        self._id_lock = threading.Lock()
+        self._next_id = 0  # guarded-by: self._id_lock
+
+    def _record_batch(self, count: int) -> None:
+        with self._id_lock:
+            first_id = self._next_id
+            self._next_id += count
+        self.counter.record(count)
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.count("ingested", count)
+            if tracer.sample_batch(first_id, count):
+                tracer.instant(
+                    "ingested", "receiver", event_id=first_id, count=count
+                )
+
+
+class PipeReceiver(_Receiver):
     """Reads lines from a readable file object / fd on a thread.
 
     Counts events into a :class:`WindowCounter`; reading stops at EOF.
     Usable as a context manager: ``with PipeReceiver(fd) as receiver:``
     starts the reader thread and guarantees join-and-close on exit,
-    even when the body raises.
-
-    With a :class:`~repro.core.tracing.Tracer` the receiver records the
-    *ingest* side of the pipeline: an exact ``ingested`` count per
-    arriving batch plus sampled ``ingested`` spans whose event ids are
-    assigned in arrival order (matching the replayer's emit ids, since
-    pipe delivery is ordered).
+    even when the body raises.  Pipe delivery is ordered, so traced
+    ingest ids match the replayer's emit ids.
     """
 
     def __init__(
@@ -729,34 +730,16 @@ class PipeReceiver:
         else:
             self._file = source
             self._owns = False
-        self.counter = WindowCounter(window_seconds, clock=clock)
-        self._tracer = tracer
+        super().__init__(window_seconds, clock, tracer)
         self._closed = False
         self._thread = threading.Thread(target=self._read_loop, daemon=True)
 
     def start(self) -> None:
         self._thread.start()
 
-    def _record_batch(self, first_id: int, count: int) -> None:
-        self.counter.record(count)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.count("ingested", count)
-            if tracer.sample_batch(first_id, count):
-                tracer.instant(
-                    "ingested", "receiver", event_id=first_id, count=count
-                )
-
     def _read_loop(self) -> None:
-        received = 0
-
-        def record(count: int) -> None:
-            nonlocal received
-            self._record_batch(received, count)
-            received += count
-
         try:
-            _count_stream(self._file, record)
+            _count_stream(self._file, self._record_batch)
         except ValueError:
             # File closed under the reader by close(): stop counting.
             pass
@@ -796,7 +779,7 @@ class PipeReceiver:
             self.close()
 
 
-class TcpReceiver:
+class TcpReceiver(_Receiver):
     """Accepts TCP connections and counts received lines.
 
     Binds an ephemeral local port (``port`` attribute) so benchmarks
@@ -854,11 +837,8 @@ class TcpReceiver:
             raise
         self._server = server
         self.host = host
-        self.counter = WindowCounter(window_seconds, clock=clock)
-        self._tracer = tracer
+        super().__init__(window_seconds, clock, tracer)
         self._max_connections = max_connections
-        self._id_lock = threading.Lock()
-        self._next_id = 0  # guarded-by: self._id_lock
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
 
@@ -913,21 +893,6 @@ class TcpReceiver:
             with connection.makefile("rb", buffering=1 << 16) as reader:
                 _count_stream(reader, self._record_batch)
 
-    def _record_batch(self, count: int) -> None:
-        # Arrival-order ids are assigned from one shared counter so
-        # multi-connection ingest traces stay globally unique.
-        with self._id_lock:
-            first_id = self._next_id
-            self._next_id += count
-        self.counter.record(count)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.count("ingested", count)
-            if tracer.sample_batch(first_id, count):
-                tracer.instant(
-                    "ingested", "receiver", event_id=first_id, count=count
-                )
-
     def join(self, timeout: float | None = None) -> None:
         self._thread.join(timeout)
         if self._thread.is_alive():
@@ -957,7 +922,7 @@ class TcpReceiver:
         self.close()
 
 
-class ShmReceiver:
+class ShmReceiver(_Receiver):
     """Owns shared-memory rings and counts the slots producers push.
 
     The measurement peer of :class:`ShmTransport`: creates
@@ -1023,16 +988,13 @@ class ShmReceiver:
                 ring.unlink()
             raise
         self.specs = tuple(ShmSpec(name=ring.name) for ring in self._rings)
-        self.counter = WindowCounter(window_seconds, clock=clock)
-        self._tracer = tracer
+        super().__init__(window_seconds, clock, tracer)
         self._sink = sink
         self._drain_timeout = drain_timeout
         self._stop = threading.Event()
         self._closed = False
         self.error: Exception | None = None
         self._magic_written = False
-        self._id_lock = threading.Lock()
-        self._next_id = 0  # guarded-by: self._id_lock
         self._threads = [
             threading.Thread(target=self._drain, args=(ring,), daemon=True)
             for ring in self._rings
@@ -1046,19 +1008,6 @@ class ShmReceiver:
     def start(self) -> None:
         for thread in self._threads:
             thread.start()
-
-    def _record_batch(self, count: int) -> None:
-        with self._id_lock:
-            first_id = self._next_id
-            self._next_id += count
-        self.counter.record(count)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.count("ingested", count)
-            if tracer.sample_batch(first_id, count):
-                tracer.instant(
-                    "ingested", "receiver", event_id=first_id, count=count
-                )
 
     def _drain_to_sink(self, consumer) -> tuple[int, int, bool]:
         """Sink mode: pop slots one batch at a time, copying payloads

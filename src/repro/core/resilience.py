@@ -67,17 +67,17 @@ def _validated_probability(name: str, value: float) -> float:
 class ChaosConfig:
     """Seeded runtime fault mix for one :class:`ChaosTransport`.
 
-    Probabilities are per *send operation* (one ``send`` call or one
-    ``send_many`` batch).  Fault kinds, checked in a fixed order:
+    Probabilities are per *send operation* (one batch through any
+    verb).  Fault kinds, checked in a fixed order:
 
     * ``reset_probability`` — the whole batch is written but the
       connection "resets" before acknowledgement: the retrier must
       resend it (at-least-once redelivery);
     * ``send_failure_probability`` — the send fails before anything is
       written (clean retry, exactly-once);
-    * ``partial_batch_probability`` — only a prefix of the batch is
-      written; the error reports how much, so the retrier resumes
-      mid-batch;
+    * ``partial_batch_probability`` — only a prefix of a line batch is
+      written (nothing of a raw run or frame, which are atomic); the
+      error reports how much, so the retrier resumes after it;
     * ``latency_probability`` — the send succeeds but is delayed by
       ``latency_seconds``.
     """
@@ -172,72 +172,51 @@ class ChaosTransport(Transport):
         self.trace.append((operation, "ok"))
         return "ok", 0
 
-    def send(self, line: str) -> None:
-        kind, __ = self._next_fault(1)
-        if kind == "reset":
-            self._inner.send(line)
-            raise TransientTransportError(
-                "injected connection reset (line unacknowledged)",
-                unacknowledged=1,
-            )
-        if kind == "send_failure":
-            raise TransientTransportError("injected send failure")
-        if kind == "latency":
-            self._sleep(self.config.latency_seconds)
-        self._inner.send(line)
-
     def send_many(self, lines: Iterable[str]) -> None:
         if not isinstance(lines, list):
             lines = list(lines)
-        if not lines:
-            return
-        kind, cut = self._next_fault(len(lines))
-        if kind == "reset":
-            # Delivered but never acknowledged: the retrier will resend.
-            self._inner.send_many(lines)
-            raise TransientTransportError(
-                "injected connection reset (batch unacknowledged)",
-                unacknowledged=len(lines),
-            )
+        if lines:
+            self._deliver(self._inner.send_many, lines, len(lines))
+
+    def send_raw(self, data: "bytes | memoryview", count: int) -> None:
+        self._deliver(self._inner.send_raw, data, count)
+
+    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
+        self._deliver(self._inner.send_frame, frame, count)
+
+    def _deliver(self, send: Callable, payload, count: int) -> None:
+        """Run one operation's fault through ``send``, the inner verb.
+
+        A list of lines is divisible: a "partial" fault delivers a
+        prefix and reports it.  Raw runs and frames are atomic units, so
+        "partial" delivers nothing and the retrier resends the whole
+        unit — the at-least-once contract with a coarser unit.
+        """
+        lines = type(payload) is list
+        kind, cut = self._next_fault(count)
         if kind == "send_failure":
             raise TransientTransportError("injected send failure")
         if kind == "partial":
-            if cut:
-                self._inner.send_many(lines[:cut])
+            if not lines:
+                cut = 0
+            elif cut:
+                send(payload[:cut])
             raise TransientTransportError(
-                f"injected partial batch failure ({cut}/{len(lines)} delivered)",
+                f"injected partial batch failure ({cut}/{count} delivered)",
                 delivered=cut,
             )
         if kind == "latency":
             self._sleep(self.config.latency_seconds)
-        self._inner.send_many(lines)
-
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
-        """Inject faults at frame granularity.
-
-        A frame is atomic on the binary wire, so a "partial" fault
-        delivers nothing (``delivered=0``) and the retrier resends the
-        whole frame — the at-least-once contract, just with a coarser
-        delivery unit than the CSV line path.
-        """
-        kind, __ = self._next_fault(count)
+        if lines:
+            send(payload)
+        else:
+            send(payload, count)
         if kind == "reset":
-            self._inner.send_frame(frame, count)
+            # Delivered but never acknowledged: the retrier will resend.
             raise TransientTransportError(
-                "injected connection reset (frame unacknowledged)",
+                "injected connection reset (batch unacknowledged)",
                 unacknowledged=count,
             )
-        if kind == "send_failure":
-            raise TransientTransportError("injected send failure")
-        if kind == "partial":
-            raise TransientTransportError(
-                f"injected partial batch failure (0/{count} delivered; "
-                "frames are atomic)",
-                delivered=0,
-            )
-        if kind == "latency":
-            self._sleep(self.config.latency_seconds)
-        self._inner.send_frame(frame, count)
 
     def close(self) -> None:
         self._inner.close()
@@ -391,19 +370,31 @@ class RetryingTransport(Transport):
         self._rng = random.Random(self.policy.seed)
         self.stats = DeliveryStats()
 
-    def send(self, line: str) -> None:
-        self.send_many([line])
-
     def send_many(self, lines: Iterable[str]) -> None:
         if not isinstance(lines, list):
             lines = list(lines)
-        if not lines:
-            return
+        if lines:
+            self._deliver(self._inner.send_many, lines, len(lines))
+
+    def send_raw(self, data: "bytes | memoryview", count: int) -> None:
+        self._deliver(self._inner.send_raw, data, count)
+
+    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
+        self._deliver(self._inner.send_frame, frame, count)
+
+    def _deliver(self, send: Callable, payload, count: int) -> None:
+        """Retry one unit through ``send``, the inner verb.
+
+        A list of lines resumes after the delivered prefix a failure
+        reports; raw runs and frames are atomic, so every retry resends
+        the whole unit.
+        """
         policy = self.policy
         breaker = self.breaker
         stats = self.stats
         stats.operations += 1
         started = self._clock()
+        lines = type(payload) is list
         offset = 0
         attempt = 0
         while True:
@@ -411,62 +402,18 @@ class RetryingTransport(Transport):
                 stats.breaker_rejections += 1
                 raise CircuitOpenError(
                     f"circuit open after {breaker.openings} opening(s); "
-                    f"{len(lines) - offset} line(s) undelivered"
+                    f"{count - offset} record(s) undelivered"
                 )
             attempt += 1
             stats.attempts += 1
             try:
-                self._inner.send_many(lines[offset:])
+                if lines:
+                    send(payload[offset:] if offset else payload)
+                else:
+                    send(payload, count)
             except TransientTransportError as exc:
-                offset += exc.delivered
-                stats.redelivered_lines += exc.unacknowledged
-                if breaker is not None:
-                    breaker.record_failure()
-                out_of_attempts = attempt >= policy.max_attempts
-                out_of_time = (
-                    policy.deadline is not None
-                    and self._clock() - started >= policy.deadline
-                )
-                if out_of_attempts or out_of_time:
-                    stats.exhausted += 1
-                    reason = "attempts" if out_of_attempts else "deadline"
-                    raise DeliveryExhaustedError(
-                        f"gave up after {attempt} attempt(s) ({reason} "
-                        f"exhausted): {exc}",
-                        attempts=attempt,
-                    ) from exc
-                stats.retries += 1
-                self._sleep(policy.delay(attempt, self._rng))
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                return
-
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
-        """Retry a binary frame as one atomic unit.
-
-        Frames have no delivered-prefix resume (the wire unit is the
-        whole frame), so every retry resends it and unacknowledged
-        records count as redeliveries, same as the line path.
-        """
-        policy = self.policy
-        breaker = self.breaker
-        stats = self.stats
-        stats.operations += 1
-        started = self._clock()
-        attempt = 0
-        while True:
-            if breaker is not None and not breaker.allow():
-                stats.breaker_rejections += 1
-                raise CircuitOpenError(
-                    f"circuit open after {breaker.openings} opening(s); "
-                    f"{count} record(s) undelivered"
-                )
-            attempt += 1
-            stats.attempts += 1
-            try:
-                self._inner.send_frame(frame, count)
-            except TransientTransportError as exc:
+                if lines:
+                    offset += exc.delivered
                 stats.redelivered_lines += exc.unacknowledged
                 if breaker is not None:
                     breaker.record_failure()

@@ -60,6 +60,7 @@ started with either the ``fork`` or ``spawn`` method.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import queue
 import shutil
 import tempfile
@@ -562,7 +563,14 @@ def _worker_main(config: WorkerConfig, barrier, results) -> None:
         barrier.abort()
         if transport is not None:
             close_transport(transport, exc)
-        results.put((config.index, None, f"{type(exc).__name__}: {exc}"))
+        message = f"{type(exc).__name__}: {exc}"
+        try:
+            # The queue pickles in a feeder thread, where an item that
+            # cannot cross is dropped without a word: check it here.
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = ReplayError(message)
+        results.put((config.index, None, (message, exc)))
 
 
 #: How long workers / the parent wait on the start barrier.
@@ -787,8 +795,9 @@ class ShardedReplayer:
 
         Blocks until every worker finished.  Raises
         :class:`~repro.errors.ReplayError` when any worker failed
-        (collecting each failed worker's error) or when workers do not
-        report back within ``worker_timeout``.
+        (naming each failed worker's error, with the lowest-indexed
+        failed worker's exception as ``__cause__``) or when workers do
+        not report back within ``worker_timeout``.
         """
         if self._workers == 1:
             return self._run_single()
@@ -869,7 +878,7 @@ class ShardedReplayer:
             except threading.BrokenBarrierError:
                 pass  # a worker failed during setup; its error is queued
             reports: dict[int, ReplayReport] = {}
-            errors: list[str] = []
+            failures: dict[int, tuple[str, BaseException]] = {}
             reported: set[int] = set()
             received = 0
             deadline = time.monotonic() + self._worker_timeout
@@ -924,15 +933,19 @@ class ShardedReplayer:
                 received += 1
                 reported.add(index)
                 if error is not None:
-                    errors.append(f"worker {index}: {error}")
+                    failures[index] = error
                 else:
                     reports[index] = report
             for process in processes:
                 process.join(timeout=10.0)
-            if errors:
-                raise ReplayError(
-                    "sharded replay failed: " + "; ".join(sorted(errors))
+            if failures:
+                errors = sorted(
+                    f"worker {index}: {message}"
+                    for index, (message, __) in failures.items()
                 )
+                raise ReplayError(
+                    "sharded replay failed: " + "; ".join(errors)
+                ) from failures[min(failures)][1]
             return [reports[index] for index in range(self._workers)]
         finally:
             for process in processes:

@@ -383,42 +383,30 @@ class TracingTransport(Transport):
         tracer.count("transported", end_pos - self._counted)
         self._counted = end_pos
 
-    def send(self, line: str) -> None:
-        first_id = self._sent
-        if first_id + 1 > self._next_sample:
-            now = self._tracer.clock.now
-            start = now()
-            self._inner.send(line)
-            self._record(start, now(), first_id, 1)
-        else:
-            self._inner.send(line)
-        self._sent = first_id + 1
-
     def send_many(self, lines: Iterable[str]) -> None:
         if not isinstance(lines, list):
             lines = list(lines)
-        if not lines:
-            return
-        first_id = self._sent
-        count = len(lines)
-        if first_id + count > self._next_sample:
-            now = self._tracer.clock.now
-            start = now()
-            self._inner.send_many(lines)
-            self._record(start, now(), first_id, count)
-        else:
-            self._inner.send_many(lines)
-        self._sent = first_id + count
+        if lines:
+            self._deliver(self._inner.send_many, lines, len(lines))
+
+    def send_raw(self, data: "bytes | memoryview", count: int) -> None:
+        self._deliver(self._inner.send_raw, data, count)
 
     def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
+        self._deliver(self._inner.send_frame, frame, count)
+
+    def _deliver(self, send: Callable, payload, count: int) -> None:
+        """Deliver through ``send``, the inner verb, timing sampled sends."""
         first_id = self._sent
-        if first_id + count > self._next_sample:
-            now = self._tracer.clock.now
-            start = now()
-            self._inner.send_frame(frame, count)
-            self._record(start, now(), first_id, count)
+        sampled = first_id + count > self._next_sample
+        if sampled:
+            start = self._tracer.clock.now()
+        if type(payload) is list:
+            send(payload)
         else:
-            self._inner.send_frame(frame, count)
+            send(payload, count)
+        if sampled:
+            self._record(start, self._tracer.clock.now(), first_id, count)
         self._sent = first_id + count
 
     def flush_counts(self) -> None:

@@ -185,22 +185,7 @@ class TestFormatEvents:
             codec.format_event(object())
 
 
-class _RecordingTransport(Transport):
-    """Implements only ``send`` to exercise the base-class batching."""
-
-    def __init__(self):
-        self.lines = []
-
-    def send(self, line):
-        self.lines.append(line)
-
-
 class TestSendMany:
-    def test_base_class_delegates_to_send(self):
-        transport = _RecordingTransport()
-        transport.send_many(["a", "b", "c"])
-        assert transport.lines == ["a", "b", "c"]
-
     def test_callback_transport_preserves_order(self):
         received = []
         transport = CallbackTransport(received.append)
@@ -246,9 +231,6 @@ class _ExplodingTransport(Transport):
         self.closed = False
         self.sent = 0
         self._boom_after = boom_after
-
-    def send(self, line):
-        self.send_many([line])
 
     def send_many(self, lines):
         self.sent += len(list(lines))

@@ -142,7 +142,7 @@ class TestPipeTransportClose:
     def test_close_flush_failure_still_closes_owned_file(self):
         read_fd, write_fd = os.pipe()
         transport = PipeTransport(write_fd)
-        transport.send("x,1,")
+        transport.send_many(["x,1,"])
         os.close(read_fd)  # flush at close now hits a broken pipe
         transport.close()
         assert transport._file.closed
@@ -160,9 +160,9 @@ class TestSendRaw:
     def test_pipe_transport_interleaves_with_text_sends(self, tmp_path):
         out = tmp_path / "out.csv"
         transport = PipeSpec(target=str(out)).build()
-        transport.send("A,V,1,")
+        transport.send_many(["A,V,1,"])
         transport.send_raw(b"A,V,2,\n", 1)
-        transport.send("A,V,3,")
+        transport.send_many(["A,V,3,"])
         transport.close()
         assert out.read_text() == "A,V,1,\nA,V,2,\nA,V,3,\n"
 
@@ -170,7 +170,7 @@ class TestSendRaw:
         with TcpReceiver() as receiver:
             transport = TcpTransport(receiver.host, receiver.port)
             transport.send_raw(b"A,V,1,\nA,V,2,\n", 2)
-            transport.send("A,V,3,")
+            transport.send_many(["A,V,3,"])
             transport.close()
         receiver.join(5.0)
         assert receiver.counter.total == 3
@@ -186,9 +186,6 @@ class TestSendRaw:
 
         class Minimal(Transport):
             send_many = staticmethod(Recording().send_many)
-
-            def send(self, line):  # pragma: no cover - unused
-                sent.append(line)
 
             def close(self):
                 pass
@@ -222,7 +219,7 @@ class TestTcpReceiverMultiConnection:
                     for _ in range(2)
                 ]
                 for transport in transports:
-                    transport.send("A,V,1,")
+                    transport.send_many(["A,V,1,"])
                     transport.close()
             receiver.join(5.0)
             assert receiver.counter.total == 2

@@ -151,7 +151,7 @@ class TestPipeTransport:
         transport.close()
         os.close(read_fd)
         with pytest.raises(ConnectorError):
-            transport.send("x")
+            transport.send_many(["x"])
 
     def test_double_close_is_safe(self):
         read_fd, write_fd = os.pipe()

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import binfmt, codec
 from repro.core.connectors import CallbackTransport, Transport
+from repro.core.events import add_vertex
 from repro.core.resilience import (
     ChaosConfig,
     ChaosTransport,
@@ -14,6 +16,7 @@ from repro.core.resilience import (
     RetryingTransport,
     collect_fault_counters,
 )
+from repro.core.tracing import Tracer, TracingTransport
 from repro.errors import (
     CircuitOpenError,
     ConnectorError,
@@ -32,9 +35,6 @@ class RecordingTransport(Transport):
         self.calls = 0
         self.closed = False
         self._failures = list(failures)
-
-    def send(self, line):
-        self.send_many([line])
 
     def send_many(self, lines):
         self.calls += 1
@@ -73,7 +73,7 @@ class TestChaosTransport:
     def test_clean_config_delivers_everything(self):
         inner = RecordingTransport()
         chaos = ChaosTransport(inner, ChaosConfig(seed=7))
-        chaos.send("a")
+        chaos.send_many(["a"])
         chaos.send_many(["b", "c"])
         assert inner.lines == ["a", "b", "c"]
         assert chaos.stats.total_faults == 0
@@ -117,7 +117,7 @@ class TestChaosTransport:
             inner, ChaosConfig(partial_batch_probability=1.0, seed=3)
         )
         for i in range(20):
-            chaos.send(f"l{i}")
+            chaos.send_many([f"l{i}"])
         assert chaos.stats.partial_batches == 0
         assert len(inner.lines) == 20
 
@@ -177,7 +177,7 @@ class TestRetryingTransport:
     def test_success_passes_through(self):
         inner = RecordingTransport()
         transport = RetryingTransport(inner, RetryPolicy(max_attempts=3))
-        transport.send("a")
+        transport.send_many(["a"])
         assert inner.lines == ["a"]
         assert transport.stats.retries == 0
 
@@ -361,3 +361,46 @@ class TestFaultCounters:
         assert counters.retries == 2
         assert counters.delivery_attempts == 3
         assert counters.breaker_openings == 0
+
+
+class TestOneDeliveryPath:
+    """Every verb runs through the same routine of each wrapper."""
+
+    @pytest.mark.parametrize("verb", ["send_many", "send_raw", "send_frame"])
+    def test_every_record_arrives_and_the_surplus_is_redeliveries(self, verb):
+        received: list[str] = []
+        chaos = ChaosTransport(
+            CallbackTransport(received.append),
+            ChaosConfig(
+                send_failure_probability=0.1,
+                reset_probability=0.05,
+                partial_batch_probability=0.1,
+                seed=11,
+            ),
+        )
+        transport = TracingTransport(
+            RetryingTransport(
+                chaos,
+                RetryPolicy(max_attempts=20, base_delay=0.0),
+                sleep=lambda _: None,
+            ),
+            Tracer(sample_every=1),
+        )
+        events = [add_vertex(i) for i in range(1200)]
+        for start in range(0, len(events), 20):
+            batch = events[start : start + 20]
+            lines = codec.format_lines(batch)
+            if verb == "send_many":
+                transport.send_many(lines)
+            elif verb == "send_raw":
+                data = ("\n".join(lines) + "\n").encode()
+                transport.send_raw(data, len(lines))
+            else:
+                transport.send_frame(binfmt.encode_graph_frame(batch), len(batch))
+        expected = codec.format_lines(events)
+        assert set(received) == set(expected)
+        duplicates = len(received) - len(expected)
+        assert duplicates == collect_fault_counters(transport).redeliveries
+        assert duplicates > 0
+        stats = chaos.stats
+        assert stats.resets and stats.send_failures and stats.partial_batches

@@ -10,6 +10,7 @@ configuration object must pickle (so ``spawn`` platforms work).
 import collections
 import multiprocessing
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
@@ -44,7 +45,13 @@ from repro.core.sharding import (
 )
 from repro.core.resilience import ChaosConfig, RetryPolicy
 from repro.core.stream import GraphStream
-from repro.errors import ReplayError
+from repro.errors import (
+    DeliveryExhaustedError,
+    EvaluationLevelError,
+    ReplayError,
+    StreamFormatError,
+    TransientTransportError,
+)
 
 FAST = 1_000_000  # replay rate far above these tiny streams' needs
 
@@ -665,3 +672,101 @@ class TestSpawnWorkers:
             if line
         )
         assert merged == graph_multiset(mixed_stream())
+
+
+@dataclass(frozen=True)
+class _FailingSpec(TransportSpec):
+    """A spec whose build raises ``error`` inside the worker."""
+
+    error: BaseException
+
+    def build(self):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error, fields",
+    [
+        (StreamFormatError("bad", byte_offset=12), {"byte_offset": 12}),
+        (StreamFormatError("bad", 3), {"line_number": 3}),
+        (
+            TransientTransportError("cut", delivered=2, unacknowledged=5),
+            {"delivered": 2, "unacknowledged": 5},
+        ),
+        (DeliveryExhaustedError("gave up", attempts=4), {"attempts": 4}),
+    ],
+)
+def test_typed_errors_keep_their_fields_through_pickle(error, fields):
+    clone = pickle.loads(pickle.dumps(error))
+    assert type(clone) is type(error)
+    assert str(clone) == str(error)
+    assert vars(clone) == vars(error)
+    assert {name: getattr(clone, name) for name in fields} == fields
+
+
+class TestWorkerErrors:
+    def test_typed_error_crosses_the_process_boundary(self, tmp_path):
+        source = tmp_path / "stream.csv"
+        mixed_stream().write(source)
+        specs = [
+            _FailingSpec(StreamFormatError("corrupt", byte_offset=offset))
+            for offset in (3, 7)
+        ]
+        replayer = ShardedReplayer(str(source), specs, rate=FAST, workers=2)
+        with pytest.raises(ReplayError) as err:
+            replayer.run()
+        assert str(err.value) == (
+            "sharded replay failed: "
+            "worker 0: StreamFormatError: byte offset 3: corrupt; "
+            "worker 1: StreamFormatError: byte offset 7: corrupt"
+        )
+        cause = err.value.__cause__
+        assert isinstance(cause, StreamFormatError)
+        assert cause.byte_offset == 3
+
+    def test_error_that_cannot_cross_arrives_as_its_text(self, tmp_path):
+        source = tmp_path / "stream.csv"
+        mixed_stream().write(source)
+        error = EvaluationLevelError(2, 1)  # does not unpickle
+        specs = [_FailingSpec(error), PipeSpec(target=str(tmp_path / "o.csv"))]
+        replayer = ShardedReplayer(str(source), specs, rate=FAST, workers=2)
+        with pytest.raises(ReplayError) as err:
+            replayer.run()
+        cause = err.value.__cause__
+        assert type(cause) is ReplayError
+        assert str(cause) == f"EvaluationLevelError: {error}"
+        assert f"worker 0: EvaluationLevelError: {error}" in str(err.value)
+
+
+def test_retried_raw_runs_reach_the_byte_verb(tmp_path, monkeypatch):
+    """With a retry wrapper in the chain, CSV raw emission still hands
+    stored bytes to ``send_raw``; nothing is decoded into lines."""
+    source = tmp_path / "stream.csv"
+    mixed_stream().write(source)
+    calls = []
+    send_raw = PipeTransport.send_raw
+    send_many = PipeTransport.send_many
+
+    def spy_raw(self, data, count):
+        calls.append("send_raw")
+        send_raw(self, data, count)
+
+    def spy_many(self, lines):
+        calls.append("send_many")
+        send_many(self, lines)
+
+    monkeypatch.setattr(PipeTransport, "send_raw", spy_raw)
+    monkeypatch.setattr(PipeTransport, "send_many", spy_many)
+    out = tmp_path / "out.csv"
+    report = ShardedReplayer(
+        str(source),
+        PipeSpec(target=str(out)),
+        rate=FAST,
+        workers=1,
+        emission="raw",
+        batch_size=8,
+        retry_policy=RetryPolicy(max_attempts=3),
+    ).run()
+    assert report.events_emitted == 40
+    assert len(out.read_text().splitlines()) == 40
+    assert calls and set(calls) == {"send_raw"}

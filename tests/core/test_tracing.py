@@ -349,14 +349,14 @@ class TestTracingTransport:
         tracer = Tracer(sample_every=1)
         lines: list[str] = []
         transport = TracingTransport(CallbackTransport(lines.append), tracer)
-        transport.send("a")
+        transport.send_many(["a"])
         transport.send_many(["b", "c"])
         assert lines == ["a", "b", "c"]
 
     def test_spans_carry_send_order_event_ids(self):
         tracer = Tracer(sample_every=1)
         transport = TracingTransport(CallbackTransport(lambda line: None), tracer)
-        transport.send("a")
+        transport.send_many(["a"])
         transport.send_many(["b", "c", "d"])
         first, second = tracer.spans
         assert (first.event_id, first.count) == (0, 1)
@@ -368,7 +368,7 @@ class TestTracingTransport:
         tracer = Tracer(sample_every=1000)
         transport = TracingTransport(CallbackTransport(lambda line: None), tracer)
         for __ in range(10):
-            transport.send("x")
+            transport.send_many(["x"])
         # Only the first send (id 0) was sampled; the other nine counts
         # are deferred on the hot path...
         assert len(tracer.spans) == 1

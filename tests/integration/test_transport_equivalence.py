@@ -197,7 +197,7 @@ class TestShmLifecycle:
         def produce():
             try:
                 for i in range(10_000):
-                    transport.send(f"v,{i}")
+                    transport.send_many([f"v,{i}"])
                 transport.flush()
             except ConnectorError as exc:
                 error.append(exc)
