@@ -79,9 +79,12 @@ SOCKET_BUFFER_BYTES = 1 << 20
 class Transport:
     """Interface: deliver batches of serialized events to a system under test.
 
-    :meth:`send_many` is the one verb a transport must implement; the
-    byte verbs default to decoding into it.  Every verb delivers the
-    whole batch or raises :class:`ConnectorError`.
+    Three batch verbs, one per payload shape: :meth:`send_many` (CSV
+    lines), :meth:`send_raw` (stored CSV line bytes) and
+    :meth:`send_frame` (one GTB1 frame).  :meth:`send_many` is the one
+    a transport must implement; the byte verbs default to decoding into
+    it, the line adapter for callbacks and text targets.  Every verb
+    delivers the whole batch or raises :class:`ConnectorError`.
     """
 
     def send_many(self, lines: Iterable[str]) -> None:
@@ -255,7 +258,7 @@ class TcpTransport(Transport):
     """Sends newline-terminated lines over a TCP connection.
 
     The socket's send buffer plus TCP flow control provide natural
-    backpressure: when the receiver cannot keep up, ``send`` blocks.
+    backpressure: when the receiver cannot keep up, a send blocks.
     """
 
     def __init__(
