@@ -152,7 +152,8 @@ class RunResult:
 
     log: ResultLog
     duration: float
-    events_emitted: int
+    #: Events emitted by each replayer, in source order.
+    events_emitted_per_source: list[int]
     events_processed: int
     rejected_attempts: int
     drained: bool
@@ -163,6 +164,10 @@ class RunResult:
     recoveries: list[FaultRecovery] = field(default_factory=list)
     #: The run's tracer when ``HarnessConfig.trace`` was set, else None.
     tracer: Tracer | None = None
+
+    @property
+    def events_emitted(self) -> int:
+        return sum(self.events_emitted_per_source)
 
     @property
     def mean_throughput(self) -> float:
@@ -214,46 +219,58 @@ class TestHarness:
         self.query_probes = query_probes or {}
         self.object_probes = object_probes or {}
 
+    def _sources(self) -> list[tuple[GraphStream, float, str]]:
+        """The replayers to run, as ``(stream, rate, source_name)``.
+
+        One replayer at the full rate, or ``replay_workers``
+        marker-aligned shards sharing it.
+        """
+        config = self.config
+        if config.replay_workers == 1:
+            return [(self.stream, config.rate, "replayer")]
+        from repro.core.sharding import partition_stream
+
+        shards = partition_stream(self.stream, config.replay_workers, config.shard_by)
+        rate = config.rate / config.replay_workers
+        return [(shard, rate, f"replayer-{i}") for i, shard in enumerate(shards)]
+
     def run(self) -> RunResult:
         """Execute the evaluation and return the collected results."""
         sim = Simulation()
         platform = self.platform
         config = self.config
         platform.attach(sim)
+        sources = self._sources()
 
+        # One tracer is shared by all replayers: span ids are local
+        # stream positions, disambiguated by the replayer's source name
+        # as span category, while the phase counters aggregate, so
+        # accounting closes for the whole run.
         tracer: Tracer | None = None
         if config.trace:
             tracer = Tracer(
                 clock=TraceClock.for_simulation(sim),
                 sample_every=config.trace_sample_every,
-                metadata={"mode": "simulated", "platform": platform.name},
+                metadata={
+                    "mode": "simulated",
+                    "platform": platform.name,
+                    "sources": len(sources),
+                },
             )
         platform.attach_tracer(tracer)
 
-        if config.replay_workers == 1:
-            shards = [self.stream]
-        else:
-            from repro.core.sharding import partition_stream
-
-            shards = partition_stream(
-                self.stream, config.replay_workers, config.shard_by
-            )
         replayers = [
             SimulatedReplayer(
                 sim,
-                shard,
+                stream,
                 platform,
-                rate=config.rate / config.replay_workers,
+                rate=rate,
                 retry_interval=config.retry_interval,
                 rate_sample_interval=config.log_interval,
-                source_name=(
-                    "replayer"
-                    if config.replay_workers == 1
-                    else f"replayer-{index}"
-                ),
+                source_name=source_name,
                 tracer=tracer,
             )
-            for index, shard in enumerate(shards)
+            for stream, rate, source_name in sources
         ]
 
         loggers: list[SimPeriodicLogger] = []
@@ -401,7 +418,7 @@ class TestHarness:
         return RunResult(
             log=log,
             duration=sim.now,
-            events_emitted=sum(r.emitted for r in replayers),
+            events_emitted_per_source=[r.emitted for r in replayers],
             events_processed=platform.events_processed(),
             rejected_attempts=sum(r.rejected_attempts for r in replayers),
             drained=state["drained"],

@@ -11,27 +11,22 @@ This module implements that scaling pattern: :func:`offset_stream`
 relabels a stream's vertex ids into a disjoint id range,
 :func:`disjoint_streams` builds N independent streams from the same
 rules, and :class:`MultiReplayHarness` replays them concurrently into
-one platform from N simulated replayer instances.
+one platform from N simulated replayer instances, through the
+single-stream :class:`~repro.core.harness.TestHarness` run loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import chain
+from typing import Any
 
-from repro.core.collector import collect_records
 from repro.core.events import EdgeId, Event, GraphEvent
-from repro.core.generator import GeneratorRules, StreamGenerator
-from repro.core.harness import HarnessConfig
-from repro.core.loggers import SimPeriodicLogger
-from repro.core.probes import CpuUtilizationProbe, NativeMetricsProbe
-from repro.core.resultlog import ResultLog
+from repro.core.generator import StreamGenerator
+from repro.core.harness import HarnessConfig, TestHarness
 from repro.core.stream import GraphStream
-from repro.core.tracing import TraceClock, Tracer
 from repro.platforms.base import Platform
-from repro.sim.kernel import Simulation
-from repro.sim.replay import SimulatedReplayer
 
-__all__ = ["offset_stream", "disjoint_streams", "MultiReplayHarness", "MultiRunResult"]
+__all__ = ["offset_stream", "disjoint_streams", "MultiReplayHarness"]
 
 #: Default id distance between sources; far above any realistic stream.
 DEFAULT_ID_STRIDE = 10_000_000
@@ -93,35 +88,14 @@ def disjoint_streams(
     return streams
 
 
-@dataclass(slots=True)
-class MultiRunResult:
-    """Outcome of a concurrent multi-source replay."""
-
-    log: ResultLog
-    duration: float
-    events_emitted_per_source: list[int]
-    events_processed: int
-    drained: bool
-    #: The run's tracer when ``HarnessConfig.trace`` was set, else None.
-    tracer: Tracer | None = None
-
-    @property
-    def events_emitted(self) -> int:
-        return sum(self.events_emitted_per_source)
-
-    @property
-    def aggregate_offered_rate(self) -> float:
-        return self.events_emitted / self.duration if self.duration else 0.0
-
-
-class MultiReplayHarness:
+class MultiReplayHarness(TestHarness):
     """Replays several disjoint streams concurrently into one platform.
 
-    Each stream gets its own :class:`SimulatedReplayer` (source names
-    ``replayer-0`` ... ``replayer-N-1``) running at ``config.rate``, so
-    the aggregate offered load is ``N * rate`` — the horizontal input
-    scaling of section 3.2.  Metric collection matches the
-    single-stream harness for levels 0 and 1.
+    A :class:`TestHarness` whose replayers are one per stream (source
+    names ``replayer-0`` ... ``replayer-N-1``), each at ``config.rate``,
+    so the aggregate offered load is ``N * rate`` — the horizontal
+    input scaling of section 3.2.  Everything else (levels, probes,
+    fault schedules, tracing, drain) is the single-stream harness's.
     """
 
     def __init__(
@@ -129,123 +103,23 @@ class MultiReplayHarness:
         platform: Platform,
         streams: list[GraphStream],
         config: HarnessConfig,
+        **probes: Any,
     ):
         if not streams:
             raise ValueError("need at least one stream")
-        if config.level > platform.evaluation_level:
+        if config.replay_workers > 1:
             raise ValueError(
-                f"requested level {config.level} exceeds platform level "
-                f"{platform.evaluation_level}"
+                "replay_workers shards one stream; disjoint sources are "
+                f"already parallel, got replay_workers={config.replay_workers}"
             )
-        self.platform = platform
+        # ``stream`` is the whole offered workload; replay uses ``streams``.
+        super().__init__(
+            platform, GraphStream(chain.from_iterable(streams)), config, **probes
+        )
         self.streams = streams
-        self.config = config
 
-    def run(self) -> MultiRunResult:
-        sim = Simulation()
-        platform = self.platform
-        config = self.config
-        platform.attach(sim)
-
-        # One tracer is shared by all sources: per-source span ids are
-        # local stream positions (disambiguated by the replayer's source
-        # name as span category), while the emitted/ingested counters
-        # aggregate across sources, so accounting closes for the whole
-        # concurrent replay.
-        tracer: Tracer | None = None
-        if config.trace:
-            tracer = Tracer(
-                clock=TraceClock.for_simulation(sim),
-                sample_every=config.trace_sample_every,
-                metadata={
-                    "mode": "simulated-multistream",
-                    "platform": platform.name,
-                    "sources": len(self.streams),
-                },
-            )
-        platform.attach_tracer(tracer)
-
-        replayers = [
-            SimulatedReplayer(
-                sim,
-                stream,
-                platform,
-                rate=config.rate,
-                retry_interval=config.retry_interval,
-                rate_sample_interval=config.log_interval,
-                source_name=f"replayer-{index}",
-                tracer=tracer,
-            )
+    def _sources(self) -> list[tuple[GraphStream, float, str]]:
+        return [
+            (stream, self.config.rate, f"replayer-{index}")
             for index, stream in enumerate(self.streams)
         ]
-
-        loggers = [
-            SimPeriodicLogger(
-                sim,
-                config.log_interval,
-                CpuUtilizationProbe(platform, sim),
-                name="cpu-probe",
-                tracer=tracer,
-            )
-        ]
-        if config.level >= 1:
-            loggers.append(
-                SimPeriodicLogger(
-                    sim,
-                    config.log_interval,
-                    NativeMetricsProbe(platform, sim),
-                    name="native-metrics",
-                    tracer=tracer,
-                )
-            )
-
-        for logger in loggers:
-            logger.start()
-        for replayer in replayers:
-            replayer.start()
-
-        state = {"stream_ended": False, "drained": False, "deadline": None}
-
-        def supervise() -> None:
-            all_finished = all(r.finished for r in replayers)
-            if (
-                config.max_duration is not None
-                and sim.now >= config.max_duration
-                and not all_finished
-            ):
-                for replayer in replayers:
-                    replayer.stop()
-            if all_finished and not state["stream_ended"]:
-                state["stream_ended"] = True
-                platform.on_stream_end()
-                state["deadline"] = sim.now + config.drain_grace
-            if state["stream_ended"]:
-                if platform.is_drained:
-                    state["drained"] = True
-                    for logger in loggers:
-                        logger.stop()
-                    platform.shutdown()
-                    return
-                if state["deadline"] is not None and sim.now >= state["deadline"]:
-                    for logger in loggers:
-                        logger.stop()
-                    platform.shutdown()
-                    return
-            sim.schedule(config.drain_poll_interval, supervise)
-
-        sim.schedule(config.drain_poll_interval, supervise)
-        sim.run()
-
-        log = collect_records(
-            *(replayer.records for replayer in replayers),
-            *(logger.records for logger in loggers),
-            tracer.to_records() if tracer is not None else [],
-        )
-        return MultiRunResult(
-            log=log,
-            duration=sim.now,
-            events_emitted_per_source=[r.emitted for r in replayers],
-            events_processed=platform.events_processed(),
-            drained=state["drained"],
-            tracer=tracer,
-        )

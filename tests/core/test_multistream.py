@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import GraphEvent, MarkerEvent
+from repro.core.events import GraphEvent, MarkerEvent, add_vertex
 from repro.core.harness import HarnessConfig
 from repro.core.models import UniformRules
 from repro.core.multistream import (
@@ -10,7 +10,10 @@ from repro.core.multistream import (
     disjoint_streams,
     offset_stream,
 )
+from repro.core.stream import GraphStream
+from repro.errors import GraphTidesError
 from repro.graph.builders import build_graph
+from repro.platforms.base import FaultSchedule, ProcessFault
 from repro.platforms.inmem import InMemoryPlatform
 
 
@@ -96,7 +99,7 @@ class TestMultiReplayHarness:
             result = MultiReplayHarness(
                 platform, streams, HarnessConfig(rate=1000, level=0)
             ).run()
-            return result.aggregate_offered_rate
+            return result.events_emitted / result.duration
 
         # Three sources at the same per-source rate offer roughly three
         # times the load of one (durations are pause-dominated equally).
@@ -135,10 +138,39 @@ class TestMultiReplayHarness:
         from repro.platforms.weaverlike import WeaverLikePlatform
 
         streams = disjoint_streams(UniformRules, sources=1, rounds=50)
-        with pytest.raises(ValueError, match="level"):
+        with pytest.raises(GraphTidesError, match="level"):
             MultiReplayHarness(
                 WeaverLikePlatform(), streams, HarnessConfig(rate=100, level=1)
             )
+
+    def test_replay_workers_rejected(self):
+        streams = disjoint_streams(UniformRules, sources=2, rounds=50)
+        with pytest.raises(ValueError, match="replay_workers"):
+            MultiReplayHarness(
+                InMemoryPlatform(),
+                streams,
+                HarnessConfig(rate=100, level=0, replay_workers=2),
+            )
+
+    def test_fault_schedule_applies_to_disjoint_sources(self):
+        from repro.platforms.weaverlike import WeaverLikePlatform
+
+        base = GraphStream([add_vertex(i) for i in range(1500)])
+        streams = [base, offset_stream(base, 10_000)]
+        schedule = FaultSchedule(
+            faults=(ProcessFault(process="shard", at=1.0, duration=1.0),)
+        )
+        result = MultiReplayHarness(
+            WeaverLikePlatform(),
+            streams,
+            HarnessConfig(
+                rate=750, level=0, log_interval=0.1, fault_schedule=schedule
+            ),
+        ).run()
+        assert result.events_processed == 3000
+        fault_records = result.log.filter(metric="fault")
+        assert [r.tags["action"] for r in fault_records] == ["crash", "restore"]
+        assert len(result.recoveries) == 1
 
 
 class TestOffsetCollisions:
