@@ -591,6 +591,7 @@ def _print_trace_summary(tracer, path: str) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from repro.core import codec
     from repro.core.replayer import LiveReplayer
 
     if args.workers > 1 or args.emission != "events":
@@ -626,7 +627,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         args.stream,
         build(),
         rate=args.rate,
-        wire_format="binary" if args.format == "binary" else "csv",
+        wire_format=(
+            codec.detect_stream_format(args.stream)
+            if args.format == "auto"
+            else args.format
+        ),
         batch_size=args.batch_size,
         max_resumes=args.max_resumes,
         transport_factory=build if args.max_resumes > 0 else None,

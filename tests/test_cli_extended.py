@@ -394,6 +394,16 @@ class TestReplayScaleOut:
         assert code == 2
         assert "--emission raw" in capsys.readouterr().err
 
+    def test_auto_format_keeps_a_binary_source_binary(
+        self, small_stream, tmp_path, capfdbinary
+    ):
+        binary = tmp_path / "small.gtb"
+        assert main(["convert", str(small_stream), "--to", "binary",
+                     "-o", str(binary)]) == 0
+        capfdbinary.readouterr()
+        assert main(["replay", str(binary), "--rate", "1000000"]) == 0
+        assert capfdbinary.readouterr().out.startswith(b"GTB1")
+
     def test_per_worker_fault_breakdown_printed(self, small_stream, capsys):
         from repro.core.connectors import TcpReceiver
 
