@@ -362,7 +362,6 @@ def write_shards(
     workers: int,
     directory: str | Path,
     shard_by: str = "round-robin",
-    trusted_parse: bool = True,
     stream_format: str = "auto",
 ) -> ShardPlan:
     """Partition ``source`` and write one stream file per shard.
@@ -374,13 +373,12 @@ def write_shards(
     shard file format: ``"auto"`` keeps a file source's own format
     (CSV for in-memory sources), ``"csv"`` / ``"binary"`` force one.
 
-    Trusted file sources in their own format take the streamed
-    byte-level path: raw lines/records are scattered to shard files
-    without the parent ever parsing or re-encoding an event.
-    ``trusted_parse=False`` (or a cross-format request) falls back to
-    the validating event-level partitioner.  Empty shards — a stream
-    shorter than the worker count — produce empty (or frame-less)
-    files, which replay to empty reports.
+    File sources in their own format take the streamed byte-level
+    path: raw lines/records are scattered to shard files without the
+    parent ever parsing or re-encoding an event.  A cross-format
+    request falls back to the event-level partitioner over a trusted
+    parse.  Empty shards — a stream shorter than the worker count —
+    produce empty (or frame-less) files, which replay to empty reports.
     """
     if workers <= 0:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -405,13 +403,8 @@ def write_shards(
                 return _write_shards_binary_records(
                     source, workers, directory, shard_by
                 )
-            if trusted_parse:
-                return _write_shards_csv_bytes(
-                    source, workers, directory, shard_by
-                )
-        events: Iterable[Event] = codec.parse_stream_file(
-            source, trusted=trusted_parse
-        )
+            return _write_shards_csv_bytes(source, workers, directory, shard_by)
+        events: Iterable[Event] = codec.parse_stream_file(source, trusted=True)
         return _write_shards_events(
             events, workers, directory, shard_by, target_format
         )
@@ -707,7 +700,6 @@ class ShardedReplayer:
         stream_format: str = "auto",
         window_seconds: float = 1.0,
         batch_size: int = 64,
-        trusted_parse: bool = True,
         chaos_config: ChaosConfig | None = None,
         retry_policy: RetryPolicy | None = None,
         breaker_threshold: int = 0,
@@ -760,7 +752,6 @@ class ShardedReplayer:
         self._stream_format = stream_format
         self._window_seconds = window_seconds
         self._batch_size = batch_size
-        self._trusted_parse = trusted_parse
         self._chaos_config = chaos_config
         self._retry_policy = retry_policy
         self._breaker_threshold = breaker_threshold
@@ -814,7 +805,6 @@ class ShardedReplayer:
                 self._workers,
                 directory,
                 shard_by=self._shard_by,
-                trusted_parse=self._trusted_parse,
                 stream_format=self._stream_format,
             )
             shards = self._run_workers(self.plan)

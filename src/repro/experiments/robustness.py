@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.connectors import CallbackTransport
 from repro.core.replayer import LiveReplayer
-from repro.core.resilience import (
-    ChaosConfig,
-    ChaosTransport,
-    CircuitBreaker,
-    RetryPolicy,
-    RetryingTransport,
-)
+from repro.core.resilience import ChaosConfig, RetryPolicy, build_transport_chain
 from repro.experiments.configs import RobustnessExperimentConfig
 from repro.experiments.fig3a import _events_for_rate, build_social_stream
 
@@ -76,26 +70,21 @@ def _measure(
 
     # Per-rate sub-seed so every rate level draws an independent but
     # reproducible fault sequence.
-    chaos = ChaosTransport(
+    transport = build_transport_chain(
         CallbackTransport(count),
-        ChaosConfig(
+        chaos_config=ChaosConfig(
             send_failure_probability=config.send_failure_probability,
             reset_probability=config.reset_probability,
             partial_batch_probability=config.partial_batch_probability,
             seed=config.seed * 1000 + target_rate,
         ),
-    )
-    transport = RetryingTransport(
-        chaos,
-        RetryPolicy(
+        retry_policy=RetryPolicy(
             max_attempts=config.retry_attempts,
             base_delay=config.retry_base_delay,
             seed=config.seed,
         ),
-        breaker=CircuitBreaker(
-            failure_threshold=config.breaker_threshold,
-            recovery_time=config.breaker_recovery_time,
-        ),
+        breaker_threshold=config.breaker_threshold,
+        breaker_recovery=config.breaker_recovery_time,
     )
     replayer = LiveReplayer(
         events,

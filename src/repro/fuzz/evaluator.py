@@ -52,12 +52,7 @@ from repro.core.connectors import CallbackTransport
 from repro.core.events import Event, PauseEvent, SpeedEvent, pause, speed
 from repro.core.harness import HarnessConfig, TestHarness
 from repro.core.replayer import LiveReplayer
-from repro.core.resilience import (
-    ChaosConfig,
-    ChaosTransport,
-    RetryPolicy,
-    RetryingTransport,
-)
+from repro.core.resilience import ChaosConfig, RetryPolicy, build_transport_chain
 from repro.core.sharding import write_shards
 from repro.core.stream import GraphStream
 from repro.errors import GraphTidesError
@@ -363,19 +358,17 @@ def _stage_replay(
     chaos_seed = (config.seed * 0x9E3779B1 + workload.digest) & 0x7FFFFFFF
 
     def build_transport():
-        return RetryingTransport(
-            ChaosTransport(
-                CallbackTransport(
-                    lambda line: resilient.__setitem__(0, resilient[0] + 1)
-                ),
-                ChaosConfig(
-                    send_failure_probability=config.send_failure_probability,
-                    reset_probability=config.reset_probability,
-                    partial_batch_probability=config.partial_batch_probability,
-                    seed=chaos_seed,
-                ),
+        return build_transport_chain(
+            CallbackTransport(
+                lambda line: resilient.__setitem__(0, resilient[0] + 1)
             ),
-            RetryPolicy(
+            chaos_config=ChaosConfig(
+                send_failure_probability=config.send_failure_probability,
+                reset_probability=config.reset_probability,
+                partial_batch_probability=config.partial_batch_probability,
+                seed=chaos_seed,
+            ),
+            retry_policy=RetryPolicy(
                 max_attempts=config.retry_attempts,
                 base_delay=config.retry_base_delay,
                 seed=chaos_seed,
