@@ -75,6 +75,9 @@ __all__ = [
 #: applies backpressure.  The kernel clamps to its rmem/wmem limits.
 SOCKET_BUFFER_BYTES = 1 << 20
 
+#: Slots :class:`ShmTransport` buffers before one ring write.
+_SHM_FLUSH_SLOTS = 64
+
 
 class Transport:
     """Interface: deliver batches of serialized events to a system under test.
@@ -385,7 +388,7 @@ class ShmTransport(Transport):
     copy on the whole path is the single mmap→arena ``memcpy``.
 
     Sends are buffered: slots accumulate locally and are written to the
-    ring ``flush_every`` slots at a time through
+    ring ``_SHM_FLUSH_SLOTS`` at a time through
     :meth:`~repro.core.shm.RingProducer.push_many`, which amortizes the
     space check and head publication over the whole run — the same
     batching discipline as :class:`PipeTransport`'s ``flush_every``,
@@ -407,23 +410,13 @@ class ShmTransport(Transport):
     the segment.
     """
 
-    def __init__(
-        self,
-        ring,
-        stall_timeout: float = 30.0,
-        flush_every: int = 64,
-    ):
+    def __init__(self, name: str, stall_timeout: float = 30.0):
         from repro.core import shm
 
-        if flush_every <= 0:
-            raise ConnectorError(
-                f"flush_every must be positive, got {flush_every}"
-            )
-        if isinstance(ring, str):
-            ring = shm.ShmRing.attach(ring)
-        self._ring = ring
-        self._producer = shm.RingProducer(ring, stall_timeout=stall_timeout)
-        self._flush_every = flush_every
+        self._ring = shm.ShmRing.attach(name)
+        self._producer = shm.RingProducer(
+            self._ring, stall_timeout=stall_timeout
+        )
         self._pending: list[tuple] = []
         self._pending_kind = shm.SLOT_RAW
         self._closed = False
@@ -435,7 +428,7 @@ class ShmTransport(Transport):
             self.flush()
         self._pending_kind = kind
         self._pending.append((payload, count))
-        if len(self._pending) >= self._flush_every:
+        if len(self._pending) >= _SHM_FLUSH_SLOTS:
             self.flush()
 
     def flush(self) -> None:
@@ -947,9 +940,6 @@ class ShmReceiver(_Receiver):
     surfaces as a typed :class:`~repro.errors.StreamFormatError` on
     the ``error`` attribute.
 
-    ``sink`` (optional, single-producer) receives the wire-equivalent
-    byte stream: the binary magic once before the first frame, then
-    every payload verbatim — what a pipe receiver would have read.
     Hand the receiver's specs to workers and replay::
 
         with ShmReceiver(max_producers=2) as receiver:
@@ -965,7 +955,6 @@ class ShmReceiver(_Receiver):
         max_producers: int = 1,
         slots: int = 4096,
         arena_bytes: int = 1 << 23,
-        sink=None,
         drain_timeout: float = 30.0,
     ):
         from repro.core import shm
@@ -973,11 +962,6 @@ class ShmReceiver(_Receiver):
         if max_producers <= 0:
             raise ValueError(
                 f"max_producers must be positive, got {max_producers}"
-            )
-        if sink is not None and max_producers > 1:
-            raise ValueError(
-                "sink capture needs a single producer (slot interleaving "
-                "across rings is unordered)"
             )
         self._rings: list[shm.ShmRing] = []
         try:
@@ -992,12 +976,10 @@ class ShmReceiver(_Receiver):
             raise
         self.specs = tuple(ShmSpec(name=ring.name) for ring in self._rings)
         super().__init__(window_seconds, clock, tracer)
-        self._sink = sink
         self._drain_timeout = drain_timeout
         self._stop = threading.Event()
         self._closed = False
         self.error: Exception | None = None
-        self._magic_written = False
         self._threads = [
             threading.Thread(target=self._drain, args=(ring,), daemon=True)
             for ring in self._rings
@@ -1012,24 +994,6 @@ class ShmReceiver(_Receiver):
         for thread in self._threads:
             thread.start()
 
-    def _drain_to_sink(self, consumer) -> tuple[int, int, bool]:
-        """Sink mode: pop slots one batch at a time, copying payloads
-        out (magic before the first frame, wire-order preserved)."""
-        from repro.core import binfmt, shm
-
-        slots = consumer.pop_available(max_slots=256)
-        records = 0
-        for slot in slots:
-            if slot.kind == shm.SLOT_FRAME and not self._magic_written:
-                self._sink.write(binfmt.MAGIC)
-                self._magic_written = True  # guarded-by: single sink-mode drain thread
-            if slot.payload:
-                self._sink.write(bytes(slot.payload))
-                slot.payload.release()
-            records += slot.count
-        consumer.advance()
-        return len(slots), records, consumer.finished
-
     def _drain(self, ring) -> None:
         from repro.core import shm
 
@@ -1039,13 +1003,8 @@ class ShmReceiver(_Receiver):
         deadline = None
         try:
             while True:
-                if self._sink is not None:
-                    consumed, records, finished = self._drain_to_sink(
-                        consumer
-                    )
-                else:
-                    consumed, records, finished = consumer.drain_counts()
-                    consumer.advance()
+                consumed, records, finished = consumer.drain_counts()
+                consumer.advance()
                 if records:
                     self._record_batch(records)
                 if finished:
@@ -1054,7 +1013,7 @@ class ShmReceiver(_Receiver):
                     sleep = 0.0002
                     idle_spins = 0
                     deadline = None
-                    if self._sink is None and consumed < 192:
+                    if consumed < 192:
                         # Small round: the producer is mid-burst.  A
                         # nap lets slots accumulate so the next round
                         # takes the vectorized drain path (~0.5us per

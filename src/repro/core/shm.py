@@ -37,12 +37,6 @@ is verifiable, not trusted.  Blocking sides use a bounded
 spin-then-sleep backoff (:func:`_backoff`) — on a single-CPU machine
 the peer needs the core, so the loop yields quickly and escalates to
 short sleeps, bounded by ``stall_timeout``.
-
-:func:`dump_slot_stream` / :func:`scan_slot_stream` serialize the same
-slot framing to a flat byte stream (magic ``GTRS``) — the fuzzer's
-entry point into this layer: corrupt or truncated slot headers in a
-``.shm`` workload must be rejected with the same typed errors the live
-ring raises.
 """
 
 from __future__ import annotations
@@ -50,8 +44,6 @@ from __future__ import annotations
 import os
 import struct
 import time
-from typing import Iterator
-
 from repro.errors import ConnectorError, StreamFormatError
 
 try:  # numpy is optional: the vector drain path degrades to the loop
@@ -66,16 +58,12 @@ __all__ = [
     "ShmRing",
     "RingProducer",
     "RingConsumer",
-    "SLOT_STREAM_MAGIC",
-    "dump_slot_stream",
-    "scan_slot_stream",
-    "iter_slot_stream",
 ]
 
 MAGIC = b"GTRB0001"
 VERSION = 1
 
-#: Slot kinds carried in descriptors (and in the flat slot stream).
+#: Slot kinds carried in descriptors.
 SLOT_RAW = 1  # newline-delimited CSV line run
 SLOT_FRAME = 2  # one GTB1 binary frame
 SLOT_EOF = 3  # producer's clean end-of-stream (empty payload)
@@ -334,7 +322,7 @@ def _backoff(deadline: float, sleep: float) -> float:
 class RingProducer:
     """The writing side of a ring: length-prefixed slot pushes.
 
-    ``push`` blocks (spin-then-sleep) while the ring lacks a free
+    :meth:`push_many` blocks (spin-then-sleep) while the ring lacks a free
     descriptor or enough arena space, and raises
     :class:`~repro.errors.ConnectorError` if the consumer closed or no
     progress happens within ``stall_timeout`` seconds.
@@ -407,52 +395,16 @@ class RingProducer:
                 deadline = time.monotonic() + self._stall_timeout
             sleep = _backoff(deadline, sleep)
 
-    def push(self, payload: "bytes | memoryview", count: int, kind: int) -> None:
-        """Copy one slot into the ring and publish it."""
-        size = len(payload)
-        if size > self._arena_cap // 2:
-            # Above half the arena, end-of-arena wrap padding could
-            # exceed capacity outright — an unsatisfiable wait.
-            raise ConnectorError(
-                f"slot of {size} bytes exceeds half the "
-                f"{self._arena_cap}-byte ring arena; use a larger ring"
-            )
-        pos = self._produced_bytes % self._arena_cap
-        contig = self._arena_cap - pos
-        if contig >= size:
-            offset, stride = pos, size
-        else:
-            # Payload would straddle the arena end: pad to the start so
-            # every slot stays contiguous (zero-copy views need that).
-            offset, stride = 0, size + contig
-        self._wait_for_space(stride)
-        base = self._arena_off + offset
-        if size:
-            self._buf[base : base + size] = payload
-        _DESC.pack_into(
-            self._buf,
-            _DESC_OFF + (self._head_seq % self._slots) * _DESC.size,
-            offset,
-            size,
-            count,
-            stride,
-            self._head_seq & _SEQ_MASK,
-            kind,
-        )
-        self._head_seq += 1
-        self._produced_bytes += stride
-        _U64.pack_into(self._buf, _HEAD_OFF, self._head_seq)
-
     def push_many(self, items, kind: int) -> None:
         """Copy a run of ``(payload, count)`` slots and publish once.
 
-        The hot path behind :class:`ShmTransport`'s buffered flush: one
-        head publication and mostly-cached space checks amortize over
-        the whole run, which cuts per-slot interpreter overhead ~3x
-        against :meth:`push` — the difference between losing to and
-        beating the pipe transport on a single-CPU machine.  Blocking
-        first publishes the slots written so far, so a full ring drains
-        while this side waits.
+        The write path behind :class:`ShmTransport`'s buffered
+        flush: one head publication and mostly-cached space checks
+        amortize over the whole run, which cuts per-slot interpreter
+        overhead ~3x against publishing slot by slot — the difference
+        between losing to and beating the pipe transport on a
+        single-CPU machine.  Blocking first publishes the slots written
+        so far, so a full ring drains while this side waits.
         """
         buf = self._buf
         arena_off = self._arena_off
@@ -470,6 +422,9 @@ class RingProducer:
             for payload, count in items:
                 size = len(payload)
                 if size > half:
+                    # Above half the arena, end-of-arena wrap padding
+                    # could exceed capacity outright — an unsatisfiable
+                    # wait.
                     raise ConnectorError(
                         f"slot of {size} bytes exceeds half the "
                         f"{arena_cap}-byte ring arena; use a larger ring"
@@ -479,6 +434,9 @@ class RingProducer:
                 if contig >= size:
                     offset, stride = pos, size
                 else:
+                    # Payload would straddle the arena end: pad to the
+                    # start so every slot stays contiguous (zero-copy
+                    # views need that).
                     offset, stride = 0, size + contig
                 if (
                     head - cached_tail >= slots
@@ -519,7 +477,7 @@ class RingProducer:
         if timeout is not None:
             self._stall_timeout = timeout
         try:
-            self.push(b"", 0, SLOT_EOF)
+            self.push_many([(b"", 0)], SLOT_EOF)
             return True
         except ConnectorError:
             return False
@@ -836,138 +794,3 @@ class RingConsumer:
             self._ring.producer_closed() and self.available() == 0
         )
 
-
-# -- flat slot-stream serialization (the fuzzer's surface) -------------
-
-SLOT_STREAM_MAGIC = b"GTRS"
-
-#: Serialized slot header: sequence, payload length, record count, kind.
-_WIRE_SLOT = struct.Struct("<IIIB3x")
-
-
-def dump_slot_stream(slots: "list[tuple[int, int, bytes]]") -> bytes:
-    """Serialize ``(kind, count, payload)`` slots to a flat byte stream.
-
-    The same framing the live ring publishes, laid out end to end —
-    what a consumer would see walking a ring's slots in order.  Used to
-    build fuzz workloads and corpus entries for the slot layer.
-    """
-    parts = [SLOT_STREAM_MAGIC]
-    for seq, (kind, count, payload) in enumerate(slots):
-        parts.append(_WIRE_SLOT.pack(seq & _SEQ_MASK, len(payload), count, kind))
-        parts.append(bytes(payload))
-    return b"".join(parts)
-
-
-def iter_slot_stream(
-    data: "bytes | memoryview",
-) -> Iterator[tuple[int, int, memoryview]]:
-    """Walk a flat slot stream, validating every slot header.
-
-    Yields ``(kind, count, payload)`` per slot.  Corrupt or truncated
-    headers raise :class:`~repro.errors.StreamFormatError` with the
-    offending byte offset — the identical checks
-    :class:`RingConsumer` applies to live descriptors: magic, sequence
-    continuity, known kind, length-prefix within bounds, nothing after
-    an EOF slot.
-    """
-    view = memoryview(data)
-    total = len(view)
-    if total < len(SLOT_STREAM_MAGIC) or bytes(
-        view[: len(SLOT_STREAM_MAGIC)]
-    ) != SLOT_STREAM_MAGIC:
-        raise StreamFormatError(
-            "slot stream does not start with the GTRS magic", byte_offset=0
-        )
-    position = len(SLOT_STREAM_MAGIC)
-    seq = 0
-    finished = False
-    while position < total:
-        if finished:
-            raise StreamFormatError(
-                f"slot data after the EOF slot at slot {seq - 1}",
-                byte_offset=position,
-            )
-        if position + _WIRE_SLOT.size > total:
-            raise StreamFormatError(
-                f"truncated slot header at slot {seq}: "
-                f"{total - position} of {_WIRE_SLOT.size} bytes",
-                byte_offset=position,
-            )
-        seq_lo, size, count, kind = _WIRE_SLOT.unpack_from(view, position)
-        if seq_lo != seq & _SEQ_MASK:
-            raise StreamFormatError(
-                f"slot {seq}: sequence mismatch (header says {seq_lo})",
-                byte_offset=position,
-            )
-        if kind not in _KNOWN_KINDS:
-            raise StreamFormatError(
-                f"slot {seq}: unknown slot kind {kind}",
-                byte_offset=position,
-            )
-        body_start = position + _WIRE_SLOT.size
-        if body_start + size > total:
-            raise StreamFormatError(
-                f"slot {seq}: payload of {size} bytes overruns the "
-                f"stream ({total - body_start} left)",
-                byte_offset=position,
-            )
-        if kind == SLOT_EOF:
-            if size or count:
-                raise StreamFormatError(
-                    f"slot {seq}: EOF slot must be empty "
-                    f"(length {size}, count {count})",
-                    byte_offset=position,
-                )
-            finished = True
-        yield kind, count, view[body_start : body_start + size]
-        position = body_start + size
-        seq += 1
-
-
-def scan_slot_stream(data: "bytes | memoryview") -> tuple[int, int]:
-    """Validate a flat slot stream end to end.
-
-    Returns ``(slots, records)`` where ``records`` is the sum of the
-    slots' *verified* record counts: FRAME payloads are record-walked
-    with :func:`repro.core.binfmt.scan_frame` and must agree with the
-    header's count; RAW payloads are newline-counted.  Any disagreement
-    or malformed payload raises
-    :class:`~repro.errors.StreamFormatError`.
-    """
-    from repro.core import binfmt
-
-    slots = 0
-    records = 0
-    position = len(SLOT_STREAM_MAGIC)
-    for kind, count, payload in iter_slot_stream(data):
-        if kind == SLOT_FRAME:
-            try:
-                scanned = binfmt.scan_frame(payload)
-            except StreamFormatError as exc:
-                inner = exc.byte_offset or 0
-                raise StreamFormatError(
-                    f"slot {slots}: corrupt frame payload: {exc}",
-                    byte_offset=position + _WIRE_SLOT.size + inner,
-                ) from exc
-            if scanned != count:
-                raise StreamFormatError(
-                    f"slot {slots}: frame holds {scanned} records, "
-                    f"header claims {count}",
-                    byte_offset=position,
-                )
-            records += scanned
-        elif kind == SLOT_RAW:
-            lines = bytes(payload).count(b"\n")
-            if payload and not payload[-1] == 0x0A:
-                lines += 1
-            if lines != count:
-                raise StreamFormatError(
-                    f"slot {slots}: payload holds {lines} lines, "
-                    f"header claims {count}",
-                    byte_offset=position,
-                )
-            records += lines
-        slots += 1
-        position += _WIRE_SLOT.size + len(payload)
-    return slots, records

@@ -33,7 +33,6 @@ from repro.fuzz.workload import (
     build_base,
     bytes_to_events,
     events_to_bytes,
-    unwrap_slot_stream,
 )
 
 __all__ = [
@@ -61,6 +60,5 @@ __all__ = [
     "minimize_workload",
     "replay_entry",
     "run_fuzz",
-    "unwrap_slot_stream",
     "save_entry",
 ]

@@ -406,17 +406,6 @@ def _run_pipeline(
     path.write_bytes(workload.data)
 
     progress.enter("parse")
-    if workload.fmt == "shm":
-        # Slot-layer candidates route through the ring's own header
-        # validators first (scan_slot_stream — the checks a live
-        # RingConsumer applies), then the reassembled inner stream
-        # walks the rest of the pipeline like any other workload.
-        from repro.fuzz.workload import unwrap_slot_stream
-
-        inner_fmt, inner_data = unwrap_slot_stream(workload.data)
-        workload = Workload(inner_fmt, inner_data)
-        path = tmp / f"workload-inner{workload.suffix}"
-        path.write_bytes(workload.data)
     events = _stage_parse(path)
 
     progress.enter("roundtrip")

@@ -30,7 +30,6 @@ __all__ = [
     "build_base",
     "events_to_bytes",
     "bytes_to_events",
-    "unwrap_slot_stream",
     "mutate_base_config",
 ]
 
@@ -39,13 +38,10 @@ __all__ = [
 class Workload:
     """One fuzz candidate: the exact bytes of a stream file.
 
-    ``fmt`` is ``"csv"``, ``"binary"`` or ``"shm"`` — the format the
-    bytes claim to be (the evaluator still autodetects, so a byte
-    mutator that destroys the magic simply demotes a binary candidate
-    to CSV parsing, which is itself an interesting path).  ``"shm"``
-    candidates are flat ``GTRS`` slot streams — the exact framing the
-    shared-memory ring publishes — so the slot-header validators in
-    :mod:`repro.core.shm` become a fuzzed surface too.
+    ``fmt`` is ``"csv"`` or ``"binary"`` — the format the bytes claim
+    to be (the evaluator still autodetects, so a byte mutator that
+    destroys the magic simply demotes a binary candidate to CSV
+    parsing, which is itself an interesting path).
     """
 
     fmt: str
@@ -55,8 +51,6 @@ class Workload:
     def suffix(self) -> str:
         if self.fmt == "binary":
             return ".gtb"
-        if self.fmt == "shm":
-            return ".shm"
         return ".csv"
 
     @property
@@ -72,13 +66,7 @@ class Workload:
     @classmethod
     def from_file(cls, path: str | Path) -> "Workload":
         path = Path(path)
-        data = path.read_bytes()
-        from repro.core import shm
-
-        if data.startswith(shm.SLOT_STREAM_MAGIC):
-            return cls(fmt="shm", data=data)
-        fmt = codec.detect_stream_format(path)
-        return cls(fmt=fmt, data=data)
+        return cls(fmt=codec.detect_stream_format(path), data=path.read_bytes())
 
 
 def events_to_bytes(events: list[Event], fmt: str) -> bytes:
@@ -87,90 +75,17 @@ def events_to_bytes(events: list[Event], fmt: str) -> bytes:
         buffer = io.BytesIO()
         binfmt.write_binary_stream(buffer, events)
         return buffer.getvalue()
-    if fmt == "shm":
-        return _events_to_slot_stream(events)
     if fmt != "csv":
         raise ValueError(f"unknown workload format {fmt!r}")
     return codec.format_events(events).encode("utf-8")
-
-
-def _events_to_slot_stream(events: list[Event], batch_records: int = 256) -> bytes:
-    """Serialize events as the flat GTRS slot stream a ring would carry.
-
-    Graph-event runs become FRAME slots (one GTB1 frame each, up to
-    ``batch_records`` records), control events become single-record
-    FRAME slots, and a trailing EOF slot closes the stream — the wire
-    layout :class:`repro.core.connectors.ShmTransport` publishes.
-    """
-    from repro.core import shm
-    from repro.core.events import GraphEvent
-
-    slots: list[tuple[int, int, bytes]] = []
-    pending: list[GraphEvent] = []
-
-    def flush() -> None:
-        if pending:
-            frame = binfmt.encode_graph_frame(pending)
-            slots.append((shm.SLOT_FRAME, len(pending), frame))
-            pending.clear()
-
-    for event in events:
-        if isinstance(event, GraphEvent):
-            pending.append(event)
-            if len(pending) >= batch_records:
-                flush()
-        else:
-            flush()
-            slots.append((shm.SLOT_FRAME, 1, binfmt.encode_control_frame(event)))
-    flush()
-    slots.append((shm.SLOT_EOF, 0, b""))
-    return shm.dump_slot_stream(slots)
-
-
-def unwrap_slot_stream(data: bytes) -> tuple[str, bytes]:
-    """Validate a GTRS slot stream and reassemble the inner stream.
-
-    Returns ``(fmt, stream_bytes)`` — what a live
-    :class:`~repro.core.connectors.ShmReceiver` in sink mode would have
-    written to disk: FRAME payloads behind the GTB1 magic, or RAW
-    payloads concatenated as CSV.  Raises
-    :class:`~repro.errors.StreamFormatError` (with the slot's byte
-    offset) on any corrupt header or payload, and on streams mixing the
-    two payload kinds — the transport never interleaves them.
-    """
-    from repro.core import shm
-    from repro.errors import StreamFormatError
-
-    shm.scan_slot_stream(data)
-    kinds = set()
-    payloads: list[bytes] = []
-    position = len(shm.SLOT_STREAM_MAGIC)
-    for kind, __, payload in shm.iter_slot_stream(data):
-        if kind != shm.SLOT_EOF:
-            if kinds and kind not in kinds:
-                raise StreamFormatError(
-                    "slot stream mixes RAW and FRAME payloads",
-                    byte_offset=position,
-                )
-            kinds.add(kind)
-            payloads.append(bytes(payload))
-        position += shm._WIRE_SLOT.size + len(payload)
-    if shm.SLOT_FRAME in kinds:
-        return "binary", binfmt.MAGIC + b"".join(payloads)
-    return "csv", b"".join(payloads)
 
 
 def bytes_to_events(workload: Workload) -> list[Event]:
     """Parse a workload's bytes back into events (raises on malformed)."""
     import tempfile
 
-    fmt, data = workload.fmt, workload.data
-    if fmt == "shm":
-        fmt, data = unwrap_slot_stream(data)
-    suffix = ".gtb" if fmt == "binary" else ".csv"
     with tempfile.TemporaryDirectory(prefix="graphtides-fuzz-") as tmp:
-        path = Path(tmp) / f"workload{suffix}"
-        path.write_bytes(data)
+        path = workload.write(Path(tmp) / f"workload{workload.suffix}")
         return codec.parse_stream_file(path)
 
 
@@ -197,7 +112,7 @@ class BaseConfig:
 
 
 _MODELS = ("uniform", "social")
-_FORMATS = ("csv", "binary", "shm")
+_FORMATS = ("csv", "binary")
 
 
 def build_base(config: BaseConfig) -> Workload:

@@ -112,64 +112,3 @@ def test_sharded_replayer_reports_each_stalled_worker(tmp_path):
     assert "timed out after 2s" in message
     assert "worker 0" in message or "worker 1" in message
 
-
-# -- shm slot-stream surface -------------------------------------------------
-
-
-def test_shm_workload_round_trips_through_evaluator_unwrap():
-    from repro.fuzz.workload import (
-        BaseConfig,
-        build_base,
-        bytes_to_events,
-        unwrap_slot_stream,
-    )
-
-    base = build_base(BaseConfig(fmt="shm", rounds=30))
-    assert base.fmt == "shm"
-    assert base.data.startswith(b"GTRS")
-    assert base.suffix == ".shm"
-    fmt, inner = unwrap_slot_stream(base.data)
-    assert fmt == "binary"
-    assert inner.startswith(binfmt.MAGIC)
-    assert len(bytes_to_events(base)) > 0
-
-
-def test_shm_every_truncation_point_raises_typed_error():
-    """No cut of a slot stream may leak an untyped exception."""
-    from repro.core import shm
-    from repro.fuzz.workload import BaseConfig, build_base
-
-    data = build_base(BaseConfig(fmt="shm", rounds=5)).data
-    for cut in range(1, len(data)):
-        try:
-            shm.scan_slot_stream(data[:cut])
-        except GraphTidesError:
-            pass  # typed refusal is the contract
-
-
-def test_shm_corrupt_slot_header_rejected_with_offset():
-    import struct
-
-    from repro.core import shm
-    from repro.fuzz.evaluator import EvaluatorConfig, evaluate
-    from repro.fuzz.workload import BaseConfig, Workload, build_base
-
-    base = build_base(BaseConfig(fmt="shm", rounds=20))
-    bad = bytearray(base.data)
-    header = struct.unpack_from("<IIIB3x", bad, 4)
-    struct.pack_into("<IIIB3x", bad, 4, header[0], 1 << 24, *header[2:])
-    verdict = evaluate(
-        Workload("shm", bytes(bad)), EvaluatorConfig(deadline=30.0)
-    )
-    assert verdict.signature == "rejected:parse:StreamFormatError"
-    assert "byte offset" in verdict.detail
-
-
-def test_shm_corpus_entry_replays():
-    from repro.fuzz.corpus import load_entry, replay_entry
-
-    entry_dir = REPO_CORPUS / "crash" / "shm-slot-length-overrun"
-    entry = load_entry(entry_dir)
-    assert entry.workload.fmt == "shm"
-    verdict, matches = replay_entry(entry)
-    assert matches, verdict.as_dict()
