@@ -10,7 +10,7 @@ Subcommands::
     graphtides fuzz run --seed 42 --budget 50 [--corpus corpus]
     graphtides fuzz minimize repro.csv -o minimal.csv
     graphtides fuzz replay --corpus corpus
-    graphtides perf record BENCH_pipeline.json
+    graphtides perf record results/*.json
     graphtides perf diff [--db perf/perfdb.jsonl]
     graphtides perf log
 """
@@ -399,18 +399,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     prf = sub.add_parser(
         "perf",
-        help="per-commit perf database: record benchmark snapshots, "
-        "diff against the baseline with statistical degradation "
-        "checks, list the history (repro.perfdb)",
+        help="per-commit perf database: record e2e benchmark results, "
+        "diff the newest commit's runs against the previous commit's, "
+        "list the history (repro.perfdb)",
     )
     prfsub = prf.add_subparsers(dest="perf_command", required=True)
     prr = prfsub.add_parser(
         "record",
-        help="ingest a BENCH_*.json snapshot into the perf database",
+        help="ingest e2e result documents into the perf database",
     )
     prr.add_argument(
         "snapshot", nargs="+",
-        help="schema-v2 benchmark snapshot file(s) (BENCH_*.json)",
+        help="result JSON file(s) written by "
+        "'python -m benchmarks.e2e run --out DIR'",
     )
     prr.add_argument(
         "--db", default=None, metavar="PATH",
@@ -418,31 +419,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prr.add_argument(
         "--allow-smoke", action="store_true",
-        help="permit 'smoke: true' snapshots; the stored record stays "
-        "smoke-tagged and is never used as a baseline",
+        help="permit runs shorter than BENCHMARK.json's run_seconds; the "
+        "stored record stays smoke-tagged and is never used as a baseline",
     )
     prd = prfsub.add_parser(
         "diff",
-        help="compare the newest record per benchmark against its "
-        "baseline; exit 1 on a confirmed regression",
+        help="compare the newest commit's runs per benchmark with the "
+        "previous commit's by the e2e compare rule; exit 1 on a regression",
     )
     prd.add_argument("--db", default=None, metavar="PATH")
     prd.add_argument(
         "--benchmark", default=None,
         help="only diff this benchmark (default: every benchmark in "
         "the database)",
-    )
-    prd.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="relative mean change that confirms a scalar degradation",
-    )
-    prd.add_argument(
-        "--integral-threshold", type=float, default=0.10,
-        help="relative area change that confirms a curve degradation",
-    )
-    prd.add_argument(
-        "--trend-window", type=int, default=7,
-        help="number of trailing records the trend check fits",
     )
     prd.add_argument(
         "--include-smoke", action="store_true",
@@ -649,10 +638,9 @@ def _warn_csv_events_scaleout(args: argparse.Namespace) -> None:
     """Warn about the CSV events-mode scale-out footgun.
 
     Sharded ``--emission events`` over CSV re-parses and re-encodes
-    every line in each worker; on one core the extra work makes
-    aggregate throughput *drop* as workers are added (309k -> 225k
-    events/s at 4 workers in BENCH_replayer_scaleout.json).  Decode-in-
-    worker or the binary format keep events-mode semantics and scale.
+    every line in each worker, so adding workers adds per-event work
+    instead of removing it.  Decode-in-worker or the binary format keep
+    events-mode semantics without that cost.
     """
     from repro.core.codec import detect_stream_format
 
@@ -1165,11 +1153,14 @@ def _cmd_perf_record(args: argparse.Namespace) -> int:
     from repro.perfdb import load_snapshot, record_from_snapshot
 
     db = _perf_db(args)
-    for path in args.snapshot:
-        snapshot = load_snapshot(path)
-        record = record_from_snapshot(
-            snapshot, source=path, allow_smoke=args.allow_smoke
+    # Refuse the whole batch before appending any of it.
+    records = [
+        record_from_snapshot(
+            load_snapshot(path), source=path, allow_smoke=args.allow_smoke
         )
+        for path in args.snapshot
+    ]
+    for record in records:
         db.append(record)
         dirty = "+dirty" if record.git_dirty else ""
         smoke = " [smoke]" if record.smoke else ""
@@ -1181,24 +1172,18 @@ def _cmd_perf_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf_diff(args: argparse.Namespace) -> int:
-    from repro.perfdb import DiffOptions, diff_all, diff_benchmark
+    from repro.perfdb import diff_all, diff_benchmark
 
     db = _perf_db(args)
-    options = DiffOptions(
-        threshold=args.threshold,
-        integral_threshold=args.integral_threshold,
-        trend_window=args.trend_window,
-        include_smoke=args.include_smoke,
-    )
     if args.benchmark is not None:
-        reports = [diff_benchmark(db, args.benchmark, options)]
+        reports = [diff_benchmark(db, args.benchmark, args.include_smoke)]
     else:
-        reports = diff_all(db, options)
+        reports = diff_all(db, args.include_smoke)
     regressed = False
     for report in reports:
         for line in report.render_lines():
             print(line)
-        regressed = regressed or report.has_confirmed_regression
+        regressed = regressed or report.has_regression
     return 1 if regressed else 0
 
 
@@ -1212,19 +1197,15 @@ def _cmd_perf_log(args: argparse.Namespace) -> int:
     for record in records:
         dirty = "+dirty" if record.git_dirty else ""
         smoke = " [smoke]" if record.smoke else ""
-        headline = ""
-        for name in (
-            "replay_saturation_best_eps",
-            "decode_scaleout_eps",
-        ):
-            series = record.metrics.get(name)
-            if series is not None:
-                headline = f"  {name}={series.mean:,.0f}"
-                break
+        medians = "  ".join(
+            f"{name}={series.median:,.0f}" if series.median >= 1000
+            else f"{name}={series.median:.4g}"
+            for name, series in record.metrics.items()
+        )
         print(
-            f"{record.recorded_at_utc}  {record.benchmark:<18} "
+            f"{record.recorded_at_utc[:19]}  {record.benchmark:<16} "
             f"{record.short_commit}{dirty}{smoke}"
-            f"  machine={record.machine_id[:8]}{headline}"
+            f"  machine={record.machine_id[:8]}  {medians}"
         )
     return 0
 

@@ -375,8 +375,8 @@ def parse_line(line: str, line_number: int | None = None) -> Event:
 def _legacy_format_event(event: Event) -> str:
     """Pre-codec per-event serializer.
 
-    Retained as the baseline for ``benchmarks/bench_codec_throughput``
-    and the codec equivalence tests; new code should use
+    Retained only as the oracle of the codec equivalence and property
+    tests; new code should use
     :func:`format_event` / :func:`repro.core.codec.format_events`.
     """
     if isinstance(event, GraphEvent):
@@ -394,8 +394,8 @@ def _legacy_format_event(event: Event) -> str:
 def _legacy_parse_line(line: str, line_number: int | None = None) -> Event:
     """Pre-codec per-line parser.
 
-    Retained as the baseline for ``benchmarks/bench_codec_throughput``
-    and the codec equivalence tests; new code should use
+    Retained only as the oracle of the codec equivalence and property
+    tests; new code should use
     :func:`parse_line` / :func:`repro.core.codec.parse_lines`.
     """
     line = line.rstrip("\n\r")

@@ -1,29 +1,23 @@
-"""Per-commit performance database with statistical regression gates.
+"""Per-commit performance database of e2e benchmark runs.
 
 GraphTides' methodology (paper section 4.5) only makes platform
 comparisons meaningful when the harness side is measured and
 reproducible; this package extends that discipline *across commits*:
-every benchmark run is appended to a per-commit record store
-(:mod:`repro.perfdb.store`), normalized from the BENCH_*.json snapshot
-layout (:mod:`repro.perfdb.ingest`) with shared machine and git
-provenance (:mod:`repro.perfdb.provenance`), and compared against its
-baseline by three independent degradation checks
-(:mod:`repro.perfdb.checks`) folded into a verdict
-(:mod:`repro.perfdb.diff`).
+every result document of ``python -m benchmarks.e2e run --out DIR`` is
+ingested (:mod:`repro.perfdb.ingest`) with shared machine and git
+provenance (:mod:`repro.perfdb.provenance`) into an append-only
+per-commit record store (:mod:`repro.perfdb.store`), and the newest
+commit's runs are compared with the previous commit's
+(:mod:`repro.perfdb.diff`) by the rule of ``benchmarks/e2e/compare.py``
+(:mod:`repro.perfdb.checks`).
 
 Surfaced as ``graphtides perf record|diff|log`` and as the CI ``perf``
-job: a confirmed degradation blocks the merge, turning every headline
-speedup in the repo into a non-regressable claim.
+job: a regression beyond a metric's ``BENCHMARK.json`` bound blocks the
+merge.
 """
 
-from repro.perfdb.checks import (
-    CheckResult,
-    DegradationState,
-    average_amount_threshold,
-    integral_comparison,
-    trend,
-)
-from repro.perfdb.diff import DiffOptions, DiffReport, diff_all, diff_benchmark
+from repro.perfdb.checks import CheckResult, verdict
+from repro.perfdb.diff import DiffReport, diff_all, diff_benchmark
 from repro.perfdb.ingest import load_snapshot, record_from_snapshot
 from repro.perfdb.provenance import (
     config_fingerprint,
@@ -42,11 +36,7 @@ __all__ = [
     "PerfRecord",
     "PerfDatabase",
     "CheckResult",
-    "DegradationState",
-    "average_amount_threshold",
-    "integral_comparison",
-    "trend",
-    "DiffOptions",
+    "verdict",
     "DiffReport",
     "diff_all",
     "diff_benchmark",

@@ -1,401 +1,86 @@
-"""Statistical degradation checks between perf records.
+"""The perf-diff verdict: ``benchmarks/e2e/compare.py``'s rule.
 
-Three independent detectors, modeled on Perun's check suite and wired
-to the paper's section 4.5 statistics (:mod:`repro.core.methodology`):
+One workload x metric pair compares a baseline set of runs (A) with a
+candidate set (B), one median per run.  With *worsening* the share of
+A's median by which B's median is worse, and *spread* A's quartile
+distance over A's median, the pair is
 
-* :func:`average_amount_threshold` — relative change of the mean beyond
-  a threshold, confirmed by confidence-interval separation
-  (``methodology.compare``) when both sides carry enough samples;
-* :func:`trend` — least-squares linear (and quadratic, when it fits
-  better) regression over the metric's last-K-commit history, flagging
-  a consistent drift even when each single step stays under threshold;
-* :func:`integral_comparison` — trapezoidal area comparison of full
-  curves (e.g. ``saturation_eps_by_batch_size``), catching shape
-  regressions a single scalar would average away.
+* ``regression`` when the worsening exceeds the metric's bound;
+* ``unresolved`` when A's spread already exceeds the bound, unless every
+  run of B reads better than every run of A;
+* ``ok`` otherwise.
 
-Each check degrades gracefully on the inputs a real database feeds it:
-single-sample runs skip the interval test, zero-variance histories fit
-a flat line, zero baselines return :data:`DegradationState.UNKNOWN`
-instead of dividing by zero.
+:func:`verdict` computes this exactly as ``compare.verdict`` does, and a
+property test holds the two to the same label, so ``graphtides perf
+diff`` and ``python -m benchmarks.e2e compare`` cannot disagree.
 """
 
 from __future__ import annotations
 
-import enum
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.methodology import ComparisonVerdict, compare
 from repro.perfdb.schema import MetricSeries
 
-__all__ = [
-    "DegradationState",
-    "CheckResult",
-    "average_amount_threshold",
-    "trend",
-    "integral_comparison",
-]
+__all__ = ["REGRESSION", "UNRESOLVED", "OK", "CheckResult", "quartiles", "verdict"]
 
-
-class DegradationState(enum.Enum):
-    """Outcome categories of one degradation check (Perun-style)."""
-
-    NO_CHANGE = "no change"
-    MAYBE_OPTIMIZATION = "maybe optimization"
-    OPTIMIZATION = "optimization"
-    MAYBE_DEGRADATION = "maybe degradation"
-    DEGRADATION = "degradation"
-    UNKNOWN = "unknown"
-
-
-#: States that count as a *confirmed* regression (gate-blocking).
-_CONFIRMED = (DegradationState.DEGRADATION,)
+REGRESSION = "regression"
+UNRESOLVED = "unresolved"
+OK = "ok"
 
 
 @dataclass(frozen=True, slots=True)
 class CheckResult:
-    """One check's verdict on one metric."""
+    """The verdict on one metric between a baseline and a target set."""
 
-    check: str
     metric: str
-    state: DegradationState
-    relative_change: float | None
-    detail: str
+    label: str
+    worsening: float
+    spread: float
+    bound: float
+    baseline: tuple[float, ...]
+    target: tuple[float, ...]
 
     @property
-    def is_confirmed_degradation(self) -> bool:
-        return self.state in _CONFIRMED
-
-    @property
-    def is_suspected_degradation(self) -> bool:
-        return self.state is DegradationState.MAYBE_DEGRADATION
-
-    def downgraded(self, reason: str) -> "CheckResult":
-        """A copy with confirmed degradation softened to *maybe*.
-
-        Used when baseline and target are not strictly comparable
-        (different machine or workload config): the signal is kept but
-        cannot block a merge on its own.
-        """
-        if not self.is_confirmed_degradation:
-            return self
-        return CheckResult(
-            check=self.check,
-            metric=self.metric,
-            state=DegradationState.MAYBE_DEGRADATION,
-            relative_change=self.relative_change,
-            detail=f"{self.detail}; downgraded: {reason}",
-        )
+    def is_regression(self) -> bool:
+        return self.label == REGRESSION
 
 
-def _classify(
-    relative_change: float, higher_is_better: bool, threshold: float
-) -> DegradationState:
-    """Map a signed relative change onto a degradation state.
-
-    ``relative_change`` is ``(target - baseline) / |baseline|``; the
-    *bad* direction depends on the metric's optimum.  Changes beyond
-    ``threshold`` are firm, beyond ``threshold / 2`` tentative.
-    """
-    bad = -relative_change if higher_is_better else relative_change
-    if bad >= threshold:
-        return DegradationState.DEGRADATION
-    if bad >= threshold / 2:
-        return DegradationState.MAYBE_DEGRADATION
-    if bad <= -threshold:
-        return DegradationState.OPTIMIZATION
-    if bad <= -threshold / 2:
-        return DegradationState.MAYBE_OPTIMIZATION
-    return DegradationState.NO_CHANGE
+def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
+    """``(median, q1, q3)``; a single value is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return median, q1, q3
 
 
-def average_amount_threshold(
-    baseline: MetricSeries,
-    target: MetricSeries,
-    threshold: float = 0.15,
-    confidence: float = 0.95,
+def verdict(
+    series: MetricSeries, baseline: Sequence[float], target: Sequence[float]
 ) -> CheckResult:
-    """Relative mean change vs. a threshold, CI-confirmed when possible.
+    """Judge ``target`` against ``baseline`` by ``series``' direction and bound.
 
-    With >= 2 samples on both sides the verdict additionally consults
-    :func:`repro.core.methodology.compare`: a beyond-threshold change
-    whose confidence intervals still overlap is downgraded to *maybe*
-    (the difference is not statistically significant at the configured
-    confidence), matching the paper's CI-overlap comparison rule.
+    A zero baseline median leaves the relative change undefined, which
+    reads ``unresolved``.
     """
-    base_values = baseline.samples or baseline.curve_y
-    target_values = target.samples or target.curve_y
-    base_mean = sum(base_values) / len(base_values)
-    target_mean = sum(target_values) / len(target_values)
-    if base_mean == 0.0:
-        if target_mean == 0.0:
-            state = DegradationState.NO_CHANGE
-            detail = "both means are zero"
-        else:
-            state = DegradationState.UNKNOWN
-            detail = "baseline mean is zero; relative change undefined"
-        return CheckResult("threshold", baseline.name, state, None, detail)
-
-    relative = (target_mean - base_mean) / abs(base_mean)
-    state = _classify(relative, baseline.higher_is_better, threshold)
-    detail = (
-        f"mean {base_mean:,.4g} -> {target_mean:,.4g} "
-        f"({len(base_values)} vs {len(target_values)} sample(s))"
-    )
-
-    if len(base_values) >= 2 and len(target_values) >= 2:
-        result = compare(
-            base_values,
-            target_values,
-            higher_is_better=baseline.higher_is_better,
-            confidence=confidence,
+    a, b = tuple(baseline), tuple(target)
+    a_median, a_q1, a_q3 = quartiles(a)
+    if a_median == 0:
+        return CheckResult(
+            series.name, UNRESOLVED, math.nan, math.nan, series.bound, a, b
         )
-        if state in (DegradationState.DEGRADATION, DegradationState.OPTIMIZATION):
-            if result.verdict == ComparisonVerdict.INDISTINGUISHABLE:
-                state = (
-                    DegradationState.MAYBE_DEGRADATION
-                    if state is DegradationState.DEGRADATION
-                    else DegradationState.MAYBE_OPTIMIZATION
-                )
-                detail += "; confidence intervals overlap"
-            else:
-                detail += f"; CI-separated at {confidence:.0%}"
+    b_median = statistics.median(b)
+    sign = -1.0 if series.higher_is_better else 1.0
+    worsening = sign * (b_median - a_median) / a_median
+    spread = (a_q3 - a_q1) / a_median
+    b_always_better = (
+        min(b) > max(a) if series.higher_is_better else max(b) < min(a)
+    )
+    if worsening > series.bound:
+        label = REGRESSION
+    elif spread > series.bound and not b_always_better:
+        label = UNRESOLVED
     else:
-        detail += "; no interval test (need >= 2 samples per side)"
-    return CheckResult("threshold", baseline.name, state, relative, detail)
-
-
-def _polyfit(
-    xs: Sequence[float], ys: Sequence[float], degree: int
-) -> list[float] | None:
-    """Least-squares polynomial coefficients (low order first).
-
-    Solves the normal equations by Gaussian elimination; returns
-    ``None`` for singular systems (e.g. repeated x values at a degree
-    the data cannot support).
-    """
-    n = degree + 1
-    # Normal-equation matrix A and right-hand side b.
-    power_sums = [
-        sum(x**k for x in xs) for k in range(2 * degree + 1)
-    ]
-    matrix = [[power_sums[row + col] for col in range(n)] for row in range(n)]
-    rhs = [sum(y * x**row for x, y in zip(xs, ys)) for row in range(n)]
-    for pivot in range(n):
-        best = max(range(pivot, n), key=lambda r: abs(matrix[r][pivot]))
-        if abs(matrix[best][pivot]) < 1e-12:
-            return None
-        matrix[pivot], matrix[best] = matrix[best], matrix[pivot]
-        rhs[pivot], rhs[best] = rhs[best], rhs[pivot]
-        for row in range(pivot + 1, n):
-            factor = matrix[row][pivot] / matrix[pivot][pivot]
-            for col in range(pivot, n):
-                matrix[row][col] -= factor * matrix[pivot][col]
-            rhs[row] -= factor * rhs[pivot]
-    coefficients = [0.0] * n
-    for row in range(n - 1, -1, -1):
-        total = rhs[row] - sum(
-            matrix[row][col] * coefficients[col] for col in range(row + 1, n)
-        )
-        coefficients[row] = total / matrix[row][row]
-    return coefficients
-
-
-def _evaluate(coefficients: Sequence[float], x: float) -> float:
-    return sum(c * x**k for k, c in enumerate(coefficients))
-
-
-def _r_squared(
-    xs: Sequence[float], ys: Sequence[float], coefficients: Sequence[float]
-) -> float:
-    mean = sum(ys) / len(ys)
-    total = sum((y - mean) ** 2 for y in ys)
-    residual = sum(
-        (y - _evaluate(coefficients, x)) ** 2 for x, y in zip(xs, ys)
-    )
-    if total == 0.0:
-        # Zero-variance history: a flat fit is exact, anything else is not.
-        return 1.0 if residual < 1e-12 else 0.0
-    return 1.0 - residual / total
-
-
-def trend(
-    metric: str,
-    history: Sequence[float],
-    higher_is_better: bool = True,
-    threshold: float = 0.15,
-    min_points: int = 3,
-    min_fit: float = 0.6,
-) -> CheckResult:
-    """Linear/polynomial drift over the metric's last-K history.
-
-    ``history`` is the per-record metric mean in append (commit) order,
-    ending at the record under test.  A linear model is fit first; a
-    quadratic is adopted instead when it explains notably more variance
-    (recent-curvature regressions).  The relative change of the *fitted*
-    value from window start to window end is classified against
-    ``threshold``; fits below ``min_fit`` R² only ever report *maybe*.
-    """
-    if len(history) < min_points:
-        return CheckResult(
-            "trend",
-            metric,
-            DegradationState.UNKNOWN,
-            None,
-            f"need >= {min_points} history points, have {len(history)}",
-        )
-    xs = [float(i) for i in range(len(history))]
-    ys = [float(v) for v in history]
-    linear = _polyfit(xs, ys, 1)
-    if linear is None:  # pragma: no cover - xs are distinct by construction
-        return CheckResult(
-            "trend", metric, DegradationState.UNKNOWN, None, "singular fit"
-        )
-    chosen, degree = linear, 1
-    fit = _r_squared(xs, ys, linear)
-    if len(history) >= 4:
-        quadratic = _polyfit(xs, ys, 2)
-        if quadratic is not None:
-            quad_fit = _r_squared(xs, ys, quadratic)
-            if quad_fit > fit + 0.1:
-                chosen, degree, fit = quadratic, 2, quad_fit
-    start = _evaluate(chosen, xs[0])
-    end = _evaluate(chosen, xs[-1])
-    if start == 0.0:
-        return CheckResult(
-            "trend",
-            metric,
-            DegradationState.UNKNOWN,
-            None,
-            "fitted window start is zero; relative drift undefined",
-        )
-    relative = (end - start) / abs(start)
-    state = _classify(relative, higher_is_better, threshold)
-    if fit < min_fit and state in (
-        DegradationState.DEGRADATION,
-        DegradationState.OPTIMIZATION,
-    ):
-        state = (
-            DegradationState.MAYBE_DEGRADATION
-            if state is DegradationState.DEGRADATION
-            else DegradationState.MAYBE_OPTIMIZATION
-        )
-    detail = (
-        f"degree-{degree} fit over {len(history)} records "
-        f"(R²={fit:.2f}), fitted {start:,.4g} -> {end:,.4g}"
-    )
-    return CheckResult("trend", metric, state, relative, detail)
-
-
-def _interpolate(
-    xs: Sequence[float], ys: Sequence[float], x: float
-) -> float:
-    """Linear interpolation of ``(xs, ys)`` at ``x`` (xs ascending)."""
-    if x <= xs[0]:
-        return ys[0]
-    if x >= xs[-1]:
-        return ys[-1]
-    for left in range(len(xs) - 1):
-        if xs[left] <= x <= xs[left + 1]:
-            span = xs[left + 1] - xs[left]
-            if span == 0:
-                return ys[left]
-            fraction = (x - xs[left]) / span
-            return ys[left] * (1 - fraction) + ys[left + 1] * fraction
-    return ys[-1]  # pragma: no cover - unreachable with ascending xs
-
-
-def _trapezoid_area(xs: Sequence[float], ys: Sequence[float]) -> float:
-    return sum(
-        (xs[i + 1] - xs[i]) * (ys[i] + ys[i + 1]) / 2
-        for i in range(len(xs) - 1)
-    )
-
-
-def integral_comparison(
-    baseline: MetricSeries,
-    target: MetricSeries,
-    threshold: float = 0.10,
-) -> CheckResult:
-    """Area-under-curve comparison of two sampled curves.
-
-    The target curve is linearly interpolated onto the baseline's grid
-    restricted to the overlapping x range, then the trapezoidal areas
-    are compared.  This catches regressions that only hurt part of a
-    saturation curve (say, large batch sizes) which the means would
-    dilute below the scalar threshold.
-    """
-    name = baseline.name
-    if not baseline.has_curve or not target.has_curve:
-        return CheckResult(
-            "integral",
-            name,
-            DegradationState.UNKNOWN,
-            None,
-            "one or both records carry no curve for this metric",
-        )
-    base_points = sorted(zip(baseline.curve_x, baseline.curve_y))
-    target_points = sorted(zip(target.curve_x, target.curve_y))
-    base_x = [p[0] for p in base_points]
-    base_y = [p[1] for p in base_points]
-    target_x = [p[0] for p in target_points]
-    target_y = [p[1] for p in target_points]
-    low = max(base_x[0], target_x[0])
-    high = min(base_x[-1], target_x[-1])
-    if high < low:
-        return CheckResult(
-            "integral",
-            name,
-            DegradationState.UNKNOWN,
-            None,
-            "curve x ranges do not overlap",
-        )
-    grid = [x for x in base_x if low <= x <= high]
-    base_on_grid = [_interpolate(base_x, base_y, x) for x in grid]
-    target_on_grid = [_interpolate(target_x, target_y, x) for x in grid]
-    if len(grid) < 2:
-        # Degenerate overlap: compare the single shared point, but a
-        # one-point "curve" can at most raise a suspicion.
-        base_value = base_on_grid[0] if grid else base_y[0]
-        target_value = target_on_grid[0] if grid else target_y[0]
-        if base_value == 0.0:
-            return CheckResult(
-                "integral",
-                name,
-                DegradationState.UNKNOWN,
-                None,
-                "single-point curve with zero baseline",
-            )
-        relative = (target_value - base_value) / abs(base_value)
-        state = _classify(relative, baseline.higher_is_better, threshold)
-        if state is DegradationState.DEGRADATION:
-            state = DegradationState.MAYBE_DEGRADATION
-        elif state is DegradationState.OPTIMIZATION:
-            state = DegradationState.MAYBE_OPTIMIZATION
-        return CheckResult(
-            "integral",
-            name,
-            state,
-            relative,
-            "single overlapping curve point; point comparison only",
-        )
-    base_area = _trapezoid_area(grid, base_on_grid)
-    target_area = _trapezoid_area(grid, target_on_grid)
-    if base_area == 0.0:
-        return CheckResult(
-            "integral",
-            name,
-            DegradationState.UNKNOWN,
-            None,
-            "baseline curve area is zero; relative change undefined",
-        )
-    relative = (target_area - base_area) / abs(base_area)
-    state = _classify(relative, baseline.higher_is_better, threshold)
-    detail = (
-        f"area {base_area:,.4g} -> {target_area:,.4g} over "
-        f"x in [{grid[0]:g}, {grid[-1]:g}] ({len(grid)} points)"
-    )
-    if math.isnan(relative):  # pragma: no cover - defensive
-        state = DegradationState.UNKNOWN
-    return CheckResult("integral", name, state, relative, detail)
+        label = OK
+    return CheckResult(series.name, label, worsening, spread, series.bound, a, b)

@@ -1,233 +1,150 @@
-"""Record-vs-baseline comparison: run every applicable check, verdict.
+"""Set-vs-set comparison: the newest commit's runs against its baseline.
 
-:func:`diff_benchmark` picks the target (newest record) and baseline
-(newest older non-smoke record) for one benchmark, runs the threshold
-check on every shared scalar metric, the integral check on every shared
-curve, and the trend check over the metric's last-K-commit history,
-then folds the results into a :class:`DiffReport` whose
-``has_confirmed_regression`` drives the CLI exit code and the CI gate.
+A *set* is every record of one benchmark (an e2e workload) at one
+commit.  :func:`diff_benchmark` compares the newest commit's set with
+the newest earlier commit's set, metric by metric, with
+:func:`repro.perfdb.checks.verdict`, and folds the results into a
+:class:`DiffReport` whose ``has_regression`` drives the CLI exit code
+and the CI gate.
 
-Comparability guard: when baseline and target were measured on
-different machines or different workload configs (fingerprints from
-:mod:`repro.perfdb.provenance` differ), absolute rates are not
-commensurable — every confirmed verdict is downgraded to *maybe* and
-the report says why, instead of blocking a merge on an apples-to-
-oranges comparison.
+Comparability guard: when the two sets ran on different machines or
+measured different configs (workload, seed, duration or inputs), their
+absolute values are not commensurable — a ``regression`` then reads
+``unresolved`` and the report says why, instead of blocking a merge on
+an apples-to-oranges comparison.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from repro.errors import PerfDbError
-from repro.perfdb.checks import (
-    CheckResult,
-    DegradationState,
-    average_amount_threshold,
-    integral_comparison,
-    trend,
-)
+from repro.perfdb.checks import UNRESOLVED, CheckResult, quartiles, verdict
 from repro.perfdb.schema import PerfRecord
 from repro.perfdb.store import PerfDatabase
 
-__all__ = ["DiffOptions", "DiffReport", "diff_benchmark", "diff_all"]
-
-
-@dataclass(frozen=True, slots=True)
-class DiffOptions:
-    """Tunables of one diff run (thresholds and the trend window)."""
-
-    threshold: float = 0.15
-    integral_threshold: float = 0.10
-    trend_window: int = 7
-    trend_threshold: float = 0.15
-    confidence: float = 0.95
-    include_smoke: bool = False
+__all__ = ["DiffReport", "diff_benchmark", "diff_all"]
 
 
 @dataclass(slots=True)
 class DiffReport:
-    """All check results for one benchmark's target-vs-baseline diff."""
+    """All verdicts of one benchmark's target-set-vs-baseline-set diff."""
 
     benchmark: str
-    baseline: PerfRecord | None
-    target: PerfRecord | None
+    baseline: list[PerfRecord]
+    target: list[PerfRecord]
     results: list[CheckResult] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     @property
-    def confirmed(self) -> list[CheckResult]:
-        return [r for r in self.results if r.is_confirmed_degradation]
+    def regressions(self) -> list[CheckResult]:
+        return [r for r in self.results if r.is_regression]
 
     @property
-    def suspected(self) -> list[CheckResult]:
-        return [r for r in self.results if r.is_suspected_degradation]
-
-    @property
-    def has_confirmed_regression(self) -> bool:
-        return bool(self.confirmed)
+    def has_regression(self) -> bool:
+        return bool(self.regressions)
 
     def render_lines(self) -> list[str]:
-        """Human-readable report lines (one per check result)."""
+        """Human-readable report lines (one per metric)."""
         lines = [f"benchmark {self.benchmark}:"]
-        if self.target is None:
+        if not self.target:
             lines.append("  no records; nothing to diff")
             return lines
-        if self.baseline is None:
+        target = _describe(self.target)
+        if not self.baseline:
             lines.append(
-                f"  target {self.target.short_commit} has no baseline; "
-                "record a non-smoke run first"
+                f"  target {target} has no baseline; record runs of an "
+                "earlier commit first"
             )
             return lines
         lines[0] = (
-            f"benchmark {self.benchmark}: "
-            f"{self.baseline.short_commit} -> {self.target.short_commit}"
+            f"benchmark {self.benchmark}: {_describe(self.baseline)} -> {target}"
         )
         for note in self.notes:
             lines.append(f"  note: {note}")
-        for result in sorted(
-            self.results, key=lambda r: (r.metric, r.check)
-        ):
-            change = (
-                f"{result.relative_change:+.1%}"
-                if result.relative_change is not None
-                else "   n/a"
-            )
+        for result in self.results:
+            cells = []
+            for values in (result.baseline, result.target):
+                median, q1, q3 = quartiles(values)
+                cells.append(f"{median:.4g} [{q1:.4g}, {q3:.4g}]")
             lines.append(
-                f"  {result.metric:<34} {result.check:<9} {change:>8}  "
-                f"{result.state.value} ({result.detail})"
+                f"  {result.metric:<18} {cells[0]:>30} -> {cells[1]:<30} "
+                f"worse {result.worsening:+.3f}  spread {result.spread:.3f}  "
+                f"bound {result.bound:.2f}  {result.label}"
             )
-        verdict = (
-            "REGRESSION"
-            if self.has_confirmed_regression
-            else "ok"
-        )
+        unresolved = sum(r.label == UNRESOLVED for r in self.results)
         lines.append(
-            f"  verdict: {verdict} "
-            f"({len(self.confirmed)} confirmed, "
-            f"{len(self.suspected)} suspected degradation(s))"
+            f"  verdict: {'REGRESSION' if self.has_regression else 'ok'} "
+            f"({len(self.regressions)} regression(s), {unresolved} unresolved)"
         )
         return lines
 
 
+def _describe(records: list[PerfRecord]) -> str:
+    return f"{records[0].short_commit} (n={len(records)})"
+
+
 def _comparability_notes(
-    baseline: PerfRecord, target: PerfRecord
+    baseline: list[PerfRecord], target: list[PerfRecord]
 ) -> list[str]:
     notes = []
-    if baseline.machine_id != target.machine_id:
+    if {r.machine_id for r in baseline} != {r.machine_id for r in target}:
         notes.append(
-            "baseline and target ran on different machines; confirmed "
-            "verdicts downgraded to 'maybe'"
+            "baseline and target ran on different machines; "
+            "regressions read 'unresolved'"
         )
-    if baseline.config_id != target.config_id:
+    if {r.config_id for r in baseline} != {r.config_id for r in target}:
         notes.append(
             "baseline and target measured different workload configs; "
-            "confirmed verdicts downgraded to 'maybe'"
-        )
-    if baseline.smoke != target.smoke:
-        notes.append(
-            "comparing a smoke run against a full run; confirmed "
-            "verdicts downgraded to 'maybe'"
+            "regressions read 'unresolved'"
         )
     return notes
 
 
-def diff_records(
-    baseline: PerfRecord,
-    target: PerfRecord,
-    history_by_metric: dict[str, list[float]] | None = None,
-    options: DiffOptions = DiffOptions(),
+def diff_benchmark(
+    db: PerfDatabase, benchmark: str, include_smoke: bool = False
 ) -> DiffReport:
-    """Diff two explicit records (plus optional per-metric history)."""
+    """Diff the newest commit's set for ``benchmark`` against its baseline.
+
+    Every metric present in all records of both sets is judged; smoke
+    records act as diff endpoints only with ``include_smoke``.
+    """
+    sets = db.commit_sets(benchmark, include_smoke=include_smoke)
+    if len(sets) < 2:
+        return DiffReport(
+            benchmark=benchmark, baseline=[], target=sets[-1] if sets else []
+        )
+    baseline, target = sets[-2], sets[-1]
     report = DiffReport(
-        benchmark=target.benchmark, baseline=baseline, target=target
+        benchmark=benchmark,
+        baseline=baseline,
+        target=target,
+        notes=_comparability_notes(baseline, target),
     )
-    report.notes = _comparability_notes(baseline, target)
-    downgrade = bool(report.notes)
-    shared = sorted(set(baseline.metrics) & set(target.metrics))
-    missing = sorted(set(baseline.metrics) - set(target.metrics))
+    comparable = not report.notes
+    names = [set(r.metrics) for r in baseline + target]
+    shared = set.intersection(*names)
+    missing = set.union(*names) - shared
     if missing:
         report.notes.append(
-            f"target is missing baseline metric(s): {', '.join(missing)}"
+            f"metric(s) not in every record: {', '.join(sorted(missing))}"
         )
-    for name in shared:
-        base_series = baseline.metrics[name]
-        target_series = target.metrics[name]
-        results: list[CheckResult] = []
-        if base_series.samples and target_series.samples:
-            results.append(
-                average_amount_threshold(
-                    base_series,
-                    target_series,
-                    threshold=options.threshold,
-                    confidence=options.confidence,
-                )
-            )
-        if base_series.has_curve and target_series.has_curve:
-            results.append(
-                integral_comparison(
-                    base_series,
-                    target_series,
-                    threshold=options.integral_threshold,
-                )
-            )
-        history = (history_by_metric or {}).get(name, ())
-        if len(history) >= 3:
-            results.append(
-                trend(
-                    name,
-                    history,
-                    higher_is_better=base_series.higher_is_better,
-                    threshold=options.trend_threshold,
-                )
-            )
-        if downgrade:
-            results = [
-                result.downgraded("records are not strictly comparable")
-                for result in results
-            ]
-        report.results.extend(results)
+    for name in sorted(shared):
+        result = verdict(
+            target[-1].metrics[name],
+            [r.metrics[name].median for r in baseline],
+            [r.metrics[name].median for r in target],
+        )
+        if result.is_regression and not comparable:
+            result = dataclasses.replace(result, label=UNRESOLVED)
+        report.results.append(result)
     return report
 
 
-def diff_benchmark(
-    db: PerfDatabase,
-    benchmark: str,
-    options: DiffOptions = DiffOptions(),
-) -> DiffReport:
-    """Diff the newest record for ``benchmark`` against its baseline.
-
-    The trend window feeds each metric the last
-    ``options.trend_window`` record means ending at the target, so a
-    creeping regression is caught even when the single-step change
-    stays under the threshold.
-    """
-    target = db.latest(benchmark, include_smoke=options.include_smoke)
-    if target is None:
-        return DiffReport(benchmark=benchmark, baseline=None, target=None)
-    baseline = db.baseline(
-        benchmark, before=target, include_smoke=options.include_smoke
-    )
-    if baseline is None:
-        return DiffReport(benchmark=benchmark, baseline=baseline, target=target)
-    history_by_metric: dict[str, list[float]] = {}
-    for name in set(baseline.metrics) & set(target.metrics):
-        rows = db.history(
-            benchmark,
-            name,
-            include_smoke=options.include_smoke,
-        )
-        means = [mean for record, mean in rows]
-        # The window ends at the target record (newest entries).
-        history_by_metric[name] = means[-options.trend_window:]
-    return diff_records(baseline, target, history_by_metric, options)
-
-
-def diff_all(
-    db: PerfDatabase, options: DiffOptions = DiffOptions()
-) -> list[DiffReport]:
+def diff_all(db: PerfDatabase, include_smoke: bool = False) -> list[DiffReport]:
     """One report per benchmark present in the database."""
     names = db.benchmarks()
     if not names:
         raise PerfDbError(f"{db.path} holds no records")
-    return [diff_benchmark(db, name, options) for name in names]
+    return [diff_benchmark(db, name, include_smoke) for name in names]

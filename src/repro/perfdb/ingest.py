@@ -1,18 +1,21 @@
-"""Normalize BENCH_*.json snapshots into perf-database records.
+"""Turn e2e benchmark result documents into perf-database records.
 
-Each benchmark writes its own snapshot layout; this module flattens
-both into the shared :class:`~repro.perfdb.schema.PerfRecord` metric
-namespace so the degradation checks never look inside benchmark-
-specific nesting.  Scalar headline numbers become single-sample
-metrics (or multi-sample, where the benchmark records per-repeat
-samples), and saturation sweeps become curves for the integral check.
+The documents are the files ``python -m benchmarks.e2e run --out DIR``
+writes, one per workload and seed.  Each becomes one
+:class:`~repro.perfdb.schema.PerfRecord`: the benchmark is the
+document's ``workload`` and the metrics are its ``end_to_end``
+medians.  Unit, direction and bound of each metric come from
+``BENCHMARK.json`` in the working directory, the file
+``benchmarks/e2e/compare.py`` reads, so both comparators judge the same
+numbers against the same bounds.
 
-Only schema-version-2 snapshots — the ones stamped with a shared
-``machine`` block and a ``provenance`` block — are accepted: a record
-without commit provenance cannot be placed in the history.  Snapshots
-from ``--smoke`` runs are refused unless ``allow_smoke=True``, and even
-then the stored record keeps ``smoke: true`` so it is never silently
-promoted to a baseline.
+A document is refused when it comes from a dirty tree
+(``baseline_eligible: false``), when it is a traced run, when a pass
+failed or a check did not hold, and when it is not an e2e result
+document at all (the old ``BENCH_*.json`` layout included).  A document
+whose ``seconds`` is below ``run_seconds`` is a smoke run: it is
+refused unless ``allow_smoke=True``, and even then the stored record
+keeps ``smoke: true`` so it is never silently promoted to a baseline.
 """
 
 from __future__ import annotations
@@ -23,21 +26,28 @@ from typing import Any, Mapping
 
 from repro.errors import PerfDbError
 from repro.perfdb.provenance import config_fingerprint, machine_fingerprint
-from repro.perfdb.schema import SCHEMA_VERSION, MetricSeries, PerfRecord
+from repro.perfdb.schema import MetricSeries, PerfRecord
 
-__all__ = ["record_from_snapshot", "load_snapshot", "SUPPORTED_BENCHMARKS"]
+__all__ = ["BENCHMARK_PATH", "record_from_snapshot", "load_snapshot"]
 
-EPS = "events/s"
+#: Repo-relative location of the benchmark declaration.
+BENCHMARK_PATH = "BENCHMARK.json"
+
+_E2E_KEYS = (
+    "workload", "seed", "seconds", "trace", "correct", "attempted",
+    "failed", "inputs", "metrics", "machine", "provenance",
+    "baseline_eligible",
+)
 
 
 def load_snapshot(path: str | Path) -> dict[str, Any]:
-    """Read one BENCH_*.json snapshot file."""
+    """Read one JSON result document."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
     except OSError as exc:
-        raise PerfDbError(f"cannot read snapshot {path}: {exc}") from exc
+        raise PerfDbError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PerfDbError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -45,139 +55,37 @@ def load_snapshot(path: str | Path) -> dict[str, Any]:
     return payload
 
 
-def _scalar(
-    name: str,
-    value: Any,
-    unit: str = EPS,
-    higher_is_better: bool = True,
-    samples: Any = None,
-) -> MetricSeries:
-    values = samples if samples else [value]
-    return MetricSeries(
-        name=name,
-        unit=unit,
-        higher_is_better=higher_is_better,
-        samples=tuple(float(v) for v in values),
-    )
-
-
-def _pipeline_metrics(snapshot: Mapping[str, Any]) -> dict[str, MetricSeries]:
-    parse = snapshot["parse"]
-    fmt = snapshot["format"]
-    roundtrip = snapshot["file_roundtrip"]
-    replay = snapshot["replay"]
-    parse_samples = parse.get("samples", {})
-    fmt_samples = fmt.get("samples", {})
-
-    metrics = {
-        "parse_fast_eps": _scalar(
-            "parse_fast_eps", parse["fast_eps"],
-            samples=parse_samples.get("fast_eps"),
-        ),
-        "parse_fast_trusted_eps": _scalar(
-            "parse_fast_trusted_eps", parse["fast_trusted_eps"],
-            samples=parse_samples.get("fast_trusted_eps"),
-        ),
-        "format_fast_eps": _scalar(
-            "format_fast_eps", fmt["fast_eps"],
-            samples=fmt_samples.get("fast_eps"),
-        ),
-        "file_write_eps": _scalar("file_write_eps", roundtrip["write_eps"]),
-        "file_read_eps": _scalar("file_read_eps", roundtrip["read_eps"]),
-        "combined_parse_format_speedup": _scalar(
-            "combined_parse_format_speedup",
-            snapshot["combined_parse_format_speedup"],
-            unit="x",
-        ),
-    }
-
-    saturation = replay["saturation_eps_by_batch_size"]
-    saturation_samples = replay.get("saturation_samples_by_batch_size", {})
-    batch_sizes = sorted(saturation, key=float)
-    best_batch = max(batch_sizes, key=lambda b: saturation[b])
-    metrics["replay_saturation_best_eps"] = _scalar(
-        "replay_saturation_best_eps",
-        saturation[best_batch],
-        samples=saturation_samples.get(best_batch),
-    )
-    metrics["replay_saturation_curve"] = MetricSeries(
-        name="replay_saturation_curve",
-        unit=EPS,
-        higher_is_better=True,
-        curve_x=tuple(float(b) for b in batch_sizes),
-        curve_y=tuple(float(saturation[b]) for b in batch_sizes),
-    )
-    return metrics
-
-
-def _scaleout_metrics(snapshot: Mapping[str, Any]) -> dict[str, MetricSeries]:
-    config = snapshot["config"]
-    widest = str(config["worker_counts"][-1])
-    metrics = {
-        "baseline_1w_events_eps": _scalar(
-            "baseline_1w_events_eps", snapshot["baseline_1w_events_eps"]
-        ),
-        "decode_scaleout_eps": _scalar(
-            "decode_scaleout_eps", snapshot["decode_4w_eps"]
-        ),
-        "decode_scaling": _scalar(
-            "decode_scaling", snapshot["decode_scaling_4w"], unit="x"
-        ),
-        "decode_vs_raw": _scalar(
-            "decode_vs_raw", snapshot["decode_vs_raw_4w"], unit="x"
-        ),
-        "binary_raw_ceiling_eps": _scalar(
-            "binary_raw_ceiling_eps", snapshot["binary_raw_ceiling_eps"]
-        ),
-        "raw_scaleout_speedup": _scalar(
-            "raw_scaleout_speedup", snapshot["speedup_4w"], unit="x"
-        ),
-    }
-    saturation = snapshot["saturation"]
-    for fmt, by_mode in saturation.items():
-        for emission, mode in by_mode.items():
-            cell = mode["by_workers"].get(widest)
-            if cell is None:
-                continue
-            name = f"saturation_{fmt}_{emission}_{widest}w_eps"
-            metrics[name] = _scalar(
-                name, cell["aggregate_eps"], samples=cell.get("samples_eps")
-            )
-    sweep = snapshot["sweep"]
-    series = sweep["by_workers"].get(widest)
-    if series is not None:
-        metrics["sweep_achieved_curve"] = MetricSeries(
-            name="sweep_achieved_curve",
-            unit=EPS,
-            higher_is_better=True,
-            curve_x=tuple(float(t) for t in sweep["target_rates"]),
-            curve_y=tuple(float(a) for a in series["achieved_eps"]),
+def _refusal(snapshot: Mapping[str, Any], declared: Mapping[str, Any]) -> str | None:
+    """Why ``snapshot`` cannot be recorded, or ``None`` if it can."""
+    missing = [key for key in _E2E_KEYS if key not in snapshot]
+    if missing:
+        return (
+            f"is not an e2e result document (missing {', '.join(missing)}); "
+            "record the files 'python -m benchmarks.e2e run --out DIR' writes"
         )
-    # Transport axis (snapshots recorded since the shm ring landed):
-    # per-transport delivered throughput at the widest worker count,
-    # plus the headline shm-vs-pipe ratio the tentpole gate tracks.
-    transports = snapshot.get("transports")
-    if transports:
-        for transport, block in transports["by_transport"].items():
-            cell = block["by_workers"].get(widest)
-            if cell is None:
-                continue
-            name = f"transport_{transport}_{widest}w_delivered_eps"
-            metrics[name] = _scalar(
-                name, cell["aggregate_eps"], samples=cell.get("samples_eps")
-            )
-        metrics["shm_vs_pipe_delivered"] = _scalar(
-            "shm_vs_pipe_delivered",
-            snapshot["shm_vs_pipe_delivered"],
-            unit="x",
+    if snapshot["trace"]:
+        return "is a traced run; record untraced runs only"
+    if snapshot["baseline_eligible"] is not True:
+        return "was measured on a dirty or unknown tree (baseline_eligible: false)"
+    if snapshot["failed"] > 0 or snapshot["correct"] is not True:
+        return (
+            f"is not a correct run ({snapshot['failed']}/"
+            f"{snapshot['attempted']} passes failed, correct: "
+            f"{snapshot['correct']})"
         )
-    return metrics
-
-
-SUPPORTED_BENCHMARKS = {
-    "pipeline": _pipeline_metrics,
-    "replayer_scaleout": _scaleout_metrics,
-}
+    workloads = [workload["name"] for workload in declared["workloads"]]
+    if snapshot["workload"] not in workloads:
+        return f"has unknown workload {snapshot['workload']!r}; declared: {workloads}"
+    absent = [
+        metric["name"]
+        for metric in declared["end_to_end"]
+        if metric["name"] not in snapshot["metrics"]
+    ]
+    if absent:
+        return f"lacks end-to-end metric(s) {', '.join(absent)}"
+    if "recorded_at_utc" not in snapshot["provenance"]:
+        return "has no provenance.recorded_at_utc"
+    return None
 
 
 def record_from_snapshot(
@@ -185,50 +93,53 @@ def record_from_snapshot(
     source: str = "",
     allow_smoke: bool = False,
 ) -> PerfRecord:
-    """Build a :class:`PerfRecord` from one parsed BENCH snapshot.
+    """Build a :class:`PerfRecord` from one parsed e2e result document.
 
-    Raises :class:`~repro.errors.PerfDbError` for pre-v2 snapshots
-    (no provenance — re-record the benchmark), for unknown benchmark
-    names, and for ``smoke: true`` snapshots unless ``allow_smoke``:
-    smoke workloads are shrunk and unrepeated, so storing one as a
-    baseline would poison every later comparison.
+    Raises :class:`~repro.errors.PerfDbError`, naming ``source``, for
+    every document the module docstring lists as refused, and for smoke
+    runs unless ``allow_smoke``: a short run is noisier and measures a
+    different config, so storing one as a baseline would poison every
+    later comparison.
     """
-    version = snapshot.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise PerfDbError(
-            f"snapshot {source or '<dict>'} has schema_version {version!r}; "
-            f"perfdb ingests version {SCHEMA_VERSION} snapshots — re-record "
-            "the benchmark to stamp machine and commit provenance"
-        )
-    benchmark = snapshot.get("benchmark")
-    extractor = SUPPORTED_BENCHMARKS.get(benchmark)
-    if extractor is None:
-        raise PerfDbError(
-            f"unknown benchmark {benchmark!r}; supported: "
-            f"{sorted(SUPPORTED_BENCHMARKS)}"
-        )
-    smoke = bool(snapshot.get("smoke", False))
+    name = source or "<dict>"
+    declared = load_snapshot(BENCHMARK_PATH)
+    reason = _refusal(snapshot, declared)
+    if reason is not None:
+        raise PerfDbError(f"{name} {reason}")
+    smoke = snapshot["seconds"] < declared["run_seconds"]
     if smoke and not allow_smoke:
         raise PerfDbError(
-            f"snapshot {source or '<dict>'} is a --smoke run; refusing to "
-            "store it as a baseline (pass --allow-smoke to record it as an "
-            "explicitly smoke-tagged, non-baseline record)"
+            f"{name} is a smoke run ({snapshot['seconds']:g} s < "
+            f"{declared['run_seconds']:g} s); refusing to store it as a "
+            "baseline (pass --allow-smoke to record it as an explicitly "
+            "smoke-tagged, non-baseline record)"
         )
-    provenance = snapshot.get("provenance") or {}
-    machine = snapshot.get("machine") or {}
-    if "recorded_at_utc" not in provenance:
-        raise PerfDbError(
-            f"snapshot {source or '<dict>'} has no provenance.recorded_at_utc"
+    provenance = snapshot["provenance"]
+    machine = snapshot["machine"]
+    metrics = {
+        metric["name"]: MetricSeries(
+            name=metric["name"],
+            unit=metric["unit"],
+            higher_is_better=metric["better"] == "higher",
+            bound=float(metric["bound"]),
+            samples=(float(snapshot["metrics"][metric["name"]]["value"]),),
         )
+        for metric in declared["end_to_end"]
+    }
     return PerfRecord(
-        benchmark=benchmark,
+        benchmark=snapshot["workload"],
         git_commit=provenance.get("git_commit"),
         git_dirty=provenance.get("git_dirty"),
         recorded_at_utc=provenance["recorded_at_utc"],
         machine=dict(machine),
         machine_id=machine_fingerprint(machine),
-        config_id=config_fingerprint(snapshot.get("config", {})),
+        config_id=config_fingerprint({
+            "workload": snapshot["workload"],
+            "seed": snapshot["seed"],
+            "seconds": snapshot["seconds"],
+            "inputs_digest": snapshot["inputs"].get("digest"),
+        }),
         smoke=smoke,
         source=str(source),
-        metrics=extractor(snapshot),
+        metrics=metrics,
     )

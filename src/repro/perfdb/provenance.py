@@ -1,11 +1,9 @@
 """Shared machine and git provenance for benchmark snapshots.
 
-Every benchmark writes the same ``machine`` block and the same
-``provenance`` block through these helpers, so perfdb ingestion can
-compare records without per-benchmark schema special cases.  Before
-this module existed ``bench_codec_throughput.py`` omitted ``cpu_count``
-from its machine block while ``bench_replayer_scaleout.py`` recorded
-it — exactly the drift a shared helper prevents.
+Benchmarks write their ``machine`` block and ``provenance`` block
+through these helpers (``benchmarks/e2e`` stamps every result document
+with them), so perfdb ingestion can compare records without
+per-benchmark schema special cases.
 
 Provenance is stamped *at write time*: the commit hash and dirty flag
 describe the tree the numbers were measured on, and the UTC timestamp

@@ -1,11 +1,10 @@
 """Perf-database record schema.
 
-One :class:`PerfRecord` describes one benchmark run: which benchmark,
-on which commit and machine, under which config fingerprint, and the
-measured metrics.  A metric is either a set of scalar samples
-(:class:`MetricSeries` with ``samples``) or a full curve such as a
-saturation sweep (``curve_x``/``curve_y``), which the integral check
-compares by area.
+One :class:`PerfRecord` describes one e2e benchmark run: which
+workload, on which commit and machine, under which config fingerprint,
+and the run's end-to-end metrics.  Each :class:`MetricSeries` carries
+the run's median, its unit, its direction and its regression bound, as
+declared in ``BENCHMARK.json`` when the run was recorded.
 
 Records are plain JSON dicts on disk (one per line in the store) and
 versioned by ``SCHEMA_VERSION`` so future migrations stay explicit.
@@ -13,6 +12,7 @@ versioned by ``SCHEMA_VERSION`` so future migrations stay explicit.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -20,66 +20,45 @@ from repro.errors import PerfDbError
 
 __all__ = ["SCHEMA_VERSION", "MetricSeries", "PerfRecord"]
 
-#: Version of both the BENCH_*.json snapshot layout (machine block with
-#: ``cpu_count`` + ``provenance`` block) and the perfdb record layout.
-SCHEMA_VERSION = 2
+#: Version of the perfdb record layout.
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True, slots=True)
 class MetricSeries:
-    """One named metric of a run: scalar samples and/or a curve."""
+    """One named metric of a run: samples, direction and bound."""
 
     name: str
     unit: str
     higher_is_better: bool
-    samples: tuple[float, ...] = ()
-    curve_x: tuple[float, ...] = ()
-    curve_y: tuple[float, ...] = ()
+    bound: float
+    samples: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.samples and not self.curve_y:
-            raise PerfDbError(
-                f"metric {self.name!r} has neither samples nor a curve"
-            )
-        if len(self.curve_x) != len(self.curve_y):
-            raise PerfDbError(
-                f"metric {self.name!r}: curve_x has {len(self.curve_x)} "
-                f"points but curve_y has {len(self.curve_y)}"
-            )
+        if not self.samples:
+            raise PerfDbError(f"metric {self.name!r} has no samples")
 
     @property
-    def mean(self) -> float:
-        """Mean of the scalar samples (curve-only metrics use the curve)."""
-        values = self.samples or self.curve_y
-        return sum(values) / len(values)
-
-    @property
-    def has_curve(self) -> bool:
-        return bool(self.curve_y)
+    def median(self) -> float:
+        """Median of the samples."""
+        return statistics.median(self.samples)
 
     def to_json_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
+        return {
             "unit": self.unit,
             "higher_is_better": self.higher_is_better,
+            "bound": self.bound,
             "samples": list(self.samples),
         }
-        if self.has_curve:
-            payload["curve"] = {
-                "x": list(self.curve_x),
-                "y": list(self.curve_y),
-            }
-        return payload
 
     @classmethod
     def from_json_dict(cls, name: str, payload: Mapping[str, Any]) -> "MetricSeries":
-        curve = payload.get("curve") or {}
         return cls(
             name=name,
             unit=str(payload.get("unit", "")),
             higher_is_better=bool(payload.get("higher_is_better", True)),
+            bound=float(payload["bound"]),
             samples=tuple(float(v) for v in payload.get("samples", ())),
-            curve_x=tuple(float(v) for v in curve.get("x", ())),
-            curve_y=tuple(float(v) for v in curve.get("y", ())),
         )
 
 

@@ -6,10 +6,10 @@ commit-time order (``recorded_at_utc`` breaks ties for humans).  The
 checked-in baseline lives at :data:`DEFAULT_DB_PATH`; CI runs use
 throwaway stores.
 
-Smoke records (``--smoke`` benchmark runs) may be appended for
-same-machine A/B comparisons, but they are never eligible as
-*baselines*: :meth:`PerfDatabase.baseline` and
-:meth:`PerfDatabase.history` skip them unless explicitly asked.
+Smoke records (runs shorter than ``BENCHMARK.json``'s ``run_seconds``)
+may be appended for same-machine A/B comparisons, but they are never
+eligible as *baselines*: :meth:`PerfDatabase.commit_sets` skips them
+unless explicitly asked.
 """
 
 from __future__ import annotations
@@ -78,62 +78,20 @@ class PerfDatabase:
             seen.setdefault(record.benchmark, None)
         return list(seen)
 
-    def latest(
+    def commit_sets(
         self, benchmark: str, include_smoke: bool = False
-    ) -> PerfRecord | None:
-        """The most recently appended record for ``benchmark``."""
-        matching = self.records(benchmark, include_smoke=include_smoke)
-        return matching[-1] if matching else None
+    ) -> list[list[PerfRecord]]:
+        """``benchmark``'s records grouped by commit, oldest set first.
 
-    def baseline(
-        self,
-        benchmark: str,
-        before: PerfRecord | None = None,
-        include_smoke: bool = False,
-    ) -> PerfRecord | None:
-        """The newest non-smoke record strictly older than ``before``.
-
-        With ``before=None`` the latest eligible record itself is the
-        baseline (useful when diffing an un-appended candidate).  Smoke
-        records are skipped unless ``include_smoke`` — a smoke run is
-        never silently promoted to a baseline.
-
-        Duplicate records are legitimate (re-recording an identical
-        snapshot, A/A comparison runs), so ``before`` is matched from
-        the *end*: the target is by construction the newest entry, and
-        an earlier identical record then correctly becomes its baseline.
+        A set is every record of one benchmark at one commit, in append
+        order.  Sets are ordered by their newest record, so the last set
+        is the newest commit's and the one before it is its baseline.
+        Smoke records are skipped unless ``include_smoke`` — a smoke run
+        is never silently promoted to a baseline.
         """
-        matching = self.records(benchmark, include_smoke=include_smoke)
-        if before is not None:
-            cutoff = None
-            for index in range(len(matching) - 1, -1, -1):
-                if matching[index] == before:
-                    cutoff = index
-                    break
-            if cutoff is None:
-                raise PerfDbError(
-                    f"record is not in {self.path} (benchmark {benchmark!r})"
-                )
-            matching = matching[:cutoff]
-        return matching[-1] if matching else None
-
-    def history(
-        self,
-        benchmark: str,
-        metric: str,
-        last: int | None = None,
-        include_smoke: bool = False,
-    ) -> list[tuple[PerfRecord, float]]:
-        """``(record, metric mean)`` pairs in append order.
-
-        Records missing the metric are skipped; ``last`` keeps only the
-        newest K entries (the trend-check window).
-        """
-        rows = [
-            (record, record.metrics[metric].mean)
-            for record in self.records(benchmark, include_smoke=include_smoke)
-            if metric in record.metrics
-        ]
-        if last is not None and last > 0:
-            rows = rows[-last:]
-        return rows
+        sets: dict[str | None, list[PerfRecord]] = {}
+        for record in self.records(benchmark, include_smoke=include_smoke):
+            group = sets.pop(record.git_commit, [])
+            group.append(record)
+            sets[record.git_commit] = group
+        return list(sets.values())

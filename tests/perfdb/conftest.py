@@ -1,221 +1,122 @@
-"""Shared snapshot builders for the perfdb suite.
+"""Shared e2e result-document builders for the perfdb suite.
 
-The builders produce miniature but schema-complete BENCH_*.json
-payloads so every test exercises the real ingestion path instead of
-hand-assembling records.
+The builders produce miniature but complete documents in the layout
+``python -m benchmarks.e2e run --out DIR`` writes, so every test
+exercises the real ingestion path instead of hand-assembling records.
+Ingestion reads ``BENCHMARK.json`` from the working directory, so every
+test here runs from the repository root.
 """
 
 from __future__ import annotations
 
 import copy
+import json
+from pathlib import Path
 from typing import Any
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[2]
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
-def make_pipeline_snapshot(
-    scale: float = 1.0,
+#: Plausible medians per end-to-end metric.
+BASE_VALUES = {
+    "delivered_eps": 400_000.0,
+    "lag_p50_ms": 50.0,
+    "replayer_cpu_util": 1.0,
+    "setup_s": 1.6,
+    "peak_rss_mb": 42.0,
+}
+
+
+@pytest.fixture(autouse=True)
+def _run_from_repo_root(monkeypatch):
+    monkeypatch.chdir(ROOT)
+
+
+def make_document(
+    workload: str = "csv-events-pipe",
+    seed: int = 1,
     commit: str = "a" * 40,
-    smoke: bool = False,
-    repeats: int = 3,
+    seconds: float = 20.0,
+    scale: float = 1.0,
     recorded_at: str = "2026-08-08T00:00:00+00:00",
 ) -> dict[str, Any]:
-    """A schema-v2 ``pipeline`` snapshot with all rates scaled by ``scale``."""
+    """An untraced, clean e2e document; ``delivered_eps`` scaled by ``scale``.
 
-    def eps(base: float) -> float:
-        return base * scale
+    Each seed shifts every median by 1% so a set of seeds has a small,
+    nonzero spread.
+    """
+    metrics = {}
+    for name, base in BASE_VALUES.items():
+        value = base * (1 + 0.01 * seed)
+        if name == "delivered_eps":
+            value *= scale
+        metrics[name] = {"value": value, "q1": value * 0.95, "q3": value * 1.05, "n": 100}
+    return {
+        "workload": workload,
+        "seed": seed,
+        "seconds": seconds,
+        "trace": False,
+        "correct": True,
+        "attempted": 101,
+        "failed": 0,
+        "passes": {"setups": 3, "warmup": 1, "measured": 100, "traced": 0},
+        "inputs": {"events": 25041, "graph_events": 25040, "digest": "d" * 64},
+        "metrics": metrics,
+        "extras": {},
+        "problems": [],
+        "machine": {
+            "python": "3.11.7",
+            "implementation": "CPython",
+            "platform": "Linux-test",
+            "cpu_count": 2,
+        },
+        "nproc": 2,
+        "provenance": {
+            "git_commit": commit,
+            "git_dirty": False,
+            "recorded_at_utc": recorded_at,
+        },
+        "baseline_eligible": True,
+    }
 
-    def samples(base: float) -> list[float]:
-        return [eps(base) * (1 + 0.01 * i) for i in range(repeats)]
 
-    saturation = {"1": eps(500_000), "8": eps(800_000), "256": eps(1_000_000)}
+def make_legacy_snapshot() -> dict[str, Any]:
+    """The retired ``BENCH_*.json`` layout (schema 2), which ingestion refuses."""
     return {
         "benchmark": "pipeline",
         "schema_version": 2,
-        "config": {"event_count": 1000, "repeats": repeats,
-                   "batch_sizes": [1, 8, 256]},
-        "machine": {
-            "python": "3.11.7",
-            "implementation": "CPython",
-            "platform": "Linux-test",
-            "cpu_count": 1,
-        },
-        "parse": {
-            "events": 1000,
-            "legacy_eps": eps(150_000),
-            "fast_eps": eps(300_000),
-            "fast_trusted_eps": eps(600_000),
-            "speedup": 2.0,
-            "speedup_trusted": 4.0,
-            "samples": {
-                "legacy_eps": samples(150_000),
-                "fast_eps": samples(300_000),
-                "fast_trusted_eps": samples(600_000),
-            },
-        },
-        "format": {
-            "events": 1000,
-            "legacy_eps": eps(370_000),
-            "fast_eps": eps(1_200_000),
-            "speedup": 3.2,
-            "samples": {
-                "legacy_eps": samples(370_000),
-                "fast_eps": samples(1_200_000),
-            },
-        },
-        "file_roundtrip": {
-            "events": 1000,
-            "write_eps": eps(1_100_000),
-            "read_eps": eps(460_000),
-        },
-        "replay": {
-            "events": 1000,
-            "target_rate": 100_000_000,
-            "saturation_eps_by_batch_size": saturation,
-            "saturation_samples_by_batch_size": {
-                key: [value, value * 0.99, value * 1.01]
-                for key, value in saturation.items()
-            },
-            "batched_speedup": 2.0,
-        },
-        "tracing": {
-            "events": 1000,
-            "batch_size": 256,
-            "sample_every": 1024,
-            "untraced_eps": eps(1_000_000),
-            "traced_eps": eps(980_000),
-            "overhead_fraction": 0.02,
-            "spans_recorded": 3,
-        },
-        "combined_parse_format_speedup": 3.7,
-        "smoke": smoke,
+        "config": {"event_count": 1000},
+        "machine": {"python": "3.11.7", "cpu_count": 1},
+        "parse": {"fast_eps": 300_000.0},
+        "smoke": False,
         "provenance": {
-            "git_commit": commit,
+            "git_commit": "a" * 40,
             "git_dirty": False,
-            "recorded_at_utc": recorded_at,
+            "recorded_at_utc": "2026-08-08T00:00:00+00:00",
         },
     }
 
 
-def make_scaleout_snapshot(
-    scale: float = 1.0,
-    commit: str = "b" * 40,
-    smoke: bool = False,
-    recorded_at: str = "2026-08-08T00:00:00+00:00",
-) -> dict[str, Any]:
-    """A schema-v2 ``replayer_scaleout`` snapshot scaled by ``scale``."""
-    worker_counts = [1, 2, 4]
-    targets = [100_000, 1_000_000]
-    base_rates = {
-        ("csv", "events"): 300_000,
-        ("csv", "decode"): 600_000,
-        ("csv", "raw"): 5_000_000,
-        ("binary", "events"): 350_000,
-        ("binary", "decode"): 2_500_000,
-        ("binary", "raw"): 90_000_000,
-    }
-    saturation: dict[str, Any] = {}
-    for fmt in ("csv", "binary"):
-        saturation[fmt] = {}
-        for emission in ("events", "decode", "raw"):
-            base = base_rates[(fmt, emission)] * scale
-            by_workers = {
-                str(w): {
-                    "aggregate_eps": base * w**0.5,
-                    "per_shard_eps": [base * w**0.5 / w] * w,
-                    "samples_eps": [base * w**0.5, base * w**0.5 * 0.98],
-                }
-                for w in worker_counts
-            }
-            saturation[fmt][emission] = {
-                "by_workers": by_workers,
-                "speedup_by_workers": {
-                    str(w): w**0.5 for w in worker_counts
-                },
-            }
-    baseline = saturation["csv"]["events"]["by_workers"]["1"]["aggregate_eps"]
-    decode = saturation["binary"]["decode"]["by_workers"]["4"]["aggregate_eps"]
-    raw = saturation["csv"]["raw"]["by_workers"]["4"]["aggregate_eps"]
-    binary_raw = saturation["binary"]["raw"]["by_workers"]["4"]["aggregate_eps"]
-    return {
-        "benchmark": "replayer_scaleout",
-        "schema_version": 2,
-        "config": {
-            "event_count": 1000,
-            "formats": ["csv", "binary"],
-            "emissions": ["events", "decode", "raw"],
-            "worker_counts": worker_counts,
-            "target_rates": targets,
-            "repeats": 2,
-            "batch_size": 256,
-        },
-        "machine": {
-            "python": "3.11.7",
-            "implementation": "CPython",
-            "platform": "Linux-test",
-            "cpu_count": 1,
-        },
-        "saturation": saturation,
-        "sweep": {
-            "target_rates": targets,
-            "by_workers": {
-                str(w): {
-                    "format": "binary",
-                    "emission": "decode",
-                    "achieved_eps": [
-                        min(t, 800_000 * scale * w) for t in targets
-                    ],
-                }
-                for w in worker_counts
-            },
-        },
-        "baseline_1w_events_eps": baseline,
-        "decode_4w_eps": decode,
-        "decode_scaling_4w": decode / baseline,
-        "decode_vs_raw_4w": decode / raw,
-        "binary_raw_ceiling_eps": binary_raw,
-        "best_scaleout_eps": binary_raw,
-        "speedup_4w": binary_raw / baseline,
-        "smoke": smoke,
-        "provenance": {
-            "git_commit": commit,
-            "git_dirty": False,
-            "recorded_at_utc": recorded_at,
-        },
-    }
-
-
-def degraded(snapshot: dict, factor: float) -> dict:
-    """A deep copy of a pipeline snapshot with throughput scaled by ``factor``."""
-    result = copy.deepcopy(snapshot)
-    for section in ("parse", "format"):
-        block = result[section]
-        for key in list(block):
-            if key.endswith("_eps"):
-                block[key] *= factor
-        block["samples"] = {
-            key: [value * factor for value in values]
-            for key, values in block["samples"].items()
-        }
-    for key in ("write_eps", "read_eps"):
-        result["file_roundtrip"][key] *= factor
-    replay = result["replay"]
-    replay["saturation_eps_by_batch_size"] = {
-        key: value * factor
-        for key, value in replay["saturation_eps_by_batch_size"].items()
-    }
-    replay["saturation_samples_by_batch_size"] = {
-        key: [value * factor for value in values]
-        for key, values in replay["saturation_samples_by_batch_size"].items()
-    }
+def degraded(document: dict, factor: float) -> dict:
+    """A deep copy with ``delivered_eps`` value and quartiles scaled by ``factor``."""
+    result = copy.deepcopy(document)
+    stats = result["metrics"]["delivered_eps"]
+    for key in ("value", "q1", "q3"):
+        stats[key] *= factor
     return result
 
 
-@pytest.fixture
-def pipeline_snapshot() -> dict:
-    return make_pipeline_snapshot()
-
-
-@pytest.fixture
-def scaleout_snapshot() -> dict:
-    return make_scaleout_snapshot()
+def commit_set(commit: str, day: int, scale: float = 1.0, **kwargs) -> list[dict]:
+    """Seeds 1-3 of one workload at one commit."""
+    return [
+        make_document(
+            seed=seed,
+            commit=commit,
+            scale=scale,
+            recorded_at=f"2026-08-{day:02d}T00:00:0{seed}+00:00",
+            **kwargs,
+        )
+        for seed in (1, 2, 3)
+    ]

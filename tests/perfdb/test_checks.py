@@ -1,184 +1,109 @@
-"""Degradation detectors: threshold, trend, and integral checks."""
+"""The perf-diff verdict, and its agreement with the e2e comparator."""
 
 from __future__ import annotations
 
-import pytest
+import math
 
-from repro.perfdb.checks import (
-    DegradationState,
-    average_amount_threshold,
-    integral_comparison,
-    trend,
-)
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from benchmarks.e2e.compare import verdict as e2e_verdict
+from repro.perfdb.checks import OK, REGRESSION, UNRESOLVED, verdict
 from repro.perfdb.schema import MetricSeries
 
+STEADY = [100.0, 101.0, 99.0, 100.5, 99.5]
 
-def series(
-    samples=None,
-    curve=None,
-    name: str = "m",
-    higher_is_better: bool = True,
-) -> MetricSeries:
+
+def series(higher_is_better: bool = True, bound: float = 0.25) -> MetricSeries:
     return MetricSeries(
-        name=name,
+        name="m",
         unit="events/s",
         higher_is_better=higher_is_better,
-        samples=tuple(samples) if samples else (),
-        curve_x=tuple(x for x, _ in curve) if curve else (),
-        curve_y=tuple(y for _, y in curve) if curve else (),
+        bound=bound,
+        samples=(1.0,),
     )
 
 
-class TestAverageAmountThreshold:
-    def test_identical_runs_are_no_change(self):
-        base = series([100.0, 101.0, 99.0])
-        result = average_amount_threshold(base, base)
-        assert result.state is DegradationState.NO_CHANGE
-        assert result.relative_change == pytest.approx(0.0)
+class TestVerdict:
+    def test_identical_runs_are_ok(self):
+        result = verdict(series(), STEADY, STEADY)
+        assert result.label == OK
+        assert result.worsening == pytest.approx(0.0)
 
-    def test_thirty_percent_drop_is_confirmed(self):
-        base = series([100.0, 101.0, 99.0])
-        target = series([70.0, 70.7, 69.3])
-        result = average_amount_threshold(base, target)
-        assert result.state is DegradationState.DEGRADATION
-        assert result.relative_change == pytest.approx(-0.3, abs=0.01)
-        assert "CI-separated" in result.detail
+    def test_thirty_percent_drop_is_a_regression(self):
+        result = verdict(series(), STEADY, [v * 0.7 for v in STEADY])
+        assert result.label == REGRESSION
+        assert result.is_regression
+        assert result.worsening == pytest.approx(0.3)
 
-    def test_overlapping_intervals_downgrade_to_maybe(self):
-        # Means differ by 30% but the spread swamps the difference, so
-        # the CI test cannot separate the two runs.
-        base = series([100.0, 200.0, 50.0])
-        target = series([70.0, 140.0, 35.0])
-        result = average_amount_threshold(base, target)
-        assert result.state is DegradationState.MAYBE_DEGRADATION
-        assert "overlap" in result.detail
+    def test_wide_baseline_spread_is_unresolved(self):
+        # A's quartiles span more than the bound, so a 20% drop cannot
+        # be told from noise.
+        noisy = [60.0, 80.0, 100.0, 120.0, 140.0]
+        result = verdict(series(), noisy, [v * 0.8 for v in noisy])
+        assert result.label == UNRESOLVED
+        assert result.spread > result.bound
 
-    def test_single_sample_sides_skip_interval_test(self):
-        result = average_amount_threshold(series([100.0]), series([60.0]))
-        assert result.state is DegradationState.DEGRADATION
-        assert "no interval test" in result.detail
+    def test_wide_spread_resolved_when_every_target_run_is_better(self):
+        noisy = [60.0, 80.0, 100.0, 120.0, 140.0]
+        assert verdict(series(), noisy, [200.0, 210.0]).label == OK
+
+    def test_single_run_sides_are_judged(self):
+        assert verdict(series(), [100.0], [60.0]).label == REGRESSION
+        assert verdict(series(), [100.0], [90.0]).label == OK
 
     def test_zero_variance_sides_do_not_crash(self):
-        result = average_amount_threshold(
-            series([100.0, 100.0]), series([100.0, 100.0])
-        )
-        assert result.state is DegradationState.NO_CHANGE
+        result = verdict(series(), [100.0, 100.0], [100.0, 100.0])
+        assert result.label == OK
+        assert result.spread == 0.0
 
-    def test_zero_baseline_is_unknown(self):
-        result = average_amount_threshold(series([0.0]), series([10.0]))
-        assert result.state is DegradationState.UNKNOWN
-        assert result.relative_change is None
+    def test_zero_baseline_is_unresolved(self):
+        result = verdict(series(), [0.0], [10.0])
+        assert result.label == UNRESOLVED
+        assert math.isnan(result.worsening)
 
-    def test_both_zero_is_no_change(self):
-        result = average_amount_threshold(series([0.0]), series([0.0]))
-        assert result.state is DegradationState.NO_CHANGE
+    def test_both_zero_is_unresolved(self):
+        result = verdict(series(), [0.0], [0.0])
+        assert result.label == UNRESOLVED
+        assert math.isnan(result.worsening)
 
-    def test_improvement_is_optimization(self):
-        result = average_amount_threshold(
-            series([100.0, 100.5]), series([140.0, 140.5])
-        )
-        assert result.state is DegradationState.OPTIMIZATION
+    def test_improvement_is_ok(self):
+        assert verdict(series(), [100.0, 100.5], [140.0, 140.5]).label == OK
 
     def test_lower_is_better_inverts_direction(self):
-        base = series([100.0], higher_is_better=False)
-        target = series([140.0], higher_is_better=False)
-        result = average_amount_threshold(base, target)
-        assert result.state is DegradationState.DEGRADATION
+        lower = series(higher_is_better=False)
+        assert verdict(lower, [100.0], [140.0]).label == REGRESSION
+        assert verdict(lower, [100.0], [60.0]).label == OK
 
 
-class TestTrend:
-    def test_short_history_is_unknown(self):
-        result = trend("m", [100.0, 99.0])
-        assert result.state is DegradationState.UNKNOWN
-
-    def test_flat_history_is_no_change(self):
-        result = trend("m", [100.0] * 6)
-        assert result.state is DegradationState.NO_CHANGE
-
-    def test_steady_decline_is_confirmed(self):
-        result = trend("m", [100.0, 95.0, 90.0, 85.0, 80.0, 75.0])
-        assert result.state is DegradationState.DEGRADATION
-        assert result.relative_change == pytest.approx(-0.25, abs=0.02)
-
-    def test_noisy_decline_is_only_maybe(self):
-        # Large drift but a terrible fit: R² below min_fit caps the
-        # verdict at "maybe".
-        result = trend("m", [100.0, 40.0, 130.0, 20.0, 110.0, 10.0])
-        assert result.state is DegradationState.MAYBE_DEGRADATION
-
-    def test_recent_collapse_prefers_quadratic(self):
-        # Flat then falling: a quadratic explains this much better than
-        # a line and the fitted end-point drop is confirmed.
-        result = trend("m", [100.0, 100.0, 100.0, 95.0, 80.0, 55.0])
-        assert result.state is DegradationState.DEGRADATION
-        assert "degree-2" in result.detail
-
-    def test_growth_is_optimization(self):
-        result = trend("m", [100.0, 110.0, 120.0, 130.0])
-        assert result.state is DegradationState.OPTIMIZATION
-
-    def test_zero_start_is_unknown(self):
-        result = trend("m", [0.0, 0.0, 0.0])
-        assert result.state is DegradationState.UNKNOWN
+values = st.lists(
+    st.floats(min_value=1e-3, max_value=1e9, allow_nan=False),
+    min_size=1,
+    max_size=12,
+)
 
 
-class TestIntegralComparison:
-    CURVE = [(1.0, 500_000.0), (8.0, 800_000.0), (256.0, 1_000_000.0)]
+class TestAgreementWithCompare:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        better=st.sampled_from(["higher", "lower"]),
+        bound=st.floats(min_value=0.01, max_value=1.0),
+        a=values,
+        b=values,
+    )
+    def test_same_label_as_e2e_compare(self, better, bound, a, b):
+        metric = {"name": "m", "better": better, "bound": bound}
+        ours = verdict(series(better == "higher", bound), a, b)
+        assert ours.label == e2e_verdict(metric, a, b)[0]
 
-    def test_identical_curves_are_no_change(self):
-        base = series(curve=self.CURVE)
-        result = integral_comparison(base, base)
-        assert result.state is DegradationState.NO_CHANGE
-        assert result.relative_change == pytest.approx(0.0)
-
-    def test_uniform_thirty_percent_drop_is_confirmed(self):
-        base = series(curve=self.CURVE)
-        target = series(curve=[(x, y * 0.7) for x, y in self.CURVE])
-        result = integral_comparison(base, target)
-        assert result.state is DegradationState.DEGRADATION
-        assert result.relative_change == pytest.approx(-0.3, abs=0.01)
-
-    def test_tail_only_regression_is_caught(self):
-        # Only the largest batch size regresses; the area weighting
-        # (256 dominates the x range) surfaces it anyway.
-        target_curve = list(self.CURVE)
-        target_curve[-1] = (256.0, 600_000.0)
-        result = integral_comparison(
-            series(curve=self.CURVE), series(curve=target_curve)
-        )
-        assert result.state is DegradationState.DEGRADATION
-
-    def test_missing_curve_is_unknown(self):
-        result = integral_comparison(
-            series(curve=self.CURVE), series(samples=[1.0])
-        )
-        assert result.state is DegradationState.UNKNOWN
-
-    def test_disjoint_x_ranges_are_unknown(self):
-        base = series(curve=[(1.0, 10.0), (2.0, 20.0)])
-        target = series(curve=[(10.0, 10.0), (20.0, 20.0)])
-        result = integral_comparison(base, target)
-        assert result.state is DegradationState.UNKNOWN
-
-    def test_single_shared_point_is_at_most_maybe(self):
-        base = series(curve=[(1.0, 10.0), (2.0, 20.0)])
-        target = series(curve=[(2.0, 10.0), (4.0, 20.0)])
-        result = integral_comparison(base, target)
-        assert result.state in (
-            DegradationState.MAYBE_DEGRADATION,
-            DegradationState.NO_CHANGE,
-        )
-        assert result.state is not DegradationState.DEGRADATION
-
-    def test_zero_area_baseline_is_unknown(self):
-        base = series(curve=[(1.0, 0.0), (2.0, 0.0)])
-        target = series(curve=[(1.0, 5.0), (2.0, 5.0)])
-        result = integral_comparison(base, target)
-        assert result.state is DegradationState.UNKNOWN
-
-    def test_mismatched_grids_are_interpolated(self):
-        base = series(curve=[(0.0, 100.0), (10.0, 100.0)])
-        target = series(curve=[(0.0, 70.0), (5.0, 70.0), (10.0, 70.0)])
-        result = integral_comparison(base, target)
-        assert result.state is DegradationState.DEGRADATION
-        assert result.relative_change == pytest.approx(-0.3, abs=0.01)
+    @given(a=values, factor=st.floats(min_value=0.5, max_value=1.5))
+    @example(a=[100.0], factor=0.75)  # worsening exactly at the bound
+    def test_same_label_near_the_bound(self, a, factor):
+        # Scaled copies land on both sides of the bound, where float
+        # rounding would expose any difference in the arithmetic.
+        b = [v * factor for v in a]
+        for better in ("higher", "lower"):
+            metric = {"name": "m", "better": better, "bound": 0.25}
+            ours = verdict(series(better == "higher"), a, b)
+            assert ours.label == e2e_verdict(metric, a, b)[0]

@@ -1,4 +1,4 @@
-"""BENCH snapshot normalization into perf records."""
+"""e2e result documents into perf records: extraction and refusals."""
 
 from __future__ import annotations
 
@@ -7,85 +7,108 @@ import pytest
 from repro.errors import PerfDbError
 from repro.perfdb.ingest import load_snapshot, record_from_snapshot
 
-from .conftest import make_pipeline_snapshot, make_scaleout_snapshot
+from .conftest import DECLARED, make_document, make_legacy_snapshot
 
 
-class TestPipelineIngestion:
-    def test_scalar_metrics_extracted(self, pipeline_snapshot):
-        record = record_from_snapshot(pipeline_snapshot, source="BENCH.json")
-        assert record.benchmark == "pipeline"
-        assert record.source == "BENCH.json"
-        parse = record.metrics["parse_fast_trusted_eps"]
-        assert len(parse.samples) == 3
-        assert parse.higher_is_better
-        assert record.metrics["combined_parse_format_speedup"].unit == "x"
+class TestDocumentIngestion:
+    def test_end_to_end_medians_extracted(self):
+        document = make_document(workload="gtb-decode-shm")
+        record = record_from_snapshot(document, source="r/gtb-decode-shm-seed1.json")
+        assert record.benchmark == "gtb-decode-shm"
+        assert record.source == "r/gtb-decode-shm-seed1.json"
+        assert record.smoke is False
+        delivered = record.metrics["delivered_eps"]
+        assert delivered.samples == (document["metrics"]["delivered_eps"]["value"],)
+        assert delivered.higher_is_better
+        assert record.metrics["lag_p50_ms"].unit == "ms"
 
-    def test_saturation_curve_extracted(self, pipeline_snapshot):
-        record = record_from_snapshot(pipeline_snapshot)
-        curve = record.metrics["replay_saturation_curve"]
-        assert curve.curve_x == (1.0, 8.0, 256.0)
-        assert curve.curve_y[-1] == pytest.approx(1_000_000)
-        best = record.metrics["replay_saturation_best_eps"]
-        assert len(best.samples) == 3
-
-    def test_provenance_carried(self, pipeline_snapshot):
-        record = record_from_snapshot(pipeline_snapshot)
+    def test_provenance_carried(self):
+        record = record_from_snapshot(make_document())
         assert record.git_commit == "a" * 40
         assert record.git_dirty is False
         assert record.recorded_at_utc == "2026-08-08T00:00:00+00:00"
+        assert record.machine["cpu_count"] == 2
         assert record.machine_id
         assert record.config_id
 
+    def test_config_id_fingerprints_the_run_config(self):
+        def config_id(**kwargs):
+            return record_from_snapshot(make_document(**kwargs), allow_smoke=True).config_id
 
-class TestScaleoutIngestion:
-    def test_headline_metrics(self, scaleout_snapshot):
-        record = record_from_snapshot(scaleout_snapshot)
-        assert record.benchmark == "replayer_scaleout"
-        assert "baseline_1w_events_eps" in record.metrics
-        assert "decode_scaleout_eps" in record.metrics
-        assert record.metrics["raw_scaleout_speedup"].unit == "x"
+        base = config_id()
+        assert config_id(commit="b" * 40, scale=0.5) == base
+        assert config_id(seed=2) != base
+        assert config_id(workload="paced-csv-tcp") != base
+        assert config_id(seconds=1.0) != base
+        document = make_document()
+        document["inputs"]["digest"] = "e" * 64
+        assert record_from_snapshot(document).config_id != base
 
-    def test_widest_worker_saturation_cells(self, scaleout_snapshot):
-        record = record_from_snapshot(scaleout_snapshot)
-        cell = record.metrics["saturation_csv_events_4w_eps"]
-        assert len(cell.samples) == 2
-        assert "saturation_binary_decode_4w_eps" in record.metrics
 
-    def test_sweep_curve(self, scaleout_snapshot):
-        record = record_from_snapshot(scaleout_snapshot)
-        curve = record.metrics["sweep_achieved_curve"]
-        assert curve.curve_x == (100_000.0, 1_000_000.0)
+class TestLockstep:
+    def test_every_end_to_end_metric_becomes_a_record_metric(self):
+        record = record_from_snapshot(make_document())
+        declared = {metric["name"]: metric for metric in DECLARED["end_to_end"]}
+        assert set(record.metrics) == set(declared)
+        for name, metric in declared.items():
+            series = record.metrics[name]
+            assert series.unit == metric["unit"]
+            assert series.higher_is_better == (metric["better"] == "higher")
+            assert series.bound == metric["bound"]
+
+    def test_every_declared_workload_is_accepted(self):
+        for workload in DECLARED["workloads"]:
+            record = record_from_snapshot(make_document(workload=workload["name"]))
+            assert record.benchmark == workload["name"]
 
 
 class TestIngestionGuards:
     def test_rejects_smoke_by_default(self):
-        snapshot = make_pipeline_snapshot(smoke=True)
-        with pytest.raises(PerfDbError, match="smoke"):
-            record_from_snapshot(snapshot, source="BENCH_pipeline.json")
+        document = make_document(seconds=1.0)
+        with pytest.raises(PerfDbError, match="a/x.json is a smoke run"):
+            record_from_snapshot(document, source="a/x.json")
 
     def test_allow_smoke_keeps_the_tag(self):
-        record = record_from_snapshot(
-            make_pipeline_snapshot(smoke=True), allow_smoke=True
-        )
+        record = record_from_snapshot(make_document(seconds=1.0), allow_smoke=True)
         assert record.smoke is True
 
     def test_rejects_pre_v2_snapshots(self):
-        snapshot = make_pipeline_snapshot()
+        snapshot = make_legacy_snapshot()
         del snapshot["schema_version"]
-        with pytest.raises(PerfDbError, match="re-record"):
-            record_from_snapshot(snapshot)
+        with pytest.raises(PerfDbError, match="BENCH_old.json is not an e2e"):
+            record_from_snapshot(snapshot, source="BENCH_old.json")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("baseline_eligible", False, "dirty"),
+            ("trace", True, "traced"),
+            ("failed", 1, "1/101 passes failed"),
+            ("correct", False, "not a correct run"),
+        ],
+    )
+    def test_rejects_unusable_runs(self, field, value, message):
+        document = make_document()
+        document[field] = value
+        with pytest.raises(PerfDbError, match=f"r.json .*{message}"):
+            record_from_snapshot(document, source="r.json", allow_smoke=True)
 
     def test_rejects_unknown_benchmark(self):
-        snapshot = make_pipeline_snapshot()
-        snapshot["benchmark"] = "mystery"
-        with pytest.raises(PerfDbError, match="unknown benchmark"):
-            record_from_snapshot(snapshot)
+        document = make_document(workload="mystery")
+        with pytest.raises(PerfDbError, match="unknown workload 'mystery'"):
+            record_from_snapshot(document)
+
+    def test_rejects_missing_metric(self):
+        document = make_document()
+        del document["metrics"]["setup_s"]
+        with pytest.raises(PerfDbError, match="lacks end-to-end metric"):
+            record_from_snapshot(document)
 
     def test_rejects_missing_timestamp(self):
-        snapshot = make_pipeline_snapshot()
-        del snapshot["provenance"]["recorded_at_utc"]
+        document = make_document()
+        del document["provenance"]["recorded_at_utc"]
         with pytest.raises(PerfDbError, match="recorded_at_utc"):
-            record_from_snapshot(snapshot)
+            record_from_snapshot(document)
 
     def test_load_snapshot_errors(self, tmp_path):
         missing = tmp_path / "missing.json"
@@ -99,11 +122,3 @@ class TestIngestionGuards:
         array.write_text("[1, 2]")
         with pytest.raises(PerfDbError, match="JSON object"):
             load_snapshot(array)
-
-    def test_scaleout_snapshot_ingests_in_smoke_shape(self):
-        # Smoke runs use a (1, 2) worker matrix: the widest-worker
-        # metrics must follow the config instead of assuming 4.
-        snapshot = make_scaleout_snapshot(smoke=True)
-        snapshot["config"]["worker_counts"] = [1, 2]
-        record = record_from_snapshot(snapshot, allow_smoke=True)
-        assert "saturation_csv_events_2w_eps" in record.metrics

@@ -11,53 +11,52 @@ from repro.perfdb.ingest import record_from_snapshot
 from repro.perfdb.schema import SCHEMA_VERSION, MetricSeries, PerfRecord
 from repro.perfdb.store import PerfDatabase
 
-from .conftest import make_pipeline_snapshot, make_scaleout_snapshot
+from .conftest import make_document
+
+
+def record(**kwargs) -> PerfRecord:
+    return record_from_snapshot(make_document(**kwargs), allow_smoke=True)
 
 
 class TestMetricSeries:
-    def test_requires_samples_or_curve(self):
-        with pytest.raises(PerfDbError, match="neither samples nor a curve"):
-            MetricSeries(name="m", unit="x", higher_is_better=True)
-
-    def test_curve_lengths_must_match(self):
-        with pytest.raises(PerfDbError, match="curve_x"):
+    def test_requires_samples(self):
+        with pytest.raises(PerfDbError, match="no samples"):
             MetricSeries(
-                name="m", unit="x", higher_is_better=True,
-                curve_x=(1.0,), curve_y=(1.0, 2.0),
+                name="m", unit="x", higher_is_better=True, bound=0.1, samples=()
             )
 
     def test_round_trip(self):
         series = MetricSeries(
-            name="m", unit="events/s", higher_is_better=True,
-            samples=(1.0, 2.0), curve_x=(1.0, 2.0), curve_y=(10.0, 20.0),
+            name="m", unit="events/s", higher_is_better=True, bound=0.25,
+            samples=(1.0, 2.0),
         )
         rebuilt = MetricSeries.from_json_dict("m", series.to_json_dict())
         assert rebuilt == series
 
-    def test_mean_prefers_samples(self):
+    def test_median_of_samples(self):
         series = MetricSeries(
-            name="m", unit="x", higher_is_better=True,
-            samples=(2.0, 4.0), curve_x=(0.0,), curve_y=(100.0,),
+            name="m", unit="x", higher_is_better=True, bound=0.1,
+            samples=(2.0, 9.0, 4.0),
         )
-        assert series.mean == 3.0
+        assert series.median == 4.0
 
 
 class TestPerfRecordRoundTrip:
     def test_round_trip(self):
-        record = record_from_snapshot(make_pipeline_snapshot(), source="s")
+        original = record_from_snapshot(make_document(), source="s")
         rebuilt = PerfRecord.from_json_dict(
-            json.loads(json.dumps(record.to_json_dict()))
+            json.loads(json.dumps(original.to_json_dict()))
         )
-        assert rebuilt == record
+        assert rebuilt == original
 
     def test_rejects_wrong_schema_version(self):
-        payload = record_from_snapshot(make_pipeline_snapshot()).to_json_dict()
-        payload["schema_version"] = SCHEMA_VERSION + 1
+        payload = record().to_json_dict()
+        payload["schema_version"] = SCHEMA_VERSION - 1
         with pytest.raises(PerfDbError, match="schema_version"):
             PerfRecord.from_json_dict(payload)
 
     def test_rejects_missing_metrics(self):
-        payload = record_from_snapshot(make_pipeline_snapshot()).to_json_dict()
+        payload = record().to_json_dict()
         payload["metrics"] = {}
         with pytest.raises(PerfDbError, match="no metrics"):
             PerfRecord.from_json_dict(payload)
@@ -70,22 +69,14 @@ class TestPerfDatabase:
     def test_append_and_read_back(self, tmp_path):
         db = self._db(tmp_path)
         assert db.records() == []
-        record = record_from_snapshot(make_pipeline_snapshot(), source="a")
-        db.append(record)
-        assert db.records() == [record]
+        first = record()
+        db.append(first)
+        assert db.records() == [first]
 
     def test_append_only_preserves_order(self, tmp_path):
         db = self._db(tmp_path)
-        first = record_from_snapshot(
-            make_pipeline_snapshot(commit="1" * 40,
-                                   recorded_at="2026-08-01T00:00:00+00:00")
-        )
-        second = record_from_snapshot(
-            make_pipeline_snapshot(commit="2" * 40,
-                                   recorded_at="2026-08-02T00:00:00+00:00")
-        )
-        db.append(first)
-        db.append(second)
+        db.append(record(commit="1" * 40, recorded_at="2026-08-01T00:00:00+00:00"))
+        db.append(record(commit="2" * 40, recorded_at="2026-08-02T00:00:00+00:00"))
         commits = [r.git_commit for r in db.records()]
         assert commits == ["1" * 40, "2" * 40]
         # The file is line-per-record JSONL, so appending never rewrote
@@ -96,79 +87,47 @@ class TestPerfDatabase:
 
     def test_benchmark_filter(self, tmp_path):
         db = self._db(tmp_path)
-        db.append(record_from_snapshot(make_pipeline_snapshot()))
-        db.append(record_from_snapshot(make_scaleout_snapshot()))
-        assert db.benchmarks() == ["pipeline", "replayer_scaleout"]
-        assert len(db.records("pipeline")) == 1
+        db.append(record(workload="csv-events-pipe"))
+        db.append(record(workload="sim-weaver"))
+        assert db.benchmarks() == ["csv-events-pipe", "sim-weaver"]
+        assert len(db.records("sim-weaver")) == 1
 
     def test_smoke_records_never_become_baselines(self, tmp_path):
         db = self._db(tmp_path)
-        full = record_from_snapshot(
-            make_pipeline_snapshot(commit="1" * 40,
-                                   recorded_at="2026-08-01T00:00:00+00:00")
-        )
-        smoke = record_from_snapshot(
-            make_pipeline_snapshot(commit="2" * 40, smoke=True,
-                                   recorded_at="2026-08-02T00:00:00+00:00"),
-            allow_smoke=True,
-        )
+        full = record(commit="1" * 40)
+        smoke = record(commit="2" * 40, seconds=1.0)
         db.append(full)
         db.append(smoke)
-        assert db.latest("pipeline") == full
-        assert db.latest("pipeline", include_smoke=True) == smoke
-        assert db.baseline("pipeline") == full
+        assert db.commit_sets("csv-events-pipe") == [[full]]
+        assert db.commit_sets("csv-events-pipe", include_smoke=True) == [
+            [full],
+            [smoke],
+        ]
 
     def test_baseline_before_target(self, tmp_path):
         db = self._db(tmp_path)
-        records = [
-            record_from_snapshot(
-                make_pipeline_snapshot(
-                    commit=str(i) * 40,
-                    recorded_at=f"2026-08-0{i}T00:00:00+00:00",
-                )
-            )
-            for i in (1, 2, 3)
-        ]
-        for record in records:
-            db.append(record)
-        assert db.baseline("pipeline", before=records[2]) == records[1]
-        assert db.baseline("pipeline", before=records[0]) is None
-        with pytest.raises(PerfDbError, match="not in"):
-            db.baseline(
-                "pipeline",
-                before=record_from_snapshot(
-                    make_pipeline_snapshot(commit="9" * 40)
-                ),
-            )
+        # Commit 1, then 2, then 1 again: commit 2's set is now the
+        # baseline of commit 1's, which holds both of its records.
+        first = record(commit="1" * 40, seed=1)
+        second = record(commit="2" * 40, seed=1)
+        third = record(commit="1" * 40, seed=2)
+        for each in (first, second, third):
+            db.append(each)
+        assert db.commit_sets("csv-events-pipe") == [[second], [first, third]]
+        assert db.commit_sets("sim-weaver") == []
 
-    def test_duplicate_records_still_have_a_baseline(self, tmp_path):
-        # A/A comparisons append the *same* record twice; `before` must
-        # match the newest occurrence so the older twin is the baseline.
+    def test_records_of_one_commit_form_one_set(self, tmp_path):
+        # Re-recording the same document joins its commit's set; an A/A
+        # comparison needs the copy stamped with another commit.
         db = self._db(tmp_path)
-        record = record_from_snapshot(make_pipeline_snapshot())
-        db.append(record)
-        db.append(record)
-        assert db.baseline("pipeline", before=record) == record
-
-    def test_history_window(self, tmp_path):
-        db = self._db(tmp_path)
-        for i, scale in enumerate((1.0, 1.1, 1.2, 1.3)):
-            db.append(
-                record_from_snapshot(
-                    make_pipeline_snapshot(
-                        scale=scale,
-                        commit=str(i) * 40,
-                        recorded_at=f"2026-08-0{i + 1}T00:00:00+00:00",
-                    )
-                )
-            )
-        rows = db.history("pipeline", "format_fast_eps", last=2)
-        assert len(rows) == 2
-        assert rows[0][1] < rows[1][1]
+        twin = record()
+        db.append(twin)
+        db.append(twin)
+        assert db.commit_sets("csv-events-pipe") == [[twin, twin]]
 
     def test_corrupt_line_is_reported_with_location(self, tmp_path):
         db = self._db(tmp_path)
-        db.append(record_from_snapshot(make_pipeline_snapshot()))
+        db.append(record())
         with open(db.path, "a", encoding="utf-8") as handle:
             handle.write("{not json\n")
         with pytest.raises(PerfDbError, match=":2"):
