@@ -389,7 +389,12 @@ class TestHarness:
             sim.schedule(config.drain_poll_interval, supervise)
 
         sim.schedule(config.drain_poll_interval, supervise)
-        sim.run()
+        try:
+            sim.run()
+        finally:
+            # supervise reschedules itself by name; dropping that
+            # self-reference lets refcounting free the whole run.
+            del supervise
 
         if fault_events:
             # Final backlog observation: the periodic probe stops with

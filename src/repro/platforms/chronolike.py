@@ -88,11 +88,15 @@ class ChronoLikePlatform(Platform):
         #: marks per vertex (an idealised scheduler).
         self.deduplicate_compute = deduplicate_compute
 
+        #: Vertices the rank computation marked dirty, in marking order.
+        #: The rank appends to this list rather than calling back into
+        #: the platform, so the two hold no reference cycle.
+        self._marked: list[int] = []
         self._rank = OnlinePageRank(
             damping=damping,
             threshold=rank_threshold,
             work_per_event=0,
-            scheduler=self._schedule_compute,
+            scheduler=self._marked.append,
             relative_threshold=relative_rank_threshold,
         )
         self._cpus: list[CpuResource] = []
@@ -130,18 +134,22 @@ class ChronoLikePlatform(Platform):
             raise PlatformError("platform is not attached to a simulation")
         self._accepted += 1
         # Authoritative state in stream order; dirty vertices become
-        # compute messages via the scheduler callback.
+        # compute messages.
         self._rank.ingest(event)
+        self._schedule_marked()
         worker = self._owner_of_event(event)
         self._enqueue(worker, (_UPDATE, event))
         return True  # no backpressure: queues are unbounded (the point!)
 
-    def _schedule_compute(self, vertex: int) -> None:
-        if self.deduplicate_compute:
-            if vertex in self._pending_compute:
-                return
-            self._pending_compute.add(vertex)
-        self._enqueue(self.owner_of(vertex), (_COMPUTE, vertex))
+    def _schedule_marked(self) -> None:
+        """Turn each vertex the rank marked dirty into a compute message."""
+        for vertex in self._marked:
+            if self.deduplicate_compute:
+                if vertex in self._pending_compute:
+                    continue
+                self._pending_compute.add(vertex)
+            self._enqueue(self.owner_of(vertex), (_COMPUTE, vertex))
+        self._marked.clear()
 
     def _enqueue(self, worker: int, message: tuple) -> None:
         self._mailboxes[worker].push(message)
@@ -168,6 +176,7 @@ class ChronoLikePlatform(Platform):
             vertex = payload
             self._pending_compute.discard(vertex)
             self._rank.relax(vertex)
+            self._schedule_marked()
             self._compute_ops[worker] += 1
         self._maybe_start(worker)
 

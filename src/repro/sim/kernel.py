@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable
 
 __all__ = ["Simulation"]
@@ -56,10 +57,15 @@ class Simulation:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after ``delay`` seconds (>= 0)."""
+        # A non-negative delay never lands in the past, so this skips
+        # schedule_at's check and pushes directly.
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        self.schedule_at(self._now + delay, callback)
+        heapq.heappush(
+            self._queue, (self._now + delay, next(self._sequence), callback)
+        )
 
+    # hot-path
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> int:
         """Execute events in time order.
 
@@ -68,14 +74,16 @@ class Simulation:
         Returns the number of callbacks executed.  ``max_events``
         guards against runaway feedback loops in platform models.
         """
+        queue = self._queue
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
         executed = 0
         self._running = True
         try:
-            while self._queue:
-                time, __, callback = self._queue[0]
-                if until is not None and time > until:
+            while queue:
+                if queue[0][0] > horizon:
                     break
-                heapq.heappop(self._queue)
+                time, __, callback = heappop(queue)
                 self._now = time
                 callback()
                 executed += 1

@@ -134,9 +134,6 @@ class SimulatedReplayer:
 
     # -- internals -----------------------------------------------------------
 
-    def _interval(self) -> float:
-        return 1.0 / (self._base_rate * self._speed_factor)
-
     def _sample_rate(self) -> None:
         emitted_now = self._emitted
         delta = emitted_now - self._emitted_at_last_sample
@@ -152,13 +149,10 @@ class SimulatedReplayer:
         if not self._finished:
             self._sim.schedule(self._rate_sample_interval, self._sample_rate)
 
-    def _step(self) -> None:
-        if self._stop_requested or self._index >= len(self._events):
-            self._finish()
-            return
-        event = self._events[self._index]
+    def _control(self, event: Event) -> None:
+        """Honour a marker, speed or pause event, then step on."""
+        self._index += 1
         if isinstance(event, MarkerEvent):
-            self._index += 1
             self.records.append(
                 Record(
                     timestamp=self._sim.now,
@@ -178,21 +172,28 @@ class SimulatedReplayer:
                     label=event.label,
                 )
             self._sim.schedule(0.0, self._step)
-            return
-        if isinstance(event, SpeedEvent):
-            self._index += 1
+        elif isinstance(event, SpeedEvent):
             self._speed_factor = event.factor
             self._sim.schedule(0.0, self._step)
-            return
-        if isinstance(event, PauseEvent):
-            self._index += 1
+        elif isinstance(event, PauseEvent):
             self._sim.schedule(event.seconds, self._step)
+        else:
+            raise TypeError(f"cannot replay {type(event).__name__}")
+
+    # hot-path
+    def _step(self) -> None:
+        if self._stop_requested or self._index >= len(self._events):
+            self._finish()
             return
-        assert isinstance(event, GraphEvent)
+        event = self._events[self._index]
+        if type(event) is not GraphEvent:
+            self._control(event)
+            return
+        sim = self._sim
         tracer = self._tracer
-        now = self._sim.now
         if tracer is not None and self._offered_at is None:
             # First offer of this event: the emit side of the span pair.
+            now = sim.now
             self._offered_at = now
             event_id = self._emitted
             tracer.count("emitted")
@@ -202,6 +203,7 @@ class SimulatedReplayer:
                 )
         if self._platform.ingest(event):
             if tracer is not None:
+                now = sim.now
                 event_id = self._emitted
                 tracer.count("ingested")
                 if tracer.should_sample(event_id):
@@ -217,13 +219,13 @@ class SimulatedReplayer:
                         now - offered_at,
                         event_id=event_id,
                     )
-            self._offered_at = None
+                self._offered_at = None
             self._index += 1
             self._emitted += 1
-            self._sim.schedule(self._interval(), self._step)
+            sim.schedule(1.0 / (self._base_rate * self._speed_factor), self._step)
         else:
             self._rejected_attempts += 1
-            self._sim.schedule(self._retry_interval, self._step)
+            sim.schedule(self._retry_interval, self._step)
 
     def _finish(self) -> None:
         if self._finished:

@@ -1,15 +1,22 @@
 """Integration tests for the test harness (Figure 2 wiring)."""
 
+import gc
+
 import pytest
 
 from repro.core.events import add_vertex, marker
 from repro.core.generator import StreamGenerator
 from repro.core.harness import HarnessConfig, InternalProbeSpec, TestHarness
-from repro.core.models import UniformRules
+from repro.core.models import UniformRules, WeaverTable3Rules
+from repro.core.multistream import MultiReplayHarness, offset_stream
 from repro.core.stream import GraphStream
 from repro.errors import GraphTidesError
 from repro.platforms.chronolike import ChronoLikePlatform
 from repro.platforms.inmem import InMemoryPlatform
+from repro.platforms.kineolike import KineoLikePlatform
+from repro.platforms.programs import DegreeGossipProgram
+from repro.platforms.taulike import TauLikePlatform
+from repro.platforms.vertexcentric import VertexCentricPlatform
 from repro.platforms.weaverlike import WeaverLikePlatform
 
 
@@ -242,3 +249,103 @@ class TestShardedHarnessRuns:
             HarnessConfig(rate=100, replay_workers=0)
         with pytest.raises(ValueError, match="shard_by"):
             HarnessConfig(rate=100, replay_workers=2, shard_by="nope")
+
+
+@pytest.fixture(scope="module")
+def weaver_stream() -> GraphStream:
+    return StreamGenerator(
+        WeaverTable3Rules(n=300, m0=20, m=5), rounds=2000, seed=1
+    ).generate()
+
+
+PLATFORM_MODELS = {
+    "inmem": InMemoryPlatform,
+    "weaver": lambda: WeaverLikePlatform(batch_size=10),
+    "chronolike": ChronoLikePlatform,
+    "kineolike": KineoLikePlatform,
+    "taulike": TauLikePlatform,
+    "vertex-centric": lambda: VertexCentricPlatform(DegreeGossipProgram()),
+}
+
+
+def _single_run(make_platform):
+    def run(stream: GraphStream) -> None:
+        TestHarness(make_platform(), stream, HarnessConfig(rate=20_000)).run()
+
+    return run
+
+
+def _multi_run(stream: GraphStream) -> None:
+    streams = [stream, offset_stream(stream, 1_000_000)]
+    MultiReplayHarness(
+        WeaverLikePlatform(batch_size=10), streams, HarnessConfig(rate=10_000)
+    ).run()
+
+
+class TestRunsFreedByRefcount:
+    """A finished run must not leave reference cycles behind.
+
+    A cycle through the platform keeps its whole graph, the simulation
+    and the probes alive until a full collection happens to run, which
+    both inflates memory and makes later runs pay for the collection.
+    """
+
+    @pytest.mark.parametrize(
+        "run",
+        [_single_run(make) for make in PLATFORM_MODELS.values()] + [_multi_run],
+        ids=[*PLATFORM_MODELS, "multi-replay"],
+    )
+    def test_no_cyclic_garbage(self, run, weaver_stream):
+        was_enabled = gc.isenabled()
+        debug_flags = gc.get_debug()
+        saved_garbage = list(gc.garbage)
+        gc.collect()
+        gc.disable()
+        try:
+            run(weaver_stream)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = sorted(
+                {
+                    f"{type(obj).__module__}.{type(obj).__qualname__}"
+                    for obj in gc.garbage
+                    if type(obj).__module__.startswith("repro.")
+                }
+            )
+        finally:
+            gc.set_debug(debug_flags)
+            gc.garbage[:] = saved_garbage
+            if was_enabled:
+                gc.enable()
+        assert leaked == []
+
+
+class TestExactSchedule:
+    """Pins one small run's schedule bit for bit.
+
+    The figures must not move when the kernel or replayer is made
+    faster, so every value here is compared with ``==``.
+    """
+
+    def test_weaver_run(self, weaver_stream):
+        result = TestHarness(
+            WeaverLikePlatform(batch_size=10),
+            weaver_stream,
+            HarnessConfig(rate=20_000, level=0),
+        ).run()
+        assert (
+            result.events_processed,
+            result.rejected_attempts,
+            result.duration,
+        ) == (3720, 37, 2.0)
+        replayer = [
+            (record.metric, record.timestamp, record.value)
+            for record in result.log.records
+            if record.source == "replayer"
+        ]
+        assert replayer == [
+            ("marker", 0.0989999999999987, 1720.0),
+            ("ingress_rate", 1.0, 1720.0),
+            ("marker", 1.223000000000207, 3720.0),
+            ("ingress_rate", 2.0, 2000.0),
+        ]

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core.events import EdgeId, add_edge, add_vertex, remove_vertex
+from repro.core.events import (
+    EdgeId,
+    add_edge,
+    add_vertex,
+    remove_edge,
+    remove_vertex,
+    update_edge,
+    update_vertex,
+)
 from repro.errors import (
     EdgeExistsError,
     EdgeNotFoundError,
@@ -161,6 +169,74 @@ class TestApply:
         graph = StreamGraph()
         delta = graph.apply(add_vertex(0))
         assert delta.removed_edges == ()
+
+
+class TestApplyErrorParity:
+    """``apply`` and the public methods share one body per operation, so
+    a refused event raises exactly what the method call raises."""
+
+    @pytest.mark.parametrize(
+        ("event", "method", "args"),
+        [
+            (add_edge(0, 0), "add_edge", (0, 0)),
+            (add_edge(9, 1), "add_edge", (9, 1)),
+            (add_edge(0, 9), "add_edge", (0, 9)),
+            (add_edge(0, 1), "add_edge", (0, 1)),
+            (remove_edge(2, 0), "remove_edge", (2, 0)),
+            (update_edge(2, 0, "x"), "update_edge", (2, 0, "x")),
+            (remove_vertex(9), "remove_vertex", (9,)),
+            (update_vertex(9, "x"), "update_vertex", (9, "x")),
+            (add_vertex(0), "add_vertex", (0,)),
+        ],
+        ids=[
+            "self-loop",
+            "missing-source",
+            "missing-target",
+            "duplicate-edge",
+            "remove-missing-edge",
+            "update-missing-edge",
+            "remove-missing-vertex",
+            "update-missing-vertex",
+            "duplicate-vertex",
+        ],
+    )
+    def test_same_error_as_public_method(self, path_graph, event, method, args):
+        via_apply = path_graph.copy()
+        via_method = path_graph.copy()
+        with pytest.raises(Exception) as applied:
+            via_apply.apply(event)
+        with pytest.raises(Exception) as called:
+            getattr(via_method, method)(*args)
+        assert type(applied.value) is type(called.value)
+        assert str(applied.value) == str(called.value)
+        assert via_apply == via_method == path_graph
+
+    def test_stored_key_equals_edge_id(self):
+        graph = StreamGraph()
+        graph.add_vertex(0)
+        graph.add_vertex(1)
+        graph.apply(add_edge(0, 1, "e"))
+        (stored,) = graph.edges()
+        assert type(stored) is EdgeId
+        assert stored == EdgeId(0, 1)
+        assert hash(stored) == hash(EdgeId(0, 1))
+        assert graph.has_edge(0, 1)
+        assert graph.edge_state(0, 1) == "e"
+
+    def test_cascade_order_unchanged(self):
+        graph = StreamGraph()
+        for vertex in range(5):
+            graph.add_vertex(vertex)
+        for source, target in [(1, 3), (4, 1), (1, 2), (0, 1), (2, 3)]:
+            graph.apply(add_edge(source, target))
+        delta = graph.apply(remove_vertex(1))
+        assert delta.removed_edges == (
+            EdgeId(1, 2),
+            EdgeId(1, 3),
+            EdgeId(0, 1),
+            EdgeId(4, 1),
+        )
+        assert list(graph.edges()) == [EdgeId(2, 3)]
 
 
 class TestCopyAndEquality:

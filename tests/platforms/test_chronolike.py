@@ -6,6 +6,7 @@ from repro.algorithms.pagerank import PageRank
 from repro.algorithms.base import rank_error
 from repro.core.events import add_edge, add_vertex
 from repro.core.generator import StreamGenerator
+from repro.core.harness import HarnessConfig, TestHarness
 from repro.core.models import UniformRules
 from repro.graph.builders import build_graph
 from repro.platforms.chronolike import ChronoLikePlatform
@@ -104,6 +105,13 @@ class TestOnlineRank:
         sim.run()
         top = platform.query("top_influencers", k=3)
         assert top[0] == 0
+
+    def test_queries_after_run(self):
+        stream = StreamGenerator(UniformRules(), rounds=300, seed=3).generate()
+        platform = ChronoLikePlatform()
+        TestHarness(platform, stream, HarnessConfig(rate=2000)).run()
+        assert platform.query("vertex_count") == len(platform.query("rank")) > 0
+        assert sum(platform.query("rank").values()) == pytest.approx(1.0)
 
     def test_rank_query_normalised(self):
         sim, platform = _attached()
