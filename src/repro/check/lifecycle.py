@@ -6,7 +6,8 @@ These rules are flow-sensitive: they run the
 still *held* at each program point.
 
 * ``RES001`` — a resource acquired without ``with`` (files, sockets,
-  mmaps, ``Popen``, explicit ``lock.acquire()``) must reach a release
+  mmaps, ``Popen``, explicit ``lock.acquire()``; bound directly or by
+  either arm of a conditional expression) must reach a release
   (``close``/``wait``/``release``...) on **every** path to the
   function's exit, including the exception edges, unless ownership is
   transferred first.  ``SharedMemory(create=True, ...)`` is tracked as
@@ -234,6 +235,16 @@ def _assign_targets(stmt: ast.stmt) -> list[ast.expr]:
     return []
 
 
+def _assigned_calls(value: ast.expr | None) -> Iterator[ast.Call]:
+    """The calls whose result an assignment may bind: the value itself,
+    or each arm of a conditional expression."""
+    if isinstance(value, ast.IfExp):
+        yield from _assigned_calls(value.body)
+        yield from _assigned_calls(value.orelse)
+    elif isinstance(value, ast.Call):
+        yield value
+
+
 class _LifecycleAnalysis(Analysis[frozenset[int]]):
     """Forward may-hold analysis: which acquisitions are still live.
 
@@ -386,41 +397,15 @@ class _LifecycleAnalysis(Analysis[frozenset[int]]):
     def _scan_acquisitions(
         self, stmt: ast.stmt, events: _NodeEvents, node: CFGNode
     ) -> None:
-        value = getattr(stmt, "value", None)
-        if (
-            isinstance(stmt, (ast.Assign, ast.AnnAssign))
-            and isinstance(value, ast.Call)
-        ):
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = _assign_targets(stmt)
             if len(targets) == 1 and isinstance(targets[0], ast.Name):
                 var = self._canon(targets[0].id)
-                multi = _multi_acquirer_for(value)
-                if multi is not None:
-                    kind, release_sets = multi
-                    for releases in release_sets:
-                        self._add_fact(
-                            events, node, var, kind, releases, "resource", value
-                        )
-                    return
-                spec = _acquirer_for(value)
-                if spec is not None:
-                    kind, releases = spec
-                    self._add_fact(
-                        events, node, var, kind, releases, "resource", value
-                    )
-                    return
-                spawn_kind = _spawner_for(value)
-                if spawn_kind is not None:
-                    self._add_fact(
-                        events,
-                        node,
-                        var,
-                        spawn_kind,
-                        _SPAWN_RELEASES,
-                        "spawn",
-                        value,
-                    )
-                    return
+                # The first acquiring arm of ``a() if c else b()`` is
+                # tracked: either may be what the name ends up holding.
+                for value in _assigned_calls(stmt.value):
+                    if self._scan_acquiring_call(value, var, events, node):
+                        return
         if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
             call = stmt.value
             if (
@@ -443,6 +428,32 @@ class _LifecycleAnalysis(Analysis[frozenset[int]]):
                         "resource",
                         call,
                     )
+
+    def _scan_acquiring_call(
+        self, value: ast.Call, var: str, events: _NodeEvents, node: CFGNode
+    ) -> bool:
+        """Record the fact(s) ``var = value`` acquires; False when the
+        call acquires nothing."""
+        multi = _multi_acquirer_for(value)
+        if multi is not None:
+            kind, release_sets = multi
+            for releases in release_sets:
+                self._add_fact(
+                    events, node, var, kind, releases, "resource", value
+                )
+            return True
+        spec = _acquirer_for(value)
+        if spec is not None:
+            kind, releases = spec
+            self._add_fact(events, node, var, kind, releases, "resource", value)
+            return True
+        spawn_kind = _spawner_for(value)
+        if spawn_kind is not None:
+            self._add_fact(
+                events, node, var, spawn_kind, _SPAWN_RELEASES, "spawn", value
+            )
+            return True
+        return False
 
     def _add_fact(
         self,

@@ -1,21 +1,19 @@
 """Schema-consistency rules (``SCHEMA0xx``): event model ↔ codec lockstep.
 
-The batched codec keeps hand-maintained per-command dispatch tables
-(``_DISPATCH``/``_DISPATCH_TRUSTED``) and a formatter table; nothing in
-the language ties them to :class:`~repro.core.events.EventType`, so a
-new event type (or a deleted dispatch entry) would silently fall back
-to the slow parser — or fail at replay time.  These rules verify the
-tables against the enum by introspecting the *imported* modules (the
-tables are built programmatically, so textual AST matching cannot see
-their contents):
+The batched codec keeps a hand-maintained per-command dispatch table
+(``_DISPATCH``) and a formatter table; nothing in the language ties
+them to :class:`~repro.core.events.EventType`, so a new event type (or
+a deleted dispatch entry) would silently fall back to the slow parser
+— or fail at replay time.  These rules verify the tables against the
+enum by introspecting the *imported* modules (the tables are built
+programmatically, so textual AST matching cannot see their contents):
 
-* ``SCHEMA001`` — every ``EventType`` member has a parse entry in both
-  dispatch tables, and no table carries stale entries.
+* ``SCHEMA001`` — every ``EventType`` member has a parse entry in the
+  dispatch table, and the table carries no stale entries.
 * ``SCHEMA002`` — every concrete :class:`~repro.core.events.Event`
   subclass has a formatter registered in ``_FORMATTERS``.
 * ``SCHEMA003`` — a sample event of every ``EventType`` member
-  round-trips through ``format_event`` → ``parse_line`` unchanged (in
-  both careful and trusted modes).
+  round-trips through ``format_event`` → ``parse_line`` unchanged.
 * ``SCHEMA004`` — the binary codec's hand-maintained wire-tag table
   (``binfmt._TAG_BY_TYPE``) covers every ``EventType`` member with a
   unique tag and a registered decoder, and a sample of every member
@@ -112,11 +110,11 @@ class _SchemaRule(ProjectRule):
 
 
 class DispatchCoverageRule(_SchemaRule):
-    """``SCHEMA001``: EventType and the codec dispatch tables move in
+    """``SCHEMA001``: EventType and the codec dispatch table move in
     lockstep — no missing and no stale entries."""
 
     rule_id = "SCHEMA001"
-    title = "every EventType member has entries in both dispatch tables"
+    title = "every EventType member has an entry in the dispatch table"
 
     def check_project(
         self, modules: Sequence[CheckedModule]
@@ -125,30 +123,27 @@ class DispatchCoverageRule(_SchemaRule):
             return
         codec, events = self._resolve_modules()
         expected = {member.value for member in events.EventType}
-        for table_name in ("_DISPATCH", "_DISPATCH_TRUSTED"):
-            table = getattr(codec, table_name, None)
-            if table is None:
-                yield self._make_violation(
-                    modules,
-                    table_name,
-                    f"codec has no {table_name} dispatch table",
-                )
-                continue
-            for missing in sorted(expected - set(table)):
-                yield self._make_violation(
-                    modules,
-                    table_name,
-                    f"EventType.{missing} has no parse entry in "
-                    f"codec.{table_name}; streams with this command fall "
-                    "off the fast path (or fail to parse)",
-                )
-            for stale in sorted(set(table) - expected):
-                yield self._make_violation(
-                    modules,
-                    table_name,
-                    f"codec.{table_name} entry {stale!r} does not "
-                    "correspond to any EventType member",
-                )
+        table = getattr(codec, "_DISPATCH", None)
+        if table is None:
+            yield self._make_violation(
+                modules, "_DISPATCH", "codec has no _DISPATCH dispatch table"
+            )
+            return
+        for missing in sorted(expected - set(table)):
+            yield self._make_violation(
+                modules,
+                "_DISPATCH",
+                f"EventType.{missing} has no parse entry in "
+                "codec._DISPATCH; streams with this command fall "
+                "off the fast path (or fail to parse)",
+            )
+        for stale in sorted(set(table) - expected):
+            yield self._make_violation(
+                modules,
+                "_DISPATCH",
+                f"codec._DISPATCH entry {stale!r} does not "
+                "correspond to any EventType member",
+            )
 
 
 class FormatterCoverageRule(_SchemaRule):
@@ -209,8 +204,7 @@ def _sample_event(events, member):
 
 
 class RoundTripRule(_SchemaRule):
-    """``SCHEMA003``: format → parse is the identity for every member,
-    in both trusted and untrusted parse modes."""
+    """``SCHEMA003``: format → parse is the identity for every member."""
 
     rule_id = "SCHEMA003"
     title = "every EventType member round-trips through the codec"
@@ -242,26 +236,23 @@ class RoundTripRule(_SchemaRule):
                     f"failed: {exc}",
                 )
                 continue
-            for trusted in (False, True):
-                try:
-                    parsed = codec.parse_line(line, trusted=trusted)
-                except Exception as exc:
-                    yield self._make_violation(
-                        modules,
-                        "_DISPATCH",
-                        f"parsing the formatted sample for "
-                        f"EventType.{member.name} failed "
-                        f"(trusted={trusted}): {exc}",
-                    )
-                    continue
-                if parsed != sample:
-                    yield self._make_violation(
-                        modules,
-                        "_DISPATCH",
-                        f"EventType.{member.name} does not round-trip "
-                        f"(trusted={trusted}): {sample!r} -> {line!r} -> "
-                        f"{parsed!r}",
-                    )
+            try:
+                parsed = codec.parse_line(line)
+            except Exception as exc:
+                yield self._make_violation(
+                    modules,
+                    "_DISPATCH",
+                    f"parsing the formatted sample for "
+                    f"EventType.{member.name} failed: {exc}",
+                )
+                continue
+            if parsed != sample:
+                yield self._make_violation(
+                    modules,
+                    "_DISPATCH",
+                    f"EventType.{member.name} does not round-trip: "
+                    f"{sample!r} -> {line!r} -> {parsed!r}",
+                )
 
 
 class BinaryTagCoverageRule(_SchemaRule):

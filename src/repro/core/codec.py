@@ -10,13 +10,13 @@ I/O and the batched :class:`LiveReplayer`:
 
 * a precomputed per-command dispatch table (one dict lookup per line
   instead of an enum constructor plus ``try``/``except``);
-* chunked file decoding — files are read in ~64 KiB blocks and split
-  once, instead of line-by-line iteration;
+* chunked file decoding — files are mapped and decoded in ~64 KiB
+  blocks split once on ``\n``, instead of line-by-line iteration;
 * escape handling that only scans payloads actually containing a
   backslash / separator;
-* a ``trusted=True`` mode that constructs events via ``object.__new__``
-  and skips the redundant ``__post_init__`` validation — safe for
-  machine-generated streams (anything written by this library);
+* event construction via ``object.__new__``, skipping
+  ``__post_init__``: the handlers build an ``int`` vertex id or an
+  :class:`EdgeId` by construction, which is all that check verifies;
 * bulk formatting (``format_events``) that joins a whole batch into a
   single string for one buffered write.
 
@@ -164,88 +164,62 @@ def _parse_edge_text(text: str) -> EdgeId:
         ) from None
 
 
-def _vertex_handler(
-    event_type: EventType, trusted: bool
-) -> Callable[[list[str]], GraphEvent]:
+def _vertex_handler(event_type: EventType) -> Callable[[list[str]], GraphEvent]:
     # Handlers receive the ``line.split(",", 2)`` parts; a short list
     # (missing field) raises IndexError, which the caller routes to the
     # careful slow path for exact error reporting.
     unescape = _unescape_scan
-    if trusted:
 
-        def handle(
-            parts: list[str],
-            new=_NEW_GRAPH_EVENT,
-            cls=GraphEvent,
-            set_attr=_SET,
-        ) -> GraphEvent:
-            payload = parts[2]
-            event = new(cls)
-            set_attr(event, "event_type", event_type)
-            set_attr(event, "entity", int(parts[1]))
-            set_attr(
-                event,
-                "payload",
-                payload if "\\" not in payload else unescape(payload),
-            )
-            return event
-
-    else:
-
-        def handle(parts: list[str]) -> GraphEvent:
-            payload = parts[2]
-            return GraphEvent(
-                event_type,
-                int(parts[1]),
-                payload if "\\" not in payload else unescape(payload),
-            )
+    def handle(
+        parts: list[str],
+        new=_NEW_GRAPH_EVENT,
+        cls=GraphEvent,
+        set_attr=_SET,
+    ) -> GraphEvent:
+        payload = parts[2]
+        event = new(cls)
+        set_attr(event, "event_type", event_type)
+        set_attr(event, "entity", int(parts[1]))
+        set_attr(
+            event,
+            "payload",
+            payload if "\\" not in payload else unescape(payload),
+        )
+        return event
 
     return handle
 
 
-def _edge_handler(
-    event_type: EventType, trusted: bool
-) -> Callable[[list[str]], GraphEvent]:
+def _edge_handler(event_type: EventType) -> Callable[[list[str]], GraphEvent]:
     unescape = _unescape_scan
-    if trusted:
 
-        def handle(
-            parts: list[str],
-            new=_NEW_GRAPH_EVENT,
-            cls=GraphEvent,
-            set_attr=_SET,
-            new_edge=_NEW_EDGE_ID,
-            edge_cls=EdgeId,
-        ) -> GraphEvent:
-            payload = parts[2]
-            entity_text = parts[1]
-            sep = entity_text.find("-", 1)
-            if sep == -1:
-                raise StreamFormatError(
-                    f"edge id {entity_text!r} has no '-' separator"
-                )
-            edge = new_edge(edge_cls)
-            set_attr(edge, "source", int(entity_text[:sep]))
-            set_attr(edge, "target", int(entity_text[sep + 1 :]))
-            event = new(cls)
-            set_attr(event, "event_type", event_type)
-            set_attr(event, "entity", edge)
-            set_attr(
-                event,
-                "payload",
-                payload if "\\" not in payload else unescape(payload),
+    def handle(
+        parts: list[str],
+        new=_NEW_GRAPH_EVENT,
+        cls=GraphEvent,
+        set_attr=_SET,
+        new_edge=_NEW_EDGE_ID,
+        edge_cls=EdgeId,
+    ) -> GraphEvent:
+        payload = parts[2]
+        entity_text = parts[1]
+        sep = entity_text.find("-", 1)
+        if sep == -1:
+            raise StreamFormatError(
+                f"edge id {entity_text!r} has no '-' separator"
             )
-            return event
-
-    else:
-
-        def handle(parts: list[str]) -> GraphEvent:
-            payload = parts[2]
-            return GraphEvent(
-                event_type,
-                _parse_edge_text(parts[1]),
-                payload if "\\" not in payload else unescape(payload),
-            )
+        edge = new_edge(edge_cls)
+        set_attr(edge, "source", int(entity_text[:sep]))
+        set_attr(edge, "target", int(entity_text[sep + 1 :]))
+        event = new(cls)
+        set_attr(event, "event_type", event_type)
+        set_attr(event, "entity", edge)
+        set_attr(
+            event,
+            "payload",
+            payload if "\\" not in payload else unescape(payload),
+        )
+        return event
 
     return handle
 
@@ -272,21 +246,20 @@ def _pause_handler(parts: list[str]) -> PauseEvent:
     return PauseEvent(float(parts[1]))
 
 
-def _build_dispatch(trusted: bool) -> dict[str, Callable[[list[str]], Event]]:
+def _build_dispatch() -> dict[str, Callable[[list[str]], Event]]:
     table: dict[str, Callable[[list[str]], Event]] = {}
     for event_type in EventType:
         if event_type.is_vertex_event:
-            table[event_type.value] = _vertex_handler(event_type, trusted)
+            table[event_type.value] = _vertex_handler(event_type)
         elif event_type.is_edge_event:
-            table[event_type.value] = _edge_handler(event_type, trusted)
+            table[event_type.value] = _edge_handler(event_type)
     table[EventType.MARKER.value] = _marker_handler
     table[EventType.SPEED.value] = _speed_handler
     table[EventType.PAUSE.value] = _pause_handler
     return table
 
 
-_DISPATCH = _build_dispatch(trusted=False)
-_DISPATCH_TRUSTED = _build_dispatch(trusted=True)
+_DISPATCH = _build_dispatch()
 
 
 def _parse_line_slow(
@@ -357,19 +330,16 @@ def _parse_line_slow(
     return GraphEvent(event_type, edge_id, payload)
 
 
-def parse_line(
-    line: str, line_number: int | None = None, *, trusted: bool = False
-) -> Event:
+def parse_line(line: str, line_number: int | None = None) -> Event:
     """Parse one CSV stream line into an :class:`Event`.
 
     Drop-in replacement for the legacy ``events.parse_line``; raises
     :class:`StreamFormatError` on malformed input.
     """
-    dispatch = _DISPATCH_TRUSTED if trusted else _DISPATCH
     if line and line[-1] in "\r\n":
         line = line.rstrip("\r\n")
     parts = line.split(",", 2)
-    handler = dispatch.get(parts[0])
+    handler = _DISPATCH.get(parts[0])
     if handler is not None:
         try:
             return handler(parts)
@@ -383,7 +353,6 @@ def parse_line(
 def parse_lines(
     lines: Iterable[str],
     *,
-    trusted: bool = False,
     skip_comments: bool = True,
     first_line_number: int = 1,
 ) -> list[Event]:
@@ -392,13 +361,12 @@ def parse_lines(
 
     Blank lines and ``#`` comments are skipped when ``skip_comments``
     is set (the :meth:`GraphStream.read` semantics); otherwise they
-    raise.  ``trusted`` skips redundant dataclass validation for
-    machine-generated streams.  Error messages carry 1-based line
-    numbers offset by ``first_line_number``.
+    raise.  Error messages carry 1-based line numbers offset by
+    ``first_line_number``.
     """
     events: list[Event] = []
     append = events.append
-    dispatch = _DISPATCH_TRUSTED if trusted else _DISPATCH
+    dispatch = _DISPATCH
     index = 0
     # Parsing creates no reference cycles, but every retained event is a
     # GC-tracked container: generational collections scanning the growing
@@ -431,63 +399,6 @@ def parse_lines(
     return events
 
 
-def _utf8_error_offset(path: str | Path) -> int | None:
-    """Absolute byte offset of the first invalid UTF-8 byte in ``path``.
-
-    Error-path helper only: re-scans the file with an incremental
-    decoder to localise a failure already observed elsewhere.  Returns
-    ``None`` if the file decodes cleanly (e.g. a racing rewrite).
-    """
-    import codecs
-
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    consumed = 0
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(BLOCK_SIZE)
-            final = not block
-            try:
-                decoder.decode(block, final)
-            except UnicodeDecodeError as exc:
-                return consumed + exc.start
-            if final:
-                return None
-            consumed += len(block)
-
-
-def _raise_not_utf8(path: str | Path, exc: UnicodeDecodeError) -> None:
-    offset = _utf8_error_offset(path)
-    raise StreamFormatError(
-        f"stream file is not valid UTF-8 ({exc.reason})",
-        byte_offset=offset,
-    ) from None
-
-
-def _iter_line_blocks(path: str | Path) -> Iterator[list[str]]:
-    """Yield lists of newline-free lines, reading ~64 KiB per block.
-
-    Uses universal-newline text mode, so line boundaries match the
-    legacy line-by-line reader exactly.  Non-UTF-8 bytes raise
-    :class:`StreamFormatError` with the absolute byte offset instead of
-    leaking :class:`UnicodeDecodeError`.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        carry = ""
-        while True:
-            try:
-                block = handle.read(BLOCK_SIZE)
-            except UnicodeDecodeError as exc:
-                _raise_not_utf8(path, exc)
-            if not block:
-                break
-            lines = (carry + block).split("\n")
-            carry = lines.pop()
-            if lines:
-                yield lines
-        if carry:
-            yield [carry]
-
-
 def _open_stream_mmap(path: str | Path) -> mmap.mmap | None:
     """Map a stream file read-only; ``None`` for an empty file.
 
@@ -504,13 +415,13 @@ def _open_stream_mmap(path: str | Path) -> mmap.mmap | None:
 def _iter_line_blocks_mmap(path: str | Path) -> Iterator[list[str]]:
     """Yield lists of newline-free lines from an mmap'd stream file.
 
-    The zero-copy sibling of :func:`_iter_line_blocks`: blocks are
-    decoded straight out of the mapping on ``\\n`` boundaries, skipping
-    the text layer and the carry-string concatenation.  Lines keep a
-    trailing ``\\r`` (``parse_lines`` strips it), so CRLF files parse
-    identically; lone-``\\r`` line endings — which only universal
-    newline mode would split — are not supported, which is why this
-    reader backs the *trusted* (machine-generated) parse path only.
+    Blocks of ~64 KiB are decoded straight out of the mapping and end
+    on a ``\\n``, so a multi-byte UTF-8 sequence never straddles two
+    blocks.  A block containing any ``\\r`` has its ``\\r\\n`` and lone
+    ``\\r`` endings rewritten to ``\\n`` first, so line boundaries (and
+    line numbers) match universal-newline text mode exactly; a file
+    with no ``\\n`` at all decodes as one block.  Non-UTF-8 bytes raise
+    :class:`StreamFormatError` with the absolute byte offset.
     """
     mapped = _open_stream_mmap(path)
     if mapped is None:
@@ -533,6 +444,10 @@ def _iter_line_blocks_mmap(path: str | Path) -> Iterator[list[str]]:
                     f"stream file is not valid UTF-8 ({exc.reason})",
                     byte_offset=position + exc.start,
                 ) from None
+            if "\r" in block_text:
+                block_text = block_text.replace("\r\n", "\n").replace(
+                    "\r", "\n"
+                )
             lines = block_text.split("\n")
             if lines and not lines[-1]:
                 lines.pop()
@@ -587,9 +502,9 @@ def iter_raw_batches(
     are skipped and break the current run.
 
     Graph lines are classified by their first byte (``A``/``R``/``U``
-    is shared by exactly the six graph commands) and are *not*
-    revalidated — the same trust contract as ``trusted=True`` parsing,
-    intended for machine-generated files such as partition shards.
+    is shared by exactly the six graph commands) and are *not* parsed
+    or validated: a run is only as sound as the machine-generated file
+    (such as a partition shard) it was cut from.
     """
     if batch_lines <= 0:
         raise ValueError(f"batch_lines must be positive, got {batch_lines}")
@@ -656,17 +571,15 @@ def iter_raw_batches(
             pass
 
 
-def parse_stream_file(path: str | Path, *, trusted: bool = False) -> list[Event]:
+def parse_stream_file(path: str | Path) -> list[Event]:
     """Parse a whole stream file with chunked decoding.
 
-    Equivalent to the legacy per-line reader (comments/blanks skipped,
-    :class:`StreamFormatError` with line numbers) but roughly 3-4x
-    faster.  Trusted parses read through the mmap block iterator, which
-    skips the text layer's carry-string copies.
+    Equivalent to the legacy per-line reader (universal newlines,
+    comments/blanks skipped, :class:`StreamFormatError` with line
+    numbers), reading blocks through the file's mmap.
 
     Binary stream files (magic-byte autodetected) decode through
-    :mod:`repro.core.binfmt`; ``trusted`` is a no-op there — the binary
-    decoder never revalidates.
+    :mod:`repro.core.binfmt`.
     """
     if detect_stream_format(path) == "binary":
         from repro.core import binfmt
@@ -674,17 +587,19 @@ def parse_stream_file(path: str | Path, *, trusted: bool = False) -> list[Event]
         return binfmt.parse_binary_stream(path)
     events: list[Event] = []
     line_number = 1
-    blocks = _iter_line_blocks_mmap(path) if trusted else _iter_line_blocks(path)
-    for lines in blocks:
-        events.extend(
-            parse_lines(
-                lines,
-                trusted=trusted,
-                skip_comments=True,
-                first_line_number=line_number,
+    blocks = _iter_line_blocks_mmap(path)
+    try:
+        for lines in blocks:
+            events.extend(
+                parse_lines(
+                    lines, skip_comments=True, first_line_number=line_number
+                )
             )
-        )
-        line_number += len(lines)
+            line_number += len(lines)
+    finally:
+        # A parse error leaves the generator suspended with the mapping
+        # open for as long as the exception's traceback lives.
+        blocks.close()
     return events
 
 
@@ -692,7 +607,6 @@ def parse_stream_file(path: str | Path, *, trusted: bool = False) -> list[Event]
 def iter_parse_chunks(
     path: str | Path,
     *,
-    trusted: bool = False,
     chunk_events: int = 1024,
     tracer: "Tracer | None" = None,
 ) -> Iterator[list[Event]]:
@@ -703,8 +617,6 @@ def iter_parse_chunks(
     :class:`~repro.core.tracing.Tracer`, each decoded file block gets a
     sampled ``decoded`` span (stamped on the tracer's clock) so the
     reader side of the pipeline is visible in exported traces.
-    Trusted parses read blocks through the mmap iterator (no
-    carry-string copies).
     """
     if chunk_events <= 0:
         raise ValueError(f"chunk_events must be positive, got {chunk_events}")
@@ -718,40 +630,37 @@ def iter_parse_chunks(
     pending: list[Event] = []
     line_number = 1
     decoded = 0
-    blocks = _iter_line_blocks_mmap(path) if trusted else _iter_line_blocks(path)
-    for lines in blocks:
-        if tracer is None:
-            pending.extend(
-                parse_lines(
-                    lines,
-                    trusted=trusted,
-                    skip_comments=True,
-                    first_line_number=line_number,
+    blocks = _iter_line_blocks_mmap(path)
+    try:
+        for lines in blocks:
+            if tracer is None:
+                pending.extend(
+                    parse_lines(
+                        lines, skip_comments=True, first_line_number=line_number
+                    )
                 )
-            )
-        else:
-            decode_start = tracer.clock.now()
-            parsed = parse_lines(
-                lines,
-                trusted=trusted,
-                skip_comments=True,
-                first_line_number=line_number,
-            )
-            if parsed and tracer.sample_batch(decoded, len(parsed)):
-                tracer.record_span(
-                    "decoded",
-                    "reader",
-                    decode_start,
-                    tracer.clock.now() - decode_start,
-                    event_id=decoded,
-                    count=len(parsed),
+            else:
+                decode_start = tracer.clock.now()
+                parsed = parse_lines(
+                    lines, skip_comments=True, first_line_number=line_number
                 )
-            decoded += len(parsed)
-            pending.extend(parsed)
-        line_number += len(lines)
-        while len(pending) >= chunk_events:
-            yield pending[:chunk_events]
-            del pending[:chunk_events]
+                if parsed and tracer.sample_batch(decoded, len(parsed)):
+                    tracer.record_span(
+                        "decoded",
+                        "reader",
+                        decode_start,
+                        tracer.clock.now() - decode_start,
+                        event_id=decoded,
+                        count=len(parsed),
+                    )
+                decoded += len(parsed)
+                pending.extend(parsed)
+            line_number += len(lines)
+            while len(pending) >= chunk_events:
+                yield pending[:chunk_events]
+                del pending[:chunk_events]
+    finally:
+        blocks.close()
     if pending:
         yield pending
 

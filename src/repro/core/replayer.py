@@ -269,12 +269,10 @@ class _ReaderThread:
         source: GraphStream | str | Path | Iterable[Event],
         read_chunk: int,
         queue_capacity: int,
-        trusted_parse: bool,
         tracer: Tracer | None = None,
     ):
         self._source = source
         self._read_chunk = read_chunk
-        self._trusted_parse = trusted_parse
         self._tracer = tracer
         # The queue holds chunks, so express the event-denominated
         # capacity in chunk units (at least two so reader and emitter
@@ -307,7 +305,6 @@ class _ReaderThread:
             if isinstance(self._source, (str, Path)):
                 for chunk in codec.iter_parse_chunks(
                     self._source,
-                    trusted=self._trusted_parse,
                     chunk_events=self._read_chunk,
                     tracer=self._tracer,
                 ):
@@ -397,7 +394,6 @@ class LiveReplayer:
         batch_size: int = 1,
         read_chunk: int = 1024,
         wire_format: str = "csv",
-        trusted_parse: bool = True,
         max_resumes: int = 0,
         resume_delay: float = 0.0,
         transport_factory: Callable[[], Transport] | None = None,
@@ -434,7 +430,6 @@ class LiveReplayer:
         self._read_chunk = read_chunk
         self._wire_format = wire_format
         self._queue_capacity = queue_capacity
-        self._trusted_parse = trusted_parse
         self._max_resumes = max_resumes
         self._resume_delay = resume_delay
         self._transport_factory = transport_factory
@@ -455,7 +450,6 @@ class LiveReplayer:
             self._source,
             self._read_chunk,
             self._queue_capacity,
-            self._trusted_parse,
             tracer=self._tracer,
         )
 

@@ -37,7 +37,7 @@ debt cap, window rates, markers, ``SPEED``/``PAUSE``):
   each stored batch locally (the per-event work the parent used to do
   for every shard) and emits the stored bytes verbatim, zero re-encode.
   With binary shards the decode is a cheap struct walk (or one bulk
-  witness check); with CSV shards it is the trusted bulk parse;
+  witness check); with CSV shards it is the bulk parse;
 * ``"raw"`` — the same zero-copy loop without the decode: batches from
   :func:`repro.core.codec.iter_raw_batches` go out as
   :class:`memoryview` slices of the shard file's mmap, trusting the
@@ -204,11 +204,11 @@ def _write_shards_csv_bytes(
     """Streamed byte-level CSV partitioner: scatter raw lines to shard
     files without parsing.
 
-    Graph lines (classified by first byte, the ``iter_raw_batches``
-    trust contract) are copied verbatim to exactly one shard; control
-    lines are parsed (they steer replays — worth validating once here)
-    and their bytes replicated to every shard; blanks and comments are
-    dropped, matching the parse-based path.
+    Graph lines (classified by first byte and not parsed, as in
+    ``iter_raw_batches``) are copied verbatim to exactly one shard;
+    control lines are parsed (they steer replays — worth validating
+    once here) and their bytes replicated to every shard; blanks and
+    comments are dropped, matching the parse-based path.
     """
     paths = [directory / f"shard-{index}.csv" for index in range(workers)]
     graph_counts = [0] * workers
@@ -376,8 +376,8 @@ def write_shards(
     File sources in their own format take the streamed byte-level
     path: raw lines/records are scattered to shard files without the
     parent ever parsing or re-encoding an event.  A cross-format
-    request falls back to the event-level partitioner over a trusted
-    parse.  Empty shards — a stream shorter than the worker count —
+    request falls back to the event-level partitioner over a parse of
+    the source.  Empty shards — a stream shorter than the worker count —
     produce empty (or frame-less) files, which replay to empty reports.
     """
     if workers <= 0:
@@ -404,7 +404,7 @@ def write_shards(
                     source, workers, directory, shard_by
                 )
             return _write_shards_csv_bytes(source, workers, directory, shard_by)
-        events: Iterable[Event] = codec.parse_stream_file(source, trusted=True)
+        events: Iterable[Event] = codec.parse_stream_file(source)
         return _write_shards_events(
             events, workers, directory, shard_by, target_format
         )
@@ -467,7 +467,7 @@ def _batch_counter(config: WorkerConfig, binary: bool):
     :func:`~repro.core.binfmt.scan_frame` record walk, or one bulk
     witness verification up front when the shard has a sidecar
     (:mod:`repro.core.witness`; corruption raises before any
-    emission).  CSV shards need the full trusted bulk parse just to
+    emission).  CSV shards need the full bulk parse just to
     count their records; that asymmetry is the point of the
     length-prefixed format.  Raw emission trusts the partitioner's
     counts.
@@ -484,7 +484,7 @@ def _batch_counter(config: WorkerConfig, binary: bool):
         lines = str(data, "utf-8").split("\n")
         if lines and not lines[-1]:
             lines.pop()
-        return len(parse_lines(lines, trusted=True, skip_comments=True))
+        return len(parse_lines(lines, skip_comments=True))
 
     return count_lines
 

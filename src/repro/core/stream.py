@@ -261,16 +261,17 @@ class GraphStream:
         codec.write_stream_file(path, self._events, format=format)
 
     @classmethod
-    def read(cls, path: str | Path, *, trusted: bool = False) -> "GraphStream":
-        """Load a stream from a CSV stream file.
+    def read(cls, path: str | Path) -> "GraphStream":
+        """Load a stream from a CSV (or GTB1 binary) stream file.
 
         Blank lines and lines starting with ``#`` are skipped; any other
         malformed line raises :class:`StreamFormatError` with its line
-        number.  The file is decoded in ~64 KiB blocks through the
-        codec fast path; ``trusted=True`` additionally skips redundant
-        per-event validation for machine-generated files.
+        number.  ``\n``, ``\r\n`` and lone ``\r`` all end a line.  The
+        file is decoded in ~64 KiB blocks through
+        :func:`repro.core.codec.parse_stream_file`, the same parse the
+        replayer's reader uses.
         """
-        return cls(codec.parse_stream_file(path, trusted=trusted))
+        return cls(codec.parse_stream_file(path))
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "GraphStream":

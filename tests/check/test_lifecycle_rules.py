@@ -122,6 +122,49 @@ def test_res001_none_guard_release_is_understood(check_source):
     )
 
 
+def test_res001_fires_on_conditional_expression_acquisition(check_source):
+    violations = check_source(
+        """
+        def parse(path, fast):
+            blocks = _iter_blocks_mmap(path) if fast else _iter_blocks(path)
+            for lines in blocks:
+                consume(lines)
+        """,
+        ResourceLeakRule(),
+    )
+    assert [v.rule_id for v in violations] == ["RES001"]
+    assert "blocks" in violations[0].message
+
+
+def test_res001_either_arm_of_conditional_expression_acquires(check_source):
+    violations = check_source(
+        """
+        def read(path, spare):
+            handle = spare if path is None else open(path)
+            return handle.read()
+        """,
+        ResourceLeakRule(),
+    )
+    assert [v.rule_id for v in violations] == ["RES001"]
+
+
+def test_res001_silent_on_conditional_expression_closed_in_finally(
+    check_source,
+):
+    assert not check_source(
+        """
+        def parse(path, fast):
+            blocks = _iter_blocks_mmap(path) if fast else _iter_blocks(path)
+            try:
+                for lines in blocks:
+                    consume(lines)
+            finally:
+                blocks.close()
+        """,
+        ResourceLeakRule(),
+    )
+
+
 def test_res001_socket_configure_leak_and_fix(check_source):
     bad = check_source(
         """

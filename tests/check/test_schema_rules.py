@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 def _fake_codec(**overrides) -> SimpleNamespace:
     base = {
         "_DISPATCH": dict(codec._DISPATCH),
-        "_DISPATCH_TRUSTED": dict(codec._DISPATCH_TRUSTED),
         "_FORMATTERS": dict(codec._FORMATTERS),
         "format_event": codec.format_event,
         "parse_line": codec.parse_line,
@@ -45,16 +44,6 @@ class TestDispatchCoverage:
         assert violations[0].rule_id == "SCHEMA001"
         assert "PAUSE" in violations[0].message
         assert "_DISPATCH" in violations[0].message
-
-    def test_missing_trusted_entry_fires(self):
-        table = dict(codec._DISPATCH_TRUSTED)
-        del table[events.EventType.ADD_EDGE.value]
-        rule = DispatchCoverageRule(
-            codec=_fake_codec(_DISPATCH_TRUSTED=table), events=events
-        )
-        violations = list(rule.check_project([]))
-        assert [v.rule_id for v in violations] == ["SCHEMA001"]
-        assert "_DISPATCH_TRUSTED" in violations[0].message
 
     def test_stale_entry_fires(self):
         table = dict(codec._DISPATCH)
@@ -100,7 +89,7 @@ class TestRoundTrip:
         assert all(v.rule_id == "SCHEMA003" for v in violations)
 
     def test_lossy_parser_fires(self):
-        def lossy_parse(line, line_number=None, *, trusted=False):
+        def lossy_parse(line, line_number=None):
             return events.marker("wrong")
 
         rule = RoundTripRule(

@@ -14,7 +14,6 @@ from repro.errors import ReplayError
 REPLAYER_FIELDS = (
     "_base_rate",
     "_source",
-    "_trusted_parse",
     "_read_chunk",
     "reader_leaked",
 )
@@ -72,7 +71,6 @@ def test_reader_failure_handoff_is_race_free(tmp_path):
             bad,
             CallbackTransport(lambda line: None),
             rate=1e6,
-            trusted_parse=False,
         )
         _instrument_replay(replayer, monitor)
         with pytest.raises(ReplayError, match="stream source failed"):

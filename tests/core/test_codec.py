@@ -57,12 +57,6 @@ class TestParseLinesEquivalence:
         expected = [_legacy_parse_line(line) for line in lines]
         assert codec.parse_lines(lines) == expected
 
-    def test_trusted_matches_untrusted(self):
-        lines = codec.format_lines(ALL_NINE * 20)
-        assert codec.parse_lines(lines, trusted=True) == codec.parse_lines(
-            lines, trusted=False
-        )
-
     def test_parses_legacy_formatted_lines(self):
         lines = [_legacy_format_event(e) for e in ALL_NINE]
         assert codec.parse_lines(lines) == ALL_NINE
@@ -103,15 +97,13 @@ class TestParseLinesEquivalence:
         assert codec.parse_lines([line]) == [event]
 
     def test_negative_edge_ids(self):
-        for trusted in (False, True):
-            assert codec.parse_lines(
-                ["ADD_EDGE,-1-4,w", "REMOVE_EDGE,5--3,", "UPDATE_EDGE,-1--4,s"],
-                trusted=trusted,
-            ) == [
-                add_edge(-1, 4, "w"),
-                remove_edge(5, -3),
-                update_edge(-1, -4, "s"),
-            ]
+        assert codec.parse_lines(
+            ["ADD_EDGE,-1-4,w", "REMOVE_EDGE,5--3,", "UPDATE_EDGE,-1--4,s"]
+        ) == [
+            add_edge(-1, 4, "w"),
+            remove_edge(5, -3),
+            update_edge(-1, -4, "s"),
+        ]
 
 
 class TestStreamFile:
@@ -120,7 +112,6 @@ class TestStreamFile:
         events = ALL_NINE * 100
         assert codec.write_stream_file(path, events) == len(events)
         assert codec.parse_stream_file(path) == events
-        assert codec.parse_stream_file(path, trusted=True) == events
 
     def test_chunked_write(self, tmp_path):
         path = tmp_path / "stream.csv"

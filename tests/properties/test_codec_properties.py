@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 
 from repro.core import codec
 from repro.core.events import (
+    EdgeId,
+    EventType,
+    GraphEvent,
     _legacy_format_event,
     _legacy_parse_line,
     add_edge,
@@ -27,6 +30,7 @@ from repro.core.events import (
     update_edge,
     update_vertex,
 )
+from repro.errors import StreamFormatError
 
 # Ids cover negative vertices (edge separators must stay sign-aware).
 vertex_ids = st.integers(min_value=-10_000, max_value=10_000)
@@ -94,13 +98,65 @@ class TestCodecRoundTrip:
         assert len(reparsed) == len(events)
         assert all(_approx_equal(p, e) for p, e in zip(reparsed, events))
 
+
+# Raw lines near the format: any command, integer or edge-shaped entity
+# text with optional padding (the slow path's spaced spelling), and an
+# escape-heavy payload.  Most parse; the rest must raise a typed error.
+entity_texts = st.one_of(
+    vertex_ids.map(str),
+    st.tuples(vertex_ids, vertex_ids).map(lambda t: f"{t[0]}-{t[1]}"),
+    st.text(alphabet="0123456789- x", max_size=8),
+)
+raw_lines = st.builds(
+    lambda command, pad, entity, payload: (
+        f"{command}{pad},{pad}{entity}{pad},{payload}"
+    ),
+    st.sampled_from([member.value for member in EventType]),
+    st.sampled_from(["", " "]),
+    entity_texts,
+    st.text(
+        alphabet=st.one_of(
+            st.sampled_from(list(",\\")),
+            st.characters(min_codepoint=32, max_codepoint=0x2FF),
+        ),
+        max_size=40,
+    ),
+)
+
+
+def _assert_valid_graph_event(event):
+    """What ``GraphEvent.__post_init__`` would have checked: the handlers
+    that build events with ``object.__new__`` must produce the same
+    value, with an ``int`` vertex id or an ``EdgeId`` of two ints."""
+    if type(event) is not GraphEvent:
+        return
+    assert GraphEvent(event.event_type, event.entity, event.payload) == event
+    if event.event_type.is_vertex_event:
+        assert type(event.entity) is int
+    else:
+        assert event.event_type.is_edge_event
+        assert type(event.entity) is EdgeId
+        assert type(event.entity.source) is int
+        assert type(event.entity.target) is int
+
+
+class TestParsedEventsAreValid:
     @given(st.lists(any_events(), max_size=40))
     @settings(max_examples=50)
-    def test_trusted_parse_matches_untrusted(self, events):
-        lines = codec.format_lines(events)
-        assert codec.parse_lines(lines, trusted=True) == codec.parse_lines(
-            lines, trusted=False
-        )
+    def test_formatted_streams_parse_to_valid_events(self, events):
+        for event in codec.parse_lines(codec.format_lines(events)):
+            _assert_valid_graph_event(event)
+
+    @given(raw_lines)
+    @settings(max_examples=200)
+    def test_accepted_raw_lines_parse_to_valid_events(self, line):
+        try:
+            parsed = codec.parse_lines([line])
+        except StreamFormatError:
+            return
+        assert len(parsed) == 1
+        _assert_valid_graph_event(parsed[0])
+
 
 class TestLegacyEquivalence:
     @given(any_events())
