@@ -87,10 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=1,
-        help="token-bucket burst size: events emitted per wakeup "
-        "(1 = per-event pacing; larger values raise the saturation rate). "
-        "CSV --emission decode|raw sends this many lines per call, so "
-        "their throughput needs a larger value, e.g. 256",
+        help="token-bucket burst size: events emitted per wakeup and "
+        "transport call, in every emission mode; binary frames go whole "
+        "(1 = per-event pacing; larger values such as 256 raise the "
+        "saturation rate)",
     )
     scale = rep.add_argument_group(
         "scale-out",
@@ -111,10 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scale.add_argument(
         "--emission", choices=("events", "decode", "raw"), default="events",
-        help="worker emission path: parsed events (the LiveReplayer), "
-        "decode-in-worker (each worker decodes its shard locally and "
-        "emits the stored bytes verbatim), or zero-copy raw byte runs "
-        "via mmap (decode/raw have no checkpoint resume)",
+        help="worker emission path: events (the LiveReplayer, with "
+        "checkpoint resume), decode (each worker counts a binary "
+        "shard's records before sending its stored frames) or raw "
+        "(stored frames, trusting their headers).  CSV lines go out as "
+        "stored in every mode once their block passes the canonical "
+        "line grammar (other blocks are re-formatted); decode/raw have "
+        "no checkpoint resume",
     )
     scale.add_argument(
         "--format", choices=("auto", "csv", "binary"), default="auto",
@@ -634,41 +637,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warn_csv_events_scaleout(args: argparse.Namespace) -> None:
-    """Warn about the CSV events-mode scale-out footgun.
-
-    Sharded ``--emission events`` over CSV re-parses and re-encodes
-    every line in each worker, so adding workers adds per-event work
-    instead of removing it.  Decode-in-worker or the binary format keep
-    events-mode semantics without that cost.
-    """
-    from repro.core.codec import detect_stream_format
-
-    if args.emission != "events":
-        return
-    stream_format = args.format
-    if stream_format == "auto":
-        try:
-            stream_format = detect_stream_format(args.stream)
-        except OSError:
-            return  # unreadable stream: the replayer will report it
-    if stream_format != "csv":
-        return
-    print(
-        f"warning: --workers {args.workers} --emission events over a CSV "
-        "stream usually *lowers* aggregate throughput (each worker "
-        "re-parses and re-encodes its shard); prefer --emission decode "
-        "with a larger --batch-size (e.g. 256) or convert the stream to "
-        "binary (graphtides convert --to binary)",
-        file=sys.stderr,
-    )
-
-
 def _run_sharded_replay(args: argparse.Namespace) -> int:
     """The sharded path: ``--workers N`` (N > 1) or ``--emission decode|raw``."""
     from repro.core.sharding import ShardedReplayer
 
-    _warn_csv_events_scaleout(args)
     if args.trace_out:
         print(
             "error: --trace-out requires --workers 1 --emission events, "

@@ -18,7 +18,10 @@ I/O and the batched :class:`LiveReplayer`:
   ``__post_init__``: the handlers build an ``int`` vertex id or an
   :class:`EdgeId` by construction, which is all that check verifies;
 * bulk formatting (``format_events``) that joins a whole batch into a
-  single string for one buffered write.
+  single string for one buffered write;
+* verbatim replay (``iter_raw_batches``): a block whose lines match the
+  canonical line grammar — the exact spelling ``format_event`` writes —
+  is forwarded as stored bytes, with no parse and no format at all.
 
 ``events.parse_line`` / ``events.format_event`` remain the public
 single-event API; they are thin wrappers over this module, so every
@@ -28,6 +31,7 @@ caller observes identical semantics (including error messages and
 
 from __future__ import annotations
 
+import functools
 import gc
 import mmap
 import re
@@ -412,68 +416,129 @@ def _open_stream_mmap(path: str | Path) -> mmap.mmap | None:
             return None
 
 
-def _iter_line_blocks_mmap(path: str | Path) -> Iterator[list[str]]:
-    """Yield lists of newline-free lines from an mmap'd stream file.
+def _iter_blocks(mapped: mmap.mmap) -> Iterator[tuple[bytes, str]]:
+    """Yield ``(block, text)`` for ~64 KiB blocks of a mapping.
 
-    Blocks of ~64 KiB are decoded straight out of the mapping and end
-    on a ``\\n``, so a multi-byte UTF-8 sequence never straddles two
-    blocks.  A block containing any ``\\r`` has its ``\\r\\n`` and lone
-    ``\\r`` endings rewritten to ``\\n`` first, so line boundaries (and
-    line numbers) match universal-newline text mode exactly; a file
-    with no ``\\n`` at all decodes as one block.  Non-UTF-8 bytes raise
-    :class:`StreamFormatError` with the absolute byte offset.
+    The one block cutter of every CSV file reader: each block ends on a
+    ``\\n`` (a line longer than the block extends it to its end), so a
+    multi-byte UTF-8 sequence never straddles two blocks; a file with
+    no ``\\n`` at all is one block.  ``text`` is the block decoded as
+    UTF-8; a non-UTF-8 byte raises :class:`StreamFormatError` with its
+    absolute byte offset.
     """
+    size = len(mapped)
+    position = 0
+    while position < size:
+        end = min(position + BLOCK_SIZE, size)
+        if end < size:
+            newline = mapped.rfind(b"\n", position, end)
+            if newline == -1:
+                # A line longer than the block: extend to its end.
+                newline = mapped.find(b"\n", end)
+            end = size if newline == -1 else newline + 1
+        block = mapped[position:end]
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StreamFormatError(
+                f"stream file is not valid UTF-8 ({exc.reason})",
+                byte_offset=position + exc.start,
+            ) from None
+        yield block, text
+        position = end
+
+
+def _split_lines(text: str) -> list[str]:
+    """A block's newline-free lines, split as universal newlines do.
+
+    A block holding any ``\\r`` has its ``\\r\\n`` and lone ``\\r``
+    endings rewritten to ``\\n`` first, so line boundaries (and line
+    numbers) match universal-newline text mode exactly.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines and not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _iter_line_blocks_mmap(path: str | Path) -> Iterator[list[str]]:
+    """Yield lists of newline-free lines from an mmap'd stream file,
+    one list per :func:`_iter_blocks` block (see :func:`_split_lines`)."""
     mapped = _open_stream_mmap(path)
     if mapped is None:
         return
     try:
-        size = len(mapped)
-        position = 0
-        while position < size:
-            end = min(position + BLOCK_SIZE, size)
-            if end < size:
-                newline = mapped.rfind(b"\n", position, end)
-                if newline == -1:
-                    # A line longer than the block: extend to its end.
-                    newline = mapped.find(b"\n", end)
-                end = size if newline == -1 else newline + 1
-            try:
-                block_text = mapped[position:end].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise StreamFormatError(
-                    f"stream file is not valid UTF-8 ({exc.reason})",
-                    byte_offset=position + exc.start,
-                ) from None
-            if "\r" in block_text:
-                block_text = block_text.replace("\r\n", "\n").replace(
-                    "\r", "\n"
-                )
-            lines = block_text.split("\n")
-            if lines and not lines[-1]:
-                lines.pop()
+        for __, text in _iter_blocks(mapped):
+            lines = _split_lines(text)
             if lines:
                 yield lines
-            position = end
     finally:
         mapped.close()
 
 
-#: First bytes of the six graph-changing commands (``ADD_*``,
-#: ``REMOVE_*``, ``UPDATE_*``); no marker/control command shares them.
-_RAW_GRAPH_FIRST_BYTES = frozenset(b"ARU")
+# -- the canonical line grammar ------------------------------------------------
+#
+# A graph line is canonical when it is spelled exactly as ``format_event``
+# writes it: no padding, integer ids without a sign on zero or leading
+# zeros, and a payload whose backslashes all start one of the four
+# escapes ``_escape`` produces.  Such a line satisfies
+# ``format_event(parse_line(line)) == line``, so its stored bytes are the
+# bytes the parse → format path would send.
+_INT = rb"(?:0|-?[1-9][0-9]*)"
+_PAYLOAD = rb"[^\\,\n\r]*(?:\\[\\,nr][^\\,\n\r]*)*"
+_GRAPH_LINE = (
+    rb"(?:ADD|REMOVE|UPDATE)_(?:VERTEX," + _INT + rb"|EDGE," + _INT
+    + rb"-" + _INT + rb")," + _PAYLOAD
+)
+#: Control lines are parsed, not forwarded: any spelling may pass here.
+_OTHER_LINE = rb"(?:MARKER|SPEED|PAUSE),[^\n\r]*|#[^\n\r]*"
+_LINE_END = rb"(?:\n|\Z)"
+
+
+@functools.lru_cache(maxsize=32)
+def _canonical_step(batch_lines: int) -> re.Pattern[bytes]:
+    """One step of the canonical-block walk: a run of up to
+    ``batch_lines`` graph lines (group 1), or one control line, comment
+    or empty line.  A block is canonical exactly when consecutive steps
+    cover it; no pattern matches a ``\\r`` or a non-canonical graph
+    line."""
+    return re.compile(
+        rb"((?:" + _GRAPH_LINE + _LINE_END + rb"){1,%d})|(?:" % batch_lines
+        + _OTHER_LINE + rb")" + _LINE_END + rb"|\n"
+    )
+
+
+def _canonical_steps(
+    block: bytes, step: re.Pattern[bytes]
+) -> list[re.Match[bytes]] | None:
+    """The step matches covering ``block``, or None if it is not canonical."""
+    matches = []
+    match = step.match
+    position = 0
+    size = len(block)
+    while position < size:
+        found = match(block, position)
+        if found is None:
+            return None
+        matches.append(found)
+        position = found.end()
+    return matches
 
 
 class RawBatch:
-    """A zero-copy run of consecutive graph-event lines.
+    """A run of consecutive graph-event lines, as wire bytes.
 
-    ``data`` is a :class:`memoryview` straight into the stream file's
-    mapping — the exact bytes of ``count`` newline-separated lines,
-    never copied through Python strings.  ``ends_with_newline`` is
-    False only for a final line at EOF without one; emitters must then
-    append the terminator themselves.
+    ``data`` is a :class:`memoryview` of the exact bytes of ``count``
+    newline-separated lines: a slice of the block read from a CSV file
+    (or of a binary file's mapping, for a GTB1 frame), never copied
+    through Python strings.  ``ends_with_newline`` is False only for a
+    final line at EOF without one; emitters must then append the
+    terminator themselves.
 
-    Views alias the open mapping: consume (send) each batch before
-    advancing the iterator that produced it.
+    Consume (send) each batch before advancing the iterator that
+    produced it.
     """
 
     __slots__ = ("data", "count", "ends_with_newline")
@@ -487,24 +552,58 @@ class RawBatch:
         return f"RawBatch({self.count} lines, {len(self.data)} bytes)"
 
 
+def _reformatted_batches(
+    lines: list[str], first_line_number: int, batch_lines: int
+) -> Iterator[RawBatch | Event]:
+    """A non-canonical block's items: parse it with :func:`parse_lines`,
+    then format each run of up to ``batch_lines`` graph events back
+    into canonical lines with :func:`format_events`."""
+
+    def formatted(events: list[Event]) -> RawBatch:
+        data = format_events(events).encode("utf-8")
+        return RawBatch(memoryview(data), len(events), True)
+
+    pending: list[Event] = []
+    for event in parse_lines(
+        lines, skip_comments=True, first_line_number=first_line_number
+    ):
+        if type(event) is GraphEvent:
+            pending.append(event)
+            if len(pending) < batch_lines:
+                continue
+        if pending:
+            yield formatted(pending)
+            pending = []
+        if type(event) is not GraphEvent:
+            yield event
+    if pending:
+        yield formatted(pending)
+
+
 # hot-path
 def iter_raw_batches(
     path: str | Path, *, batch_lines: int = 256
 ) -> Iterator[RawBatch | Event]:
-    """Yield zero-copy :class:`RawBatch` runs and parsed control events.
+    """Yield validated :class:`RawBatch` runs and parsed control events.
 
-    The sharded replayer's emission fast path: runs of graph-event
-    lines come back as :class:`memoryview` slices of the file's mmap
-    (at most ``batch_lines`` lines per batch) that a transport can put
-    on the wire verbatim, while ``MARKER``/``SPEED``/``PAUSE`` lines —
-    which steer the replay instead of travelling over it — are parsed
-    into their :class:`Event` objects.  Blank lines and ``#`` comments
-    are skipped and break the current run.
+    The reader of every verbatim file replay: runs of at most
+    ``batch_lines`` graph-event lines come back as wire bytes a
+    transport can send as they are, while ``MARKER``/``SPEED``/``PAUSE``
+    lines — which steer the replay instead of travelling over it — are
+    parsed into their :class:`Event` objects and end the current run.
+    Blank lines and ``#`` comments are skipped.
 
-    Graph lines are classified by their first byte (``A``/``R``/``U``
-    is shared by exactly the six graph commands) and are *not* parsed
-    or validated: a run is only as sound as the machine-generated file
-    (such as a partition shard) it was cut from.
+    Each :func:`_iter_blocks` block is decoded as UTF-8 and walked with
+    the canonical line grammar.  A canonical block's runs are zero-copy
+    views of its stored bytes; any other block (padded fields, CRLF or
+    lone-CR endings, unknown escapes, a malformed line) is parsed with
+    :func:`parse_lines` and its runs re-formatted with
+    :func:`format_events`.  Either way the bytes are exactly what the
+    parse → format path sends, and a malformed line raises the same
+    :class:`StreamFormatError`, line number included.
+
+    Binary stream files (magic-byte autodetected) yield whole graph
+    frames through :func:`repro.core.binfmt.iter_binary_batches`.
     """
     if batch_lines <= 0:
         raise ValueError(f"batch_lines must be positive, got {batch_lines}")
@@ -513,62 +612,38 @@ def iter_raw_batches(
 
         yield from binfmt.iter_binary_batches(path)
         return
+    # A block holds at most one line per byte of BLOCK_SIZE (a longer
+    # block is a single long line), so larger caps cut the same runs.
+    step = _canonical_step(min(batch_lines, BLOCK_SIZE))
+    line_number = 1
     mapped = _open_stream_mmap(path)
     if mapped is None:
         return
-    view = memoryview(mapped)
     try:
-        size = len(mapped)
-        position = 0
-        line_number = 0
-        run_start = 0
-        run_end = 0
-        run_count = 0
-        while position < size:
-            line_number += 1
-            newline = mapped.find(b"\n", position)
-            end = size if newline == -1 else newline
-            next_position = size if newline == -1 else newline + 1
-            if end > position and mapped[position] in _RAW_GRAPH_FIRST_BYTES:
-                if not run_count:
-                    run_start = position
-                run_end = next_position
-                run_count += 1
-                if run_count >= batch_lines:
-                    yield RawBatch(
-                        view[run_start:run_end], run_count, newline != -1
+        for block, text in _iter_blocks(mapped):
+            matches = _canonical_steps(block, step)
+            if matches is None:
+                lines = _split_lines(text)
+                yield from _reformatted_batches(lines, line_number, batch_lines)
+                line_number += len(lines)
+                continue
+            view = memoryview(block)
+            for found in matches:
+                start, end = found.span()
+                if found.lastindex:
+                    count = block.count(b"\n", start, end)
+                    if block[end - 1] == 0x0A:
+                        yield RawBatch(view[start:end], count, True)
+                    else:  # the final line at EOF has no newline
+                        yield RawBatch(view[start:end], count + 1, False)
+                elif block[start] not in b"\n#":
+                    yield parse_line(
+                        block[start:end].decode("utf-8"),
+                        line_number + block.count(b"\n", 0, start),
                     )
-                    run_count = 0
-            else:
-                if run_count:
-                    yield RawBatch(view[run_start:run_end], run_count, True)
-                    run_count = 0
-                try:
-                    line = mapped[position:end].decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise StreamFormatError(
-                        f"control line is not valid UTF-8 ({exc.reason})",
-                        byte_offset=position + exc.start,
-                    ) from None
-                stripped = line.strip()
-                if stripped and not stripped.startswith("#"):
-                    yield parse_line(line, line_number)
-            position = next_position
-        if run_count:
-            yield RawBatch(
-                view[run_start:run_end],
-                run_count,
-                mapped[run_end - 1] == 0x0A,
-            )
+            line_number += block.count(b"\n")
     finally:
-        view.release()
-        try:
-            mapped.close()
-        except BufferError:
-            # A consumer still holds the last batch's view (e.g. the
-            # loop variable after the final yield); the mapping closes
-            # when that last view is garbage-collected.
-            pass
+        mapped.close()
 
 
 def parse_stream_file(path: str | Path) -> list[Event]:

@@ -453,6 +453,10 @@ class ShmTransport(Transport):
     def send_raw(self, data: "bytes | memoryview", count: int) -> None:
         from repro.core.shm import SLOT_RAW
 
+        if len(data) and data[-1] != 0x0A:
+            # A final line at EOF: append the terminator, as the pipe
+            # and TCP verbs do, so the ring stays line-delimited.
+            data = bytes(data) + b"\n"
         self._append(data, count, SLOT_RAW)
 
     def send_frame(self, frame: "bytes | memoryview", count: int) -> None:

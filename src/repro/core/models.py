@@ -17,6 +17,8 @@ control structure).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -75,10 +77,16 @@ class EventMix:
 
     def sample(self, rng: random.Random) -> EventType:
         """Draw one event type with probability proportional to weight."""
-        weights = self.as_weights()
-        types = list(weights)
-        values = [weights[t] for t in types]
-        return rng.choices(types, weights=values, k=1)[0]
+        types, cumulative = _mix_table(self)
+        return rng.choices(types, cum_weights=cumulative, k=1)[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _mix_table(mix: EventMix) -> tuple[tuple[EventType, ...], tuple[float, ...]]:
+    """A mix's event types and cumulative weights, built once per mix
+    (a frozen, hashable value) instead of on every draw."""
+    weights = mix.as_weights()
+    return tuple(weights), tuple(itertools.accumulate(weights.values()))
 
 
 #: Table 3's event mix: CREATE_VERTEX 10%, REMOVE_VERTEX 5%,

@@ -18,16 +18,21 @@ measurement).  ``MARKER``,
 since a feeder emits its pending batch before yielding one.  Two
 feeders drive the loop:
 
-* :class:`LiveReplayer` follows the paper's design.  A reader thread
-  parses the stream into a bounded hand-off queue of event chunks (one
-  put/get per ``read_chunk`` events).  The emitter thread cuts them
-  into batches of up to ``batch_size`` graph events and encodes each
-  one (CSV lines for ``send_many``, or a GTB1 frame for
-  ``send_frame``) after its pacing wait.  ``batch_size=1`` reproduces
-  per-event pacing exactly; larger batches trade timing granularity
-  for a higher saturation rate.
-* :func:`repro.core.sharding.replay_shard` feeds the stored batch
-  bytes of a shard file verbatim (``decode``/``raw`` emission).
+* :class:`LiveReplayer`.  A CSV file replayed onto a CSV wire needs
+  no event objects: the emitting thread reads it inline through
+  :func:`repro.core.codec.iter_raw_batches`, which checks each block
+  against the canonical line grammar, and sends runs of up to
+  ``batch_size`` stored lines through ``send_raw``.  Every other
+  source follows the paper's two-thread design: a reader thread parses
+  the stream into a bounded hand-off queue of event chunks (one
+  put/get per ``read_chunk`` events), and the emitter cuts them into
+  batches of up to ``batch_size`` graph events and encodes each one
+  (CSV lines for ``send_many``, or a GTB1 frame for ``send_frame``)
+  after its pacing wait.  ``batch_size=1`` reproduces per-event
+  pacing exactly; larger batches trade timing granularity for a
+  higher saturation rate.
+* :func:`repro.core.sharding.replay_shard` feeds the same iterator's
+  batches of a shard file (``decode``/``raw`` emission).
 
 Resilience: the replayer checkpoints at every marker boundary.  When a
 transport failure escapes the delivery layer (see
@@ -354,17 +359,19 @@ class LiveReplayer:
     """Replays a stream over a transport at a tunable uniform rate.
 
     ``source`` is a :class:`GraphStream`, a path to a stream file, or
-    any iterable of events.  File sources are parsed on a dedicated
-    reader thread, decoupled from emission through a bounded queue of
-    event chunks.
+    any iterable of events.  A CSV file source with ``wire_format="csv"``
+    is forwarded as its stored lines, read on the emitting thread (see
+    :func:`~repro.core.codec.iter_raw_batches`); other sources are
+    parsed on a dedicated reader thread, decoupled from emission
+    through a bounded queue of event chunks.
 
     ``batch_size`` is the token-bucket burst size: the emitter sends up
     to that many events per :class:`PacedLoop` wakeup in one transport
     call.  The default of 1 matches the paper's per-event pacing;
     raising it (e.g. to 32-256) lifts the saturation rate at the cost
     of event timing being uniform only at batch granularity.
-    ``read_chunk`` is how many events the reader hands over per queue
-    operation; it does not affect emission timing.
+    ``read_chunk`` is how many events a reader thread hands over per
+    queue operation; it does not affect emission timing.
 
     ``max_resumes`` enables checkpoint resume: when a
     :class:`~repro.errors.ConnectorError` escapes the transport during
@@ -445,6 +452,17 @@ class LiveReplayer:
         """Resume needs a source that can be iterated again."""
         return isinstance(self._source, (str, Path, GraphStream, list, tuple))
 
+    def _verbatim(self) -> bool:
+        """True when the stored bytes go out as they are: a CSV file
+        replayed onto a CSV wire, read inline by
+        :func:`~repro.core.codec.iter_raw_batches`."""
+        if self._wire_format != "csv" or not isinstance(self._source, (str, Path)):
+            return False
+        try:
+            return codec.detect_stream_format(self._source) == "csv"
+        except OSError:
+            return True  # reading it fails again: a source failure
+
     def _new_reader(self) -> _ReaderThread:
         return _ReaderThread(
             self._source,
@@ -453,8 +471,8 @@ class LiveReplayer:
             tracer=self._tracer,
         )
 
-    def _stop_reader(self, reader: _ReaderThread) -> None:
-        if not reader.stop(self._reader_join_timeout):
+    def _stop_reader(self, reader: _ReaderThread | None) -> None:
+        if reader is not None and not reader.stop(self._reader_join_timeout):
             self.reader_leaked = True  # guarded-by: emitter-only
 
     # -- emission ----------------------------------------------------------
@@ -463,16 +481,17 @@ class LiveReplayer:
     def run(self) -> ReplayReport:
         """Replay the whole stream; blocks until finished.
 
-        Raises :class:`ReplayError` when the reader thread failed
+        Raises :class:`ReplayError` when the stream source failed
         (malformed file) or :class:`ConnectorError` when the transport
         raised and the resume budget is spent.  The transport is closed
-        and the reader thread stopped on every exit path.
+        and any reader thread stopped on every exit path.
         """
         # All pacing and stamping goes through the unified trace clock,
         # so replayer series share an epoch with receivers and probes.
         loop = PacedLoop(self._base_rate, self._window_seconds, self._clock)
         tracer = self._tracer
         batch_size = self._batch_size
+        verbatim = self._verbatim()
         binary = self._wire_format == "binary"
         if binary:
             from repro.core.binfmt import encode_graph_frame as encode
@@ -488,13 +507,45 @@ class LiveReplayer:
         next_sample = 0
         traced_counted = 0
 
-        def attempt_emit(transport: Transport) -> Callable[[list[Event]], int]:
-            """One attempt's emit: encode a batch after its pacing wait,
-            then send it through the transport verb bound here."""
+        def record_emitted(start: float, count: int) -> None:
+            """A sampled batch's ``emitted`` span, plus the exact count."""
+            nonlocal next_sample, traced_counted
+            assert tracer is not None
+            first = loop.emitted
+            tracer.record_span(
+                "emitted",
+                "replayer",
+                start,
+                tracer.clock.now() - start,
+                event_id=first,
+                count=count,
+            )
+            end = first + count
+            next_sample = -(-end // trace_step) * trace_step
+            tracer.count("emitted", end - traced_counted)
+            traced_counted = end
+
+        def attempt_emit(transport: Transport) -> Callable[[object], int]:
+            """One attempt's emit: send a batch after its pacing wait
+            through the transport verb bound here, encoding events first
+            (stored CSV bytes go out as they are)."""
+            if verbatim:
+                send_raw = transport.send_raw
+
+                def emit_stored(batch: codec.RawBatch) -> int:
+                    count = batch.count
+                    if tracer is None or loop.emitted + count <= next_sample:
+                        send_raw(batch.data, count)
+                        return count
+                    start = tracer.clock.now()
+                    send_raw(batch.data, count)
+                    record_emitted(start, count)
+                    return count
+
+                return emit_stored
             send = transport.send_frame if binary else transport.send_many
 
             def emit(events: list[Event]) -> int:
-                nonlocal next_sample, traced_counted
                 count = len(events)
                 if tracer is None or loop.emitted + count <= next_sample:
                     if binary:
@@ -502,28 +553,16 @@ class LiveReplayer:
                     else:
                         send(encode(events))
                     return count
-                first = loop.emitted
                 start = tracer.clock.now()
                 with tracer.measure(
-                    "encoded", "replayer", event_id=first, count=count
+                    "encoded", "replayer", event_id=loop.emitted, count=count
                 ):
                     payload = encode(events)
                 if binary:
                     send(payload, count)
                 else:
                     send(payload)
-                tracer.record_span(
-                    "emitted",
-                    "replayer",
-                    start,
-                    tracer.clock.now() - start,
-                    event_id=first,
-                    count=count,
-                )
-                end = first + count
-                next_sample = -(-end // trace_step) * trace_step
-                tracer.count("emitted", end - traced_counted)
-                traced_counted = end
+                record_emitted(start, count)
                 return count
 
             return emit
@@ -537,6 +576,49 @@ class LiveReplayer:
         checkpoint = ReplayCheckpoint(
             label="", position=0, emitted=0, speed_factor=1.0, marker_count=0
         )
+        source_error: Exception | None = None
+
+        def take_checkpoint(position: int) -> None:
+            """The marker just passed, item ``position`` of the source,
+            becomes the checkpoint."""
+            nonlocal checkpoint
+            label, at = loop.marker_times[-1]
+            if tracer is not None:
+                tracer.instant(
+                    "marker",
+                    "replayer",
+                    timestamp=loop.start + at,
+                    event_id=loop.emitted,
+                    label=label,
+                )
+            checkpoint = ReplayCheckpoint(
+                label=label,
+                position=position,
+                emitted=loop.emitted,
+                speed_factor=loop.speed,
+                marker_count=len(loop.marker_times),
+            )
+
+        def stored_batches() -> Iterator[object]:
+            """The file's validated batches and control events, read on
+            this thread.  Items up to the checkpoint were delivered
+            before a resume and are skipped.  A source failure ends the
+            items and is raised after the attempt, as a reader's is."""
+            nonlocal source_error
+            skip = checkpoint.position
+            position = 0
+            try:
+                for item in codec.iter_raw_batches(
+                    self._source, batch_lines=batch_size
+                ):
+                    position += 1
+                    if position <= skip:
+                        continue
+                    yield item
+                    if isinstance(item, MarkerEvent):
+                        take_checkpoint(position)
+            except Exception as exc:
+                source_error = exc
 
         def batches(reader: _ReaderThread) -> Iterator[list[Event] | Event]:
             """Cut the reader's chunks into batches of up to
@@ -544,7 +626,6 @@ class LiveReplayer:
             emits a batch before it asks for the next item).  Items up
             to the checkpoint were delivered before a resume and are
             skipped; a marker becomes the checkpoint once passed."""
-            nonlocal checkpoint
             skip = checkpoint.position
             position = 0
             pending: list[Event] = []
@@ -571,22 +652,7 @@ class LiveReplayer:
                         pending.clear()
                     yield item
                     if isinstance(item, MarkerEvent):
-                        label, at = loop.marker_times[-1]
-                        if tracer is not None:
-                            tracer.instant(
-                                "marker",
-                                "replayer",
-                                timestamp=loop.start + at,
-                                event_id=loop.emitted,
-                                label=label,
-                            )
-                        checkpoint = ReplayCheckpoint(
-                            label=label,
-                            position=position,
-                            emitted=loop.emitted,
-                            speed_factor=loop.speed,
-                            marker_count=len(loop.marker_times),
-                        )
+                        take_checkpoint(position)
             if pending:
                 yield pending
 
@@ -594,13 +660,21 @@ class LiveReplayer:
         resume_redeliveries = 0
         while True:
             transport = self._transport
-            reader = self._new_reader()
-            reader.start()
+            reader = None
+            items: Iterator[object]
+            if verbatim:
+                items = stored_batches()
+            else:
+                reader = self._new_reader()
+                reader.start()
+                items = batches(reader)
             loop.speed = checkpoint.speed_factor
             attempt_start = loop.emitted
             try:
-                loop.run(batches(reader), attempt_emit(transport))
+                loop.run(items, attempt_emit(transport))
             except BaseException as exc:
+                # Release the source now, not when the traceback dies.
+                items.close()
                 self._stop_reader(reader)
                 resumable = isinstance(exc, ConnectorError) and self._resumable()
                 if not resumable or resumes >= self._max_resumes:
@@ -629,7 +703,7 @@ class LiveReplayer:
             close_transport(transport, None)
             break
 
-        error = reader.error
+        error = source_error if reader is None else reader.error
         if error is not None:
             raise ReplayError(f"stream source failed: {error}") from error
         return loop.report(

@@ -28,24 +28,21 @@ not parsing.  In-memory sources still partition event-by-event via
 
 Emission inside a worker runs in one of three modes, all paced by the
 one :class:`~repro.core.replayer.PacedLoop` (token bucket, one-window
-debt cap, window rates, markers, ``SPEED``/``PAUSE``):
+debt cap, window rates, markers, ``SPEED``/``PAUSE``), and all fed by
+:func:`repro.core.codec.iter_raw_batches`.  A CSV shard goes out the
+same way in each: every block is checked against the canonical line
+grammar and its runs of up to ``batch_size`` stored lines are sent
+through ``Transport.send_raw`` (a non-canonical block is parsed and
+re-formatted first), byte-for-byte the single-process behaviour.
 
-* ``"events"`` — a :class:`LiveReplayer` (parse → pace → format →
-  send), byte-for-byte the single-process behaviour, with checkpoint
-  resume;
-* ``"decode"`` — decode-in-worker: the worker validates and counts
-  each stored batch locally (the per-event work the parent used to do
-  for every shard) and emits the stored bytes verbatim, zero re-encode.
-  With binary shards the decode is a cheap struct walk (or one bulk
-  witness check); with CSV shards it is the bulk parse;
-* ``"raw"`` — the same zero-copy loop without the decode: batches from
-  :func:`repro.core.codec.iter_raw_batches` go out as
-  :class:`memoryview` slices of the shard file's mmap, trusting the
-  partitioner's counts.
+* ``"events"`` — a :class:`LiveReplayer`, with checkpoint resume; a
+  binary shard is parsed on its reader thread and re-encoded;
+* ``"decode"`` — binary frames go out whole through
+  ``Transport.send_frame`` once the worker has counted their records
+  (a struct walk, or one bulk witness check);
+* ``"raw"`` — the same frames, trusting their headers' counts.
 
-``decode`` and ``raw`` send binary frames whole through
-``Transport.send_frame`` and CSV runs of up to ``batch_size`` lines
-through ``Transport.send_raw``; they have no checkpoint resume.
+``decode`` and ``raw`` have no checkpoint resume.
 
 Workers synchronise on a start barrier so their pacing windows share an
 epoch, and return their :class:`ReplayReport` over a queue; the merged
@@ -174,48 +171,54 @@ class ShardPlan:
         return sum(self.graph_events)
 
 
-def _csv_entity_shard(mapped, start: int, end: int, workers: int) -> int:
-    """Shard index of the CSV graph line at ``mapped[start:end]``.
+def _csv_entity_shard(line: str, workers: int) -> int:
+    """Shard index of the CSV graph line ``line``.
 
     Decodes *only* the entity field (second column) — no event object,
-    no payload work.  The dash search starts one byte into the field so
-    a negative vertex id's sign is never mistaken for the edge
+    no payload work.  The dash search starts one character into the
+    field so a negative vertex id's sign is never mistaken for the edge
     separator, matching :func:`_entity_shard`.
     """
-    first = mapped.find(b",", start, end)
+    first = line.find(",")
     if first == -1:
         raise StreamFormatError("graph line has no entity field")
-    second = mapped.find(b",", first + 1, end)
-    entity = mapped[first + 1 : end if second == -1 else second]
-    sep = entity.find(b"-", 1)
+    second = line.find(",", first + 1)
+    entity = line[first + 1 : len(line) if second == -1 else second].strip()
+    sep = entity.find("-", 1)
     try:
         if sep == -1:
             return int(entity) % workers
         return int(entity[:sep]) % workers
     except ValueError:
-        raise StreamFormatError(
-            f"cannot shard entity field {bytes(entity)!r}"
-        ) from None
+        raise StreamFormatError(f"cannot shard entity field {entity!r}") from None
+
+
+#: First characters of the six graph-changing commands (``ADD_*``,
+#: ``REMOVE_*``, ``UPDATE_*``); no control command shares them.
+_GRAPH_FIRST_CHARS = frozenset("ARU")
 
 
 def _write_shards_csv_bytes(
     source: str | Path, workers: int, directory: Path, shard_by: str
 ) -> ShardPlan:
-    """Streamed byte-level CSV partitioner: scatter raw lines to shard
-    files without parsing.
+    """Streamed CSV partitioner: scatter lines to shard files without
+    parsing graph lines.
 
-    Graph lines (classified by first byte and not parsed, as in
-    ``iter_raw_batches``) are copied verbatim to exactly one shard;
-    control lines are parsed (they steer replays — worth validating
-    once here) and their bytes replicated to every shard; blanks and
-    comments are dropped, matching the parse-based path.
+    Lines come from the reader's own blocks and line splitter
+    (``codec._iter_blocks`` and ``codec._split_lines``: UTF-8 checked,
+    universal newlines), so every reader agrees on where lines end.  A
+    line starting with a graph command's first character is copied to
+    exactly one shard, where the worker's reader validates it.  Any
+    other line that is not blank or a comment is parsed: a control line
+    (it steers replays — worth validating once here) is replicated to
+    every shard, and a padded graph line goes to one shard like the
+    others.  Blanks and comments are dropped.
     """
     paths = [directory / f"shard-{index}.csv" for index in range(workers)]
     graph_counts = [0] * workers
     control_events = 0
     round_robin = 0
     hash_mode = shard_by == "hash"
-    graph_first_bytes = codec._RAW_GRAPH_FIRST_BYTES
     # Acquire the shard files and the source view inside the same try
     # so a failure opening any of them (or mapping the source) cannot
     # leak the handles opened before it.
@@ -225,37 +228,34 @@ def _write_shards_csv_bytes(
         for path in paths:
             files.append(open(path, "wb", buffering=1 << 16))
         mapped = codec._open_stream_mmap(source)
-        if mapped is not None:
-            size = len(mapped)
-            position = 0
-            line_number = 0
-            while position < size:
+        line_number = 0
+        blocks = codec._iter_blocks(mapped) if mapped is not None else ()
+        for __, text in blocks:
+            for line in codec._split_lines(text):
                 line_number += 1
-                newline = mapped.find(b"\n", position)
-                end = size if newline == -1 else newline
-                next_position = size if newline == -1 else newline + 1
-                if end > position and mapped[position] in graph_first_bytes:
-                    if hash_mode:
-                        index = _csv_entity_shard(mapped, position, end, workers)
-                    else:
-                        index = round_robin
-                        round_robin += 1
-                        if round_robin == workers:
-                            round_robin = 0
-                    files[index].write(mapped[position:end])
-                    files[index].write(b"\n")
-                    graph_counts[index] += 1
-                else:
-                    line = mapped[position:end].decode("utf-8")
+                data = (line + "\n").encode("utf-8")
+                event = None
+                if line[:1] not in _GRAPH_FIRST_CHARS:
                     stripped = line.strip()
-                    if stripped and not stripped.startswith("#"):
-                        codec.parse_line(line, line_number)
+                    if not stripped or stripped.startswith("#"):
+                        continue
+                    event = codec.parse_line(line, line_number)
+                    if not isinstance(event, GraphEvent):
                         control_events += 1
-                        data = mapped[position:end]
                         for handle in files:
                             handle.write(data)
-                            handle.write(b"\n")
-                position = next_position
+                        continue
+                if not hash_mode:
+                    index = round_robin
+                    round_robin += 1
+                    if round_robin == workers:
+                        round_robin = 0
+                elif event is None:
+                    index = _csv_entity_shard(line, workers)
+                else:
+                    index = _entity_shard(event.entity, workers)
+                files[index].write(data)
+                graph_counts[index] += 1
     finally:
         if mapped is not None:
             mapped.close()
@@ -432,9 +432,8 @@ class WorkerConfig:
     rate: float
     emission: str = "events"
     window_seconds: float = 1.0
-    #: Events per paced send: graph events per batch in ``events``
-    #: emission, lines per CSV run in ``decode``/``raw`` (binary
-    #: frames go whole).
+    #: Graph events per paced send in every emission mode (binary
+    #: frames go whole in ``decode``/``raw``).
     batch_size: int = 64
     transport_spec: TransportSpec | None = None
     chaos_config: ChaosConfig | None = None
@@ -458,35 +457,24 @@ class WorkerConfig:
         )
 
 
-def _batch_counter(config: WorkerConfig, binary: bool):
-    """How ``decode`` emission counts a stored batch; None for ``raw``.
+def _frame_counter(config: WorkerConfig):
+    """How ``decode`` emission counts a stored binary frame; None when
+    the reader's own counts stand (``raw`` emission, CSV shards).
 
-    Decode-in-worker validates and counts each batch's records before
+    Decode-in-worker validates and counts each frame's records before
     emitting the stored bytes verbatim, so that per-event work scales
-    with ``--workers``.  Binary shards get a
-    :func:`~repro.core.binfmt.scan_frame` record walk, or one bulk
-    witness verification up front when the shard has a sidecar
-    (:mod:`repro.core.witness`; corruption raises before any
-    emission).  CSV shards need the full bulk parse just to
-    count their records; that asymmetry is the point of the
-    length-prefixed format.  Raw emission trusts the partitioner's
-    counts.
+    with ``--workers``: a :func:`~repro.core.binfmt.scan_frame` record
+    walk, or one bulk witness verification up front when the shard has
+    a sidecar (:mod:`repro.core.witness`; corruption raises before any
+    emission).  CSV shards need no counter: ``iter_raw_batches``
+    checks every block against the canonical line grammar and counts
+    its lines as it cuts the runs.
     """
     if config.emission == "raw":
         return None
-    if binary:
-        if witness.preverify_shard(config.path) is not None:
-            return witness.count_verified_frame
-        return binfmt.scan_frame
-    parse_lines = codec.parse_lines
-
-    def count_lines(data) -> int:
-        lines = str(data, "utf-8").split("\n")
-        if lines and not lines[-1]:
-            lines.pop()
-        return len(parse_lines(lines, skip_comments=True))
-
-    return count_lines
+    if witness.preverify_shard(config.path) is not None:
+        return witness.count_verified_frame
+    return binfmt.scan_frame
 
 
 # hot-path
@@ -494,8 +482,9 @@ def replay_shard(config: WorkerConfig, transport: Transport) -> ReplayReport:
     """Run one shard's replay on an already-built transport.
 
     The shard file's own format is the wire format.  ``events``
-    emission runs a :class:`LiveReplayer`; ``decode`` and ``raw`` feed
-    the stored batches to the same
+    emission runs a :class:`LiveReplayer` (which forwards a CSV shard's
+    validated stored bytes, with checkpoint resume); ``decode`` and
+    ``raw`` feed :func:`~repro.core.codec.iter_raw_batches` to the same
     :class:`~repro.core.replayer.PacedLoop`: binary frames whole via
     ``send_frame``, CSV runs of up to ``batch_size`` lines via
     ``send_raw``.  They have no checkpoint resume: a transport failure
@@ -519,10 +508,10 @@ def replay_shard(config: WorkerConfig, transport: Transport) -> ReplayReport:
             ),
         ).run()
     send = transport.send_frame if binary else transport.send_raw
-    count_batch = _batch_counter(config, binary)
+    count_frame = _frame_counter(config) if binary else None
 
     def emit(batch: codec.RawBatch) -> int:
-        count = batch.count if count_batch is None else count_batch(batch.data)
+        count = batch.count if count_frame is None else count_frame(batch.data)
         send(batch.data, count)
         return count
 

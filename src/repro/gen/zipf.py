@@ -10,6 +10,7 @@ Zipf-like power of its rank in a caller-supplied scoring.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import random
 from typing import Callable, Sequence, TypeVar
@@ -24,6 +25,13 @@ def zipf_weights(n: int, exponent: float = 1.0) -> list[float]:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return [1.0 / (rank**exponent) for rank in range(1, n + 1)]
+
+
+@functools.lru_cache(maxsize=64)
+def _cumulative_weights(n: int, exponent: float) -> tuple[float, ...]:
+    """Running sums of :func:`zipf_weights`; selections recur with the
+    same pool size, so they share one table instead of rebuilding it."""
+    return tuple(itertools.accumulate(zipf_weights(n, exponent)))
 
 
 class ZipfSelector:
@@ -55,8 +63,7 @@ class ZipfSelector:
         if not items:
             raise ValueError("cannot select from an empty sequence")
         ranked = sorted(items, key=key, reverse=not self._ascending)
-        weights = zipf_weights(len(ranked), self._exponent)
-        cumulative = list(itertools.accumulate(weights))
+        cumulative = _cumulative_weights(len(ranked), self._exponent)
         pick = self._rng.random() * cumulative[-1]
         index = bisect.bisect_left(cumulative, pick)
         index = min(index, len(ranked) - 1)
@@ -70,8 +77,7 @@ class ZipfSelector:
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        weights = zipf_weights(n, self._exponent)
-        cumulative = list(itertools.accumulate(weights))
+        cumulative = _cumulative_weights(n, self._exponent)
         pick = self._rng.random() * cumulative[-1]
         index = bisect.bisect_left(cumulative, pick)
         return min(index, n - 1)

@@ -1,10 +1,15 @@
-"""Tsan-instrumented replay: the reader/emitter hand-off is race-free."""
+"""Tsan-instrumented replay: the reader/emitter hand-off is race-free.
+
+A CSV file replayed onto a CSV wire is read inline on the emitting
+thread, so the file sources here are GTB1: transcoding a binary file
+to CSV lines keeps the reader thread and its hand-off queue.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import codec, events
+from repro.core import binfmt, codec, events
 from repro.core.connectors import CallbackTransport
 from repro.core.replayer import LiveReplayer
 from repro.check.tsan import Monitor, instrument, watch_threads
@@ -24,7 +29,9 @@ READER_FIELDS = ("queue", "error")
 
 def _write_stream(path, count=3000):
     codec.write_stream_file(
-        path, (events.add_vertex(i, f"s{i}") for i in range(count))
+        path,
+        (events.add_vertex(i, f"s{i}") for i in range(count)),
+        format="binary",
     )
     return path
 
@@ -44,7 +51,7 @@ def _instrument_replay(replayer, monitor):
 
 
 def test_clean_replay_is_race_free(tmp_path, tsan_monitor):
-    stream = _write_stream(tmp_path / "stream.csv")
+    stream = _write_stream(tmp_path / "stream.gtb")
     received: list[str] = []
     replayer = LiveReplayer(
         stream,
@@ -63,8 +70,8 @@ def test_clean_replay_is_race_free(tmp_path, tsan_monitor):
 
 
 def test_reader_failure_handoff_is_race_free(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("NOT_A_COMMAND,1,2\n", encoding="utf-8")
+    bad = tmp_path / "bad.gtb"
+    bad.write_bytes(binfmt.MAGIC + b"\x01\x02\x03")  # truncated frame header
     monitor = Monitor()
     with watch_threads(monitor):
         replayer = LiveReplayer(

@@ -1,9 +1,10 @@
 """The one CSV reader: line endings and file release on a parse error.
 
 Every file entry point (``GraphStream.read``, ``codec.parse_stream_file``,
-``codec.iter_parse_chunks`` and the replayers built on it) reads CSV
-through the same mmap block reader, so they must agree on where lines
-end, and a parse error must not keep the stream file mapped or open.
+``codec.iter_parse_chunks``, ``codec.iter_raw_batches`` and the replayers
+built on them) reads CSV through the same mmap block cutter, so they must
+agree on where lines end, and a parse error must not keep the stream file
+mapped or open.
 """
 
 from __future__ import annotations

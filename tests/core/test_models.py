@@ -1,9 +1,12 @@
 """Unit tests for the built-in rule sets and the Table-4 stream."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
+from repro.core import codec
 from repro.core.events import EventType, GraphEvent, MarkerEvent, PauseEvent, SpeedEvent
 from repro.core.generator import StreamGenerator
 from repro.core.models import (
@@ -17,6 +20,7 @@ from repro.core.models import (
     chronograph_table4_stream,
 )
 from repro.gen.snb import SnbConfig
+from repro.gen.zipf import ZipfSelector
 from repro.graph.builders import build_graph
 
 
@@ -225,3 +229,55 @@ class TestChronographTable4Stream:
             chronograph_table4_stream(
                 SnbConfig(total_events=100), pause_after=50, double_rate_until=20
             )
+
+
+class TestPinnedStreams:
+    """Generated streams are byte-identical to the recorded digests.
+
+    The digests were recorded before ``EventMix.sample`` and the Zipf
+    selector cached their cumulative weights; the caches must change
+    speed only, never which event or vertex a seed draws.
+    """
+
+    MODELS = {
+        "uniform": lambda: UniformRules(
+            mix=EventMix(
+                add_vertex=0.3,
+                remove_vertex=0.05,
+                update_vertex=0.3,
+                add_edge=0.25,
+                remove_edge=0.05,
+                update_edge=0.05,
+            )
+        ),
+        "weaver": lambda: WeaverTable3Rules(n=300, m0=20, m=4),
+        "social": SocialNetworkRules,
+        "ddos": DdosTrafficRules,
+        "blockchain": BlockchainRules,
+    }
+
+    DIGESTS = {
+        "uniform": (1652, "d3b61a402f9310f08aacbc307f382124f85157423d548593d97c9c00a1fc9526"),
+        "weaver": (2942, "714a2237018fabfe4569e24f9696d0735f1fbd72bf4d1d74d8a0947f879f73ed"),
+        "social": (1542, "d885a1de2999bdc679f2a78007fb55d121d2def2406370394ac27de00ee8be60"),
+        "ddos": (1507, "9258513870e887c6c9001dbc868532a68f0d70a5ae41792b7a8646128af9a47b"),
+        "blockchain": (1527, "984946140d0a23560d93f74eaf93100fba0cfc9dd1d1eae8ecbd5ccdc06ccbeb"),
+    }
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_stream_digest(self, model):
+        stream = StreamGenerator(self.MODELS[model](), rounds=1500, seed=11).generate()
+        text = codec.format_events(list(stream))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert (len(stream), digest) == self.DIGESTS[model]
+
+    def test_zipf_draws(self):
+        rng = random.Random(5)
+        heavy = ZipfSelector(rng, exponent=1.5)
+        ascending = ZipfSelector(rng, ascending=True)
+        picks = [heavy.select_rank(n) for n in (1, 2, 7, 7, 50, 7, 1000)]
+        picks += [
+            ascending.select(list(range(40)), key=lambda v: v % 7)
+            for __ in range(5)
+        ]
+        assert picks == [0, 1, 2, 5, 4, 4, 0, 21, 12, 15, 18, 0]

@@ -1,0 +1,360 @@
+"""Verbatim CSV replay sends exactly what parse → format would send.
+
+A CSV file replayed onto a CSV wire goes out as its stored bytes when
+its block matches the canonical line grammar, and through
+``parse_lines`` + ``format_lines`` otherwise.  Every fixture below mixes
+in one hazard the grammar must refuse (or accept) correctly; whatever
+the path, the receiver's bytes must equal ``format(parse(line))`` for
+each graph line — through ``LiveReplayer`` and through
+``ShardedReplayer`` at 1 and 2 workers, every emission mode and every
+byte transport.
+"""
+
+from __future__ import annotations
+
+import collections
+import contextlib
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.core import codec, shm
+from repro.core.connectors import CallbackTransport, PipeSpec, ShmSpec, TcpSpec
+from repro.core.events import GraphEvent
+from repro.core.replayer import LiveReplayer
+from repro.core.sharding import ShardedReplayer, _entity_shard, write_shards
+from repro.errors import ReplayError, StreamFormatError
+
+FAST = 1e9
+
+#: One canonical graph line per 28-33 bytes: 3000 lines fill a block.
+CANONICAL = "".join(f"ADD_VERTEX,{i},payload-{i}\n" for i in range(3000))
+
+FIXTURES: dict[str, bytes] = {
+    "canonical": b"ADD_VERTEX,1,a\nADD_EDGE,-5--3,x\\,y\\\\z\\n\\r\nMARKER,m,\n"
+    b"UPDATE_VERTEX,0,\nREMOVE_EDGE,0-0,p\n",
+    "padded": b"ADD_VERTEX, 1, a\n ADD_VERTEX ,2,b\nADD_EDGE, 1-2 ,w\n",
+    "crlf": b"ADD_VERTEX,1,a\r\nMARKER,m,\r\nADD_EDGE,1-2,w\r\n",
+    "lone-cr": b"ADD_VERTEX,1,a\rADD_VERTEX,2,b\rMARKER,m,\rADD_EDGE,1-2,w\r",
+    "unknown-escape": b"ADD_VERTEX,1,a\\xb\nADD_VERTEX,2,c\n",
+    "trailing-backslash": b"UPDATE_VERTEX,1,ab\\\nADD_VERTEX,2,c\n",
+    "raw-comma": b"ADD_VERTEX,1,a,b\nADD_VERTEX,2,c\n",
+    "ids": b"ADD_VERTEX,007,a\nADD_VERTEX,+5,b\nADD_VERTEX,-0,c\n"
+    b"ADD_VERTEX,1_000,d\nADD_EDGE,01-+2,e\n",
+    "comments-and-blanks": b"  # indented\n#c\n\n   \nADD_VERTEX,1,a\n\n"
+    b"SPEED,2,\nADD_VERTEX,2,b\n",
+    "no-final-newline": b"ADD_VERTEX,1,a\nADD_VERTEX,2,b",
+    # Three blocks: canonical, one with a padded and a CRLF line, canonical.
+    "multi-block": (CANONICAL + "ADD_VERTEX, 7, pad\nADD_VERTEX,8,crlf\r\n"
+                    + CANONICAL + CANONICAL).encode(),
+}
+
+
+#: Every hazard in one file (mixed line endings included).
+ALL_HAZARDS = b"\n".join(
+    FIXTURES[name] for name in sorted(FIXTURES) if name != "no-final-newline"
+) + b"\n" + FIXTURES["no-final-newline"]
+
+
+def _expected_lines(path) -> list[bytes]:
+    """``format(parse(line))`` of every graph line, newline-terminated."""
+    return [
+        (codec.format_event(event) + "\n").encode()
+        for event in codec.parse_stream_file(path)
+        if type(event) is GraphEvent
+    ]
+
+
+def _write(tmp_path, name: str, data: bytes):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(data)
+    return path
+
+
+# -- byte-capturing receivers ------------------------------------------------
+
+
+@contextlib.contextmanager
+def _pipe_capture(tmp_path, workers):
+    """PipeTransport into one file per worker."""
+    outs = [tmp_path / f"wire-{index}.out" for index in range(workers)]
+    captured: list[bytes] = []
+    yield [PipeSpec(target=str(out)) for out in outs], captured
+    captured.extend(out.read_bytes() for out in outs)
+
+
+@contextlib.contextmanager
+def _tcp_capture(tmp_path, workers):
+    """A loopback server keeping each connection's bytes."""
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(30.0)
+    buffers: list[bytearray] = []
+
+    def read(connection, buffer):
+        with connection:
+            while chunk := connection.recv(1 << 16):
+                buffer += chunk
+
+    def serve():
+        readers = []
+        for __ in range(workers):
+            connection, __ = server.accept()
+            buffer = bytearray()
+            buffers.append(buffer)
+            reader = threading.Thread(target=read, args=(connection, buffer))
+            reader.start()
+            readers.append(reader)
+        for reader in readers:
+            reader.join(30.0)
+
+    acceptor = threading.Thread(target=serve)
+    acceptor.start()
+    captured: list[bytes] = []
+    try:
+        yield TcpSpec(port=server.getsockname()[1]), captured
+    finally:
+        acceptor.join(30.0)
+        server.close()
+    captured.extend(bytes(buffer) for buffer in buffers)
+
+
+@contextlib.contextmanager
+def _shm_capture(tmp_path, workers):
+    """One ring per worker, drained slot by slot into bytes."""
+    rings = [shm.ShmRing.create(slots=256, arena_bytes=1 << 20) for __ in range(workers)]
+    buffers = [bytearray() for __ in rings]
+
+    def drain(ring, buffer):
+        consumer = shm.RingConsumer(ring)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            slots = consumer.pop_available()
+            for slot in slots:
+                if slot.kind == shm.SLOT_RAW:
+                    buffer += slot.payload
+                if isinstance(slot.payload, memoryview):
+                    slot.payload.release()
+            consumer.advance()
+            if consumer.finished:
+                return
+            if not slots:
+                time.sleep(0.001)
+
+    drainers = [
+        threading.Thread(target=drain, args=(ring, buffer))
+        for ring, buffer in zip(rings, buffers)
+    ]
+    for drainer in drainers:
+        drainer.start()
+    captured: list[bytes] = []
+    try:
+        yield [ShmSpec(name=ring.name) for ring in rings], captured
+    finally:
+        for drainer in drainers:
+            drainer.join(30.0)
+        for ring in rings:
+            ring.close()
+            ring.unlink()
+    captured.extend(bytes(buffer) for buffer in buffers)
+
+
+CAPTURES = {"pipe": _pipe_capture, "tcp": _tcp_capture, "shm": _shm_capture}
+
+
+def _lines(wire: bytes) -> list[bytes]:
+    return wire.splitlines(keepends=True)
+
+
+# -- LiveReplayer ------------------------------------------------------------
+
+
+class TestLiveReplayer:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    def test_callback_lines_equal_reformatted_lines(self, tmp_path, name, batch_size):
+        path = _write(tmp_path, name, FIXTURES[name])
+        received: list[str] = []
+        report = LiveReplayer(
+            path, CallbackTransport(received.append), rate=FAST, batch_size=batch_size
+        ).run()
+        expected = _expected_lines(path)
+        assert [(line + "\n").encode() for line in received] == expected
+        assert report.events_emitted == len(expected)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("transport", sorted(CAPTURES))
+    def test_wire_bytes_equal_reformatted_lines(self, tmp_path, name, transport):
+        path = _write(tmp_path, name, FIXTURES[name])
+        with CAPTURES[transport](tmp_path, 1) as (specs, captured):
+            spec = specs[0] if isinstance(specs, list) else specs
+            LiveReplayer(path, spec.build(), rate=FAST, batch_size=4).run()
+        assert captured == [b"".join(_expected_lines(path))]
+
+    def test_stored_bytes_forwarded_without_parse_or_format(
+        self, tmp_path, monkeypatch
+    ):
+        """A canonical file never reaches the parse or format step."""
+        path = _write(tmp_path, "canonical", FIXTURES["canonical"] + CANONICAL.encode())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("canonical lines were parsed or formatted")
+
+        for name in ("parse_lines", "format_lines", "iter_parse_chunks"):
+            monkeypatch.setattr(codec, name, refuse)
+        received: list[str] = []
+        LiveReplayer(path, CallbackTransport(received.append), rate=FAST, batch_size=64).run()
+        assert len(received) == 3004
+
+
+# -- ShardedReplayer ---------------------------------------------------------
+
+
+def _sharded(path, specs, workers, emission):
+    return ShardedReplayer(
+        str(path),
+        specs,
+        rate=FAST,
+        workers=workers,
+        emission=emission,
+        batch_size=4,
+    ).run()
+
+
+class TestShardedReplayer:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("emission", ["events", "decode", "raw"])
+    @pytest.mark.parametrize("transport", sorted(CAPTURES))
+    def test_one_worker_sends_reformatted_bytes(
+        self, tmp_path, name, emission, transport
+    ):
+        path = _write(tmp_path, name, FIXTURES[name])
+        with CAPTURES[transport](tmp_path, 1) as (specs, captured):
+            report = _sharded(path, specs, 1, emission)
+        expected = _expected_lines(path)
+        assert captured == [b"".join(expected)]
+        assert report.events_emitted == len(expected)
+
+    @pytest.mark.parametrize("emission", ["events", "decode", "raw"])
+    @pytest.mark.parametrize("transport", sorted(CAPTURES))
+    def test_two_workers_send_the_reformatted_multiset(
+        self, tmp_path, emission, transport
+    ):
+        # The partitioner and both workers' readers must agree on lines
+        # and on their canonical bytes.
+        path = _write(tmp_path, "all", ALL_HAZARDS)
+        with CAPTURES[transport](tmp_path, 2) as (specs, captured):
+            report = _sharded(path, specs, 2, emission)
+        expected = _expected_lines(path)
+        wire_lines = [line for wire in captured for line in _lines(wire)]
+        assert collections.Counter(wire_lines) == collections.Counter(expected)
+        assert report.events_emitted == len(expected)
+        assert all(wire.endswith(b"\n") for wire in captured if wire)
+
+
+@pytest.mark.parametrize("shard_by", ["round-robin", "hash"])
+def test_partition_places_every_graph_line_once(tmp_path, shard_by):
+    """Padded and indented graph lines go to one shard, like canonical
+    ones; only control lines are replicated."""
+    path = _write(tmp_path, "all", ALL_HAZARDS)
+    plan = write_shards(str(path), 3, tmp_path / "shards", shard_by=shard_by)
+    source = codec.parse_stream_file(path)
+    graph = [event for event in source if type(event) is GraphEvent]
+    shards = [codec.parse_stream_file(shard) for shard in plan.paths]
+    placed = [event for shard in shards for event in shard if type(event) is GraphEvent]
+    assert collections.Counter(placed) == collections.Counter(graph)
+    assert plan.control_events == len(source) - len(graph)
+    if shard_by == "hash":
+        for index, shard in enumerate(shards):
+            assert all(
+                _entity_shard(event.entity, 3) == index
+                for event in shard
+                if type(event) is GraphEvent
+            )
+
+
+class TestLoneCarriageReturnSharding:
+    """Lone-CR files shard on the same line boundaries as ``\\n`` files."""
+
+    LINES = [f"ADD_VERTEX,{i},v{i}" for i in range(6)] + ["MARKER,mid,"] + [
+        f"ADD_VERTEX,{i},v{i}" for i in range(6, 12)
+    ]
+
+    def _replay(self, tmp_path, ending: str):
+        directory = tmp_path / ending.encode().hex()
+        directory.mkdir()
+        path = directory / "stream.csv"
+        path.write_bytes((ending.join(self.LINES) + ending).encode())
+        outs = [directory / f"out-{index}.csv" for index in range(2)]
+        replayer = ShardedReplayer(
+            str(path),
+            [PipeSpec(target=str(out)) for out in outs],
+            rate=FAST,
+            workers=2,
+            emission="events",
+        )
+        report = replayer.run()
+        return replayer.plan, report, [out.read_bytes() for out in outs]
+
+    def test_events_and_marker_reach_both_shards(self, tmp_path):
+        plan, report, wires = self._replay(tmp_path, "\r")
+        assert plan.graph_events == (6, 6)
+        assert plan.control_events == 1
+        assert [shard.events_emitted for shard in report.shards] == [6, 6]
+        assert [[label for label, __ in shard.marker_times] for shard in report.shards] == [
+            ["mid"],
+            ["mid"],
+        ]
+        assert wires == self._replay(tmp_path, "\n")[2]
+
+
+# -- typed refusals ----------------------------------------------------------
+
+
+class TestSourceErrors:
+    """Malformed files fail exactly as the parse path failed: same byte
+    offset or line number, same ``ReplayError`` wrapping."""
+
+    def _replay(self, tmp_path, data: bytes):
+        path = _write(tmp_path, "bad", data)
+        with pytest.raises(ReplayError) as err:
+            LiveReplayer(
+                path, CallbackTransport(lambda line: None), rate=FAST, batch_size=256
+            ).run()
+        return err.value
+
+    def test_bad_byte_past_the_first_block(self, tmp_path):
+        data = CANONICAL.encode() + b"ADD_VERTEX,1,caf\xe9\n" + CANONICAL.encode()
+        error = self._replay(tmp_path, data)
+        assert str(error) == (
+            "stream source failed: byte offset 84796: "
+            "stream file is not valid UTF-8 (invalid continuation byte)"
+        )
+        assert isinstance(error.__cause__, StreamFormatError)
+        assert error.__cause__.byte_offset == 84796
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"NOPE,1,", "unknown command 'NOPE'"),
+            (
+                b"SPEED,fast,",
+                "bad SPEED factor: could not convert string to float: 'fast'",
+            ),
+        ],
+    )
+    def test_bad_line_in_block_three(self, tmp_path, line, message):
+        data = (CANONICAL * 3).encode() + line + b"\n" + CANONICAL.encode()
+        error = self._replay(tmp_path, data)
+        assert str(error) == f"stream source failed: line 9001: {message}"
+        assert error.__cause__.line_number == 9001
+
+    @pytest.mark.parametrize("emission", ["decode", "raw"])
+    def test_stored_byte_emission_refuses_a_bad_byte(self, tmp_path, emission):
+        path = _write(
+            tmp_path, "bad", CANONICAL.encode() + b"ADD_VERTEX,1,caf\xe9\n"
+        )
+        with pytest.raises(StreamFormatError) as err:
+            _sharded(path, PipeSpec(target=str(tmp_path / "out")), 1, emission)
+        assert err.value.byte_offset == 84796

@@ -8,6 +8,7 @@ legacy serializer can produce.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,39 @@ class TestParsedEventsAreValid:
             return
         assert len(parsed) == 1
         _assert_valid_graph_event(parsed[0])
+
+
+#: The canonical graph-line grammar of the verbatim replay path, as
+#: bytes (what the reader matches) and as text (what Hypothesis draws).
+CANONICAL_LINE = re.compile(codec._GRAPH_LINE)
+canonical_lines = st.from_regex(codec._GRAPH_LINE.decode("ascii"), fullmatch=True)
+
+
+class TestCanonicalLineGrammar:
+    """Verbatim replay forwards a graph line's stored bytes only when it
+    matches the canonical grammar, which is sound only if every such
+    line is a fixed point of parse → format."""
+
+    @given(canonical_lines)
+    @settings(max_examples=300)
+    def test_matching_lines_are_fixed_points(self, line):
+        assert CANONICAL_LINE.fullmatch(line.encode("utf-8")) is not None
+        assert codec.format_event(codec.parse_line(line)) == line
+
+    @given(raw_lines)
+    @settings(max_examples=300)
+    def test_near_format_lines_that_match_are_fixed_points(self, line):
+        if CANONICAL_LINE.fullmatch(line.encode("utf-8")) is None:
+            return
+        assert codec.format_event(codec.parse_line(line)) == line
+
+    @given(any_events())
+    @settings(max_examples=200)
+    def test_formatted_graph_lines_match(self, event):
+        # Streams the generator writes take the zero-copy path.
+        if type(event) is GraphEvent:
+            line = codec.format_event(event).encode("utf-8")
+            assert CANONICAL_LINE.fullmatch(line) is not None
 
 
 class TestLegacyEquivalence:
