@@ -88,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="token-bucket burst size: events emitted per wakeup and "
-        "transport call, in every emission mode; binary frames go whole "
-        "(1 = per-event pacing; larger values such as 256 raise the "
-        "saturation rate)",
+        "transport call; a stored binary frame with more records is "
+        "re-framed (1 = per-event pacing; larger values such as 256 "
+        "raise the saturation rate)",
     )
     scale = rep.add_argument_group(
         "scale-out",
@@ -110,19 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
         "hash keeps each vertex's events on one shard (may skew)",
     )
     scale.add_argument(
-        "--emission", choices=("events", "decode", "raw"), default="events",
-        help="worker emission path: events (the LiveReplayer, with "
-        "checkpoint resume), decode (each worker counts a binary "
-        "shard's records before sending its stored frames) or raw "
-        "(stored frames, trusting their headers).  CSV lines go out as "
-        "stored in every mode once their block passes the canonical "
-        "line grammar (other blocks are re-formatted); decode/raw have "
-        "no checkpoint resume",
-    )
-    scale.add_argument(
         "--format", choices=("auto", "csv", "binary"), default="auto",
-        help="shard wire format: auto keeps the source format; csv or "
-        "binary transcodes the shards during partitioning",
+        help="wire format: auto keeps the source format; csv or binary "
+        "transcodes the shards during partitioning (at one worker, on "
+        "the replayer's reader thread)",
     )
     retry = rep.add_argument_group(
         "resilient delivery",
@@ -504,8 +495,8 @@ def _replay_transport_spec(args: argparse.Namespace):
 
     For ``--transport shm`` with multiple workers this returns one
     :class:`ShmSpec` per worker (rings are strictly single-producer),
-    so the result may be a tuple — every consumer of this helper
-    (:class:`LiveReplayer` single-spec path excepted) accepts either.
+    so the result may be a tuple; :class:`ShardedReplayer` accepts
+    either.
     """
     from repro.core.connectors import PipeSpec, ShmSpec, TcpSpec
 
@@ -550,25 +541,6 @@ def _replay_chain_configs(args: argparse.Namespace):
     return chaos_config, retry_policy
 
 
-def _build_replay_transport(args: argparse.Namespace):
-    """Compose the replay delivery chain: base -> chaos -> retrying."""
-    from repro.core.resilience import build_transport_chain
-
-    spec = _replay_transport_spec(args)
-    chaos_config, retry_policy = _replay_chain_configs(args)
-
-    def build():
-        return build_transport_chain(
-            spec.build(),
-            chaos_config=chaos_config,
-            retry_policy=retry_policy,
-            breaker_threshold=args.breaker_threshold,
-            breaker_recovery=args.breaker_recovery,
-        )
-
-    return build
-
-
 def _print_trace_summary(tracer, path: str) -> None:
     accounting = tracer.accounting()
     print(
@@ -583,23 +555,15 @@ def _print_trace_summary(tracer, path: str) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.core import codec
-    from repro.core.replayer import LiveReplayer
+    from repro.core.sharding import ShardedReplayer
 
-    if args.workers > 1 or args.emission != "events":
-        return _run_sharded_replay(args)
-    build_base = _build_replay_transport(args)
     tracer = None
     if args.trace_out:
-        from repro.core.tracing import (
-            Tracer,
-            TracingTransport,
-            reset_shared_clock,
-        )
+        from repro.core.tracing import Tracer, reset_shared_clock
 
         # Fresh shared clock: the trace epoch starts at replay setup,
         # and every live component stamping through shared_clock()
-        # (probes, receivers) shares it.
+        # (probes, receivers, workers given its origin) shares it.
         tracer = Tracer(
             clock=reset_shared_clock(),
             sample_every=args.trace_sample,
@@ -607,56 +571,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 "mode": "live",
                 "stream": args.stream,
                 "transport": args.transport,
+                "workers": args.workers,
             },
         )
-
-        def build():
-            return TracingTransport(build_base(), tracer)
-
-    else:
-        build = build_base
-    replayer = LiveReplayer(
-        args.stream,
-        build(),
-        rate=args.rate,
-        wire_format=(
-            codec.detect_stream_format(args.stream)
-            if args.format == "auto"
-            else args.format
-        ),
-        batch_size=args.batch_size,
-        max_resumes=args.max_resumes,
-        transport_factory=build if args.max_resumes > 0 else None,
-        tracer=tracer,
-    )
-    report = replayer.run()
-    _print_replay_summary(report)
-    if tracer is not None:
-        tracer.write_chrome_trace(args.trace_out)
-        _print_trace_summary(tracer, args.trace_out)
-    return 0
-
-
-def _run_sharded_replay(args: argparse.Namespace) -> int:
-    """The sharded path: ``--workers N`` (N > 1) or ``--emission decode|raw``."""
-    from repro.core.sharding import ShardedReplayer
-
-    if args.trace_out:
-        print(
-            "error: --trace-out requires --workers 1 --emission events, "
-            f"got --workers {args.workers} --emission {args.emission} "
-            "(the tracer runs in-process on the events path)",
-            file=sys.stderr,
-        )
-        return 2
     chaos_config, retry_policy = _replay_chain_configs(args)
-    replayer = ShardedReplayer(
+    report = ShardedReplayer(
         args.stream,
         _replay_transport_spec(args),
         rate=args.rate,
         workers=args.workers,
         shard_by=args.shard_by,
-        emission=args.emission,
         stream_format=args.format,
         batch_size=args.batch_size,
         chaos_config=chaos_config,
@@ -664,24 +588,28 @@ def _run_sharded_replay(args: argparse.Namespace) -> int:
         breaker_threshold=args.breaker_threshold,
         breaker_recovery=args.breaker_recovery,
         max_resumes=args.max_resumes,
-    )
-    report = replayer.run()
-    print(
-        f"shards: {args.workers} workers ({args.shard_by}, {args.emission}): "
-        + ", ".join(
-            f"#{index} {shard.events_emitted} events @ {shard.mean_rate:.0f}/s"
-            for index, shard in enumerate(report.shards)
-        ),
-        file=sys.stderr,
-    )
+        tracer=tracer,
+    ).run()
+    if args.workers > 1:
+        print(
+            f"shards: {args.workers} workers ({args.shard_by}): "
+            + ", ".join(
+                f"#{index} {shard.events_emitted} events @ {shard.mean_rate:.0f}/s"
+                for index, shard in enumerate(report.shards)
+            ),
+            file=sys.stderr,
+        )
     _print_replay_summary(report)
+    if tracer is not None:
+        tracer.write_chrome_trace(args.trace_out)
+        _print_trace_summary(tracer, args.trace_out)
     return 0
 
 
 def _print_replay_summary(report) -> None:
-    """The replay summary + fault-summary lines (shared by both paths).
+    """The replay summary + fault-summary lines.
 
-    For a sharded report the fault line carries the per-worker
+    With more than one worker the fault line carries the per-worker
     breakdown (``#i injected/retries/redeliveries``) after the totals.
     """
     print(
@@ -695,7 +623,7 @@ def _print_replay_summary(report) -> None:
         report.chaos_faults or report.retries or report.redeliveries
         or report.breaker_openings or report.resumes
     ):
-        shards = getattr(report, "shards", ())
+        shards = report.shards
         per_worker = ""
         if len(shards) > 1:
             per_worker = "; per worker " + ", ".join(

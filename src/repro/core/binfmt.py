@@ -370,13 +370,15 @@ def frame_info(frame: bytes | memoryview) -> tuple[int, int]:
 
 
 def iter_frame_record_spans(
-    frame: bytes | memoryview,
+    frame: bytes | memoryview, offset: int = 0
 ) -> Iterator[tuple[int, int]]:
     """Yield the ``(start, end)`` byte span of each record in a frame.
 
     Spans include the record header, so ``frame[start:end]`` is the
     record's complete wire bytes — the streamed partitioner scatters
-    these into per-shard writers without decoding them.
+    these into per-shard writers without decoding them.  ``offset`` is
+    added to the byte offset a bad record reports (the frame's position
+    in its file).
     """
     try:
         __, count, body_len = _FRAME_HEADER.unpack_from(frame, 0)
@@ -395,13 +397,13 @@ def iter_frame_record_spans(
             __, body = unpack_record(frame, position)
         except struct.error:
             raise StreamFormatError(
-                "truncated binary record header", byte_offset=position
+                "truncated binary record header", byte_offset=offset + position
             ) from None
         end = position + RECORD_HEADER_SIZE + body
         if end > end_of_body:
             raise StreamFormatError(
                 f"binary record overruns its frame ({end} > {end_of_body})",
-                byte_offset=position,
+                byte_offset=offset + position,
             )
         yield position, end
         position = end
@@ -417,9 +419,11 @@ def iter_frame_record_spans(
 def decode_frame_events(frame: bytes | memoryview) -> list[Event]:
     """Decode every record of one frame (header included) into events.
 
-    The decode-in-worker hot loop: per record one ``Struct.unpack_from``
-    for the header, one for the entity, and one UTF-8 payload
-    construction — no string splitting, no integer parsing.
+    The parse loop of every GTB1 reader that needs events (a reader
+    thread transcoding a replay, a line-only transport's
+    ``send_frame``): per record one ``Struct.unpack_from`` for the
+    header, one for the entity, and one UTF-8 payload construction —
+    no string splitting, no integer parsing.
     """
     try:
         __, count, body_len = _FRAME_HEADER.unpack_from(frame, 0)
@@ -471,17 +475,19 @@ def decode_frame_events(frame: bytes | memoryview) -> list[Event]:
     return events
 
 
-def scan_frame(frame: bytes | memoryview) -> int:
+def scan_frame(frame: bytes | memoryview, offset: int = 0) -> int:
     """Validate one frame's record structure and return its record count.
 
     Walks every record header — tag known, length prefix inside the
     frame body, body count matching the frame header — without
-    materialising event objects.  This is the decode-in-worker fast
-    path for paced replay: the worker proves each record well-formed
-    and counts it (the length prefixes make that a fixed-cost header
-    walk, where CSV needs a charwise split-and-parse), then forwards
-    the frame bytes verbatim.  Consumers that need the payloads call
-    :func:`decode_frame_events` instead.
+    materialising event objects.  This is how a file replay counts a
+    GTB1 frame when its file has no witness sidecar: each record is
+    proven well-formed and counted (the length prefixes make that a
+    fixed-cost header walk, where CSV needs a charwise
+    split-and-parse), then the frame bytes go out verbatim.  ``offset``
+    is added to the byte offset a bad record reports (see
+    :class:`~repro.core.codec.RawBatch`).  Consumers that need the
+    payloads call :func:`decode_frame_events` instead.
     """
     try:
         __, count, body_len = _FRAME_HEADER.unpack_from(frame, 0)
@@ -502,18 +508,19 @@ def scan_frame(frame: bytes | memoryview) -> int:
             tag, body = unpack_record(frame, position)
             if tag not in known_tags:
                 raise StreamFormatError(
-                    f"unknown binary record tag {tag}", byte_offset=position
+                    f"unknown binary record tag {tag}",
+                    byte_offset=offset + position,
                 )
             position += header_size + body
             seen += 1
     except struct.error:
         raise StreamFormatError(
-            "truncated binary record header", byte_offset=position
+            "truncated binary record header", byte_offset=offset + position
         ) from None
     if position > end_of_body:
         raise StreamFormatError(
             f"binary record overruns its frame ({position} > {end_of_body})",
-            byte_offset=position,
+            byte_offset=offset + position,
         )
     if seen != count:
         raise StreamFormatError(
@@ -544,7 +551,7 @@ class BinaryStreamWriter:
     With ``witness_path`` the writer also records a structural witness
     sidecar (per-frame kind/count/body, per-record body length — see
     :mod:`repro.core.witness`): the facts it already computes while
-    framing, captured so a decode-mode replay can bulk-verify the file
+    framing, captured so a replay of the file can bulk-verify it
     instead of re-walking every record header.
     """
 
@@ -761,8 +768,30 @@ def _frames_end(mapped) -> int:
     return size
 
 
+def _split_frame(
+    frame: memoryview, offset: int, batch_records: int
+) -> Iterator["RawBatch"]:
+    """Re-frame a graph frame into frames of at most ``batch_records``
+    records, from its record spans (the records are copied; each new
+    frame's ``offset`` still maps its records to the file)."""
+    from repro.core.codec import RawBatch
+
+    spans = list(iter_frame_record_spans(frame, offset))
+    for first in range(0, len(spans), batch_records):
+        run = spans[first : first + batch_records]
+        data = frame_records([bytes(frame[start:end]) for start, end in run])
+        yield RawBatch(
+            memoryview(data),
+            len(run),
+            True,
+            offset + run[0][0] - FRAME_HEADER_SIZE,
+        )
+
+
 # hot-path
-def iter_binary_batches(path: str | Path) -> Iterator["RawBatch | Event"]:
+def iter_binary_batches(
+    path: str | Path, batch_records: int | None = None
+) -> Iterator["RawBatch | Event"]:
     """Yield zero-copy graph-frame :class:`RawBatch` runs and parsed
     control events — the binary analogue of
     :func:`repro.core.codec.iter_raw_batches`.
@@ -770,11 +799,17 @@ def iter_binary_batches(path: str | Path) -> Iterator["RawBatch | Event"]:
     Graph frames come back as :class:`memoryview` slices of the file's
     mmap covering the *whole* frame (header included), so a transport
     can put them on the wire verbatim and a frame-aware receiver can
-    count records from the headers alone.  Control frames are decoded
-    into their :class:`Event` objects.  The iterator jumps frame header
-    to frame header — no content scanning.
+    count records from the headers alone.  A frame of more than
+    ``batch_records`` records (when given) is re-framed into frames of
+    at most that many.  Each batch's ``offset`` is its frame's file
+    position.  Control frames are decoded into their :class:`Event`
+    objects.  The iterator jumps frame header to frame header — no
+    content scanning.
     """
     from repro.core.codec import RawBatch
+
+    if batch_records is None:
+        batch_records = 1 << 32  # above any u32 frame count
 
     mapped = _open_binary_view(path)
     view = memoryview(mapped)
@@ -803,7 +838,12 @@ def iter_binary_batches(path: str | Path) -> Iterator["RawBatch | Event"]:
                     byte_offset=position,
                 )
             if kind == FRAME_GRAPH:
-                yield RawBatch(view[position:frame_end], count, True)
+                if count <= batch_records:
+                    yield RawBatch(view[position:frame_end], count, True, position)
+                else:
+                    yield from _split_frame(
+                        view[position:frame_end], position, batch_records
+                    )
             elif kind == FRAME_CONTROL:
                 yield decode_event(view, position + FRAME_HEADER_SIZE)
             else:

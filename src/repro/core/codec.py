@@ -535,18 +535,27 @@ class RawBatch:
     (or of a binary file's mapping, for a GTB1 frame), never copied
     through Python strings.  ``ends_with_newline`` is False only for a
     final line at EOF without one; emitters must then append the
-    terminator themselves.
+    terminator themselves.  ``offset`` maps a GTB1 frame's record bytes
+    back to the file: ``data[i]`` of a record is file byte
+    ``offset + i`` (0 for CSV runs).
 
     Consume (send) each batch before advancing the iterator that
     produced it.
     """
 
-    __slots__ = ("data", "count", "ends_with_newline")
+    __slots__ = ("data", "count", "ends_with_newline", "offset")
 
-    def __init__(self, data: memoryview, count: int, ends_with_newline: bool):
+    def __init__(
+        self,
+        data: memoryview,
+        count: int,
+        ends_with_newline: bool,
+        offset: int = 0,
+    ):
         self.data = data
         self.count = count
         self.ends_with_newline = ends_with_newline
+        self.offset = offset
 
     def __repr__(self) -> str:
         return f"RawBatch({self.count} lines, {len(self.data)} bytes)"
@@ -602,15 +611,17 @@ def iter_raw_batches(
     parse → format path sends, and a malformed line raises the same
     :class:`StreamFormatError`, line number included.
 
-    Binary stream files (magic-byte autodetected) yield whole graph
-    frames through :func:`repro.core.binfmt.iter_binary_batches`.
+    Binary stream files (magic-byte autodetected) yield graph frames of
+    at most ``batch_lines`` records through
+    :func:`repro.core.binfmt.iter_binary_batches`: a stored frame that
+    fits goes out whole, a larger one is re-framed.
     """
     if batch_lines <= 0:
         raise ValueError(f"batch_lines must be positive, got {batch_lines}")
     if detect_stream_format(path) == "binary":
         from repro.core import binfmt
 
-        yield from binfmt.iter_binary_batches(path)
+        yield from binfmt.iter_binary_batches(path, batch_records=batch_lines)
         return
     # A block holds at most one line per byte of BLOCK_SIZE (a longer
     # block is a single long line), so larger caps cut the same runs.

@@ -7,32 +7,35 @@ design to decouple both tasks and to ensure high throughput.  Emitting
 stream events is handled by a dedicated thread that uses high precision
 timestamps and busy-waiting for timeliness."
 
-Every live replay paces through one loop, :class:`PacedLoop`.  It
-consumes an iterator of batches and control events, waits for each
-batch's slot on the unified trace clock (sleep, then busy-wait the
-last millisecond), calls ``emit(batch)``, which sends the batch and
-returns its event count, and records per-window egress rates so the
-achieved rate can be analysed afterwards (the Figure 3a
-measurement).  ``MARKER``,
-``SPEED`` and ``PAUSE`` take effect at their exact stream position,
-since a feeder emits its pending batch before yielding one.  Two
-feeders drive the loop:
+Every live replay is a :class:`LiveReplayer` pacing through one loop,
+:class:`PacedLoop`.  It consumes an iterator of batches and control
+events, waits for each batch's slot on the unified trace clock (sleep,
+then busy-wait the last millisecond), calls ``emit(batch)``, which
+sends the batch and returns its event count, and records per-window
+egress rates so the achieved rate can be analysed afterwards (the
+Figure 3a measurement).  ``MARKER``, ``SPEED`` and ``PAUSE`` take
+effect at their exact stream position, since the feeder emits its
+pending batch before yielding one.  The feeder depends on the source:
 
-* :class:`LiveReplayer`.  A CSV file replayed onto a CSV wire needs
-  no event objects: the emitting thread reads it inline through
-  :func:`repro.core.codec.iter_raw_batches`, which checks each block
-  against the canonical line grammar, and sends runs of up to
-  ``batch_size`` stored lines through ``send_raw``.  Every other
-  source follows the paper's two-thread design: a reader thread parses
-  the stream into a bounded hand-off queue of event chunks (one
-  put/get per ``read_chunk`` events), and the emitter cuts them into
-  batches of up to ``batch_size`` graph events and encodes each one
-  (CSV lines for ``send_many``, or a GTB1 frame for ``send_frame``)
-  after its pacing wait.  ``batch_size=1`` reproduces per-event
-  pacing exactly; larger batches trade timing granularity for a
-  higher saturation rate.
-* :func:`repro.core.sharding.replay_shard` feeds the same iterator's
-  batches of a shard file (``decode``/``raw`` emission).
+* A stream file replayed onto a wire of its own format needs no event
+  objects: the emitting thread reads it inline through
+  :func:`repro.core.codec.iter_raw_batches` and sends the stored bytes.
+  CSV runs of up to ``batch_size`` lines, whose blocks pass the
+  canonical line grammar, go through ``send_raw``; GTB1 frames of up to
+  ``batch_size`` records go through ``send_frame`` once their records
+  are counted (:meth:`LiveReplayer._frame_counter`).
+* In-memory sources, and files transcoded to the other wire format,
+  follow the paper's two-thread design: a reader thread parses the
+  stream into a bounded hand-off queue of event chunks (one put/get
+  per ``read_chunk`` events), and the emitter cuts them into batches
+  of up to ``batch_size`` graph events and encodes each one (CSV
+  lines for ``send_many``, or a GTB1 frame for ``send_frame``) after
+  its pacing wait.
+
+``batch_size=1`` reproduces per-event pacing exactly; larger batches
+trade timing granularity for a higher saturation rate.
+:class:`repro.core.sharding.ShardedReplayer` runs one
+:class:`LiveReplayer` per shard.
 
 Resilience: the replayer checkpoints at every marker boundary.  When a
 transport failure escapes the delivery layer (see
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.core import codec
+from repro.core import binfmt, codec
 from repro.core.connectors import Transport
 from repro.core.events import (
     Event,
@@ -359,17 +362,18 @@ class LiveReplayer:
     """Replays a stream over a transport at a tunable uniform rate.
 
     ``source`` is a :class:`GraphStream`, a path to a stream file, or
-    any iterable of events.  A CSV file source with ``wire_format="csv"``
-    is forwarded as its stored lines, read on the emitting thread (see
-    :func:`~repro.core.codec.iter_raw_batches`); other sources are
-    parsed on a dedicated reader thread, decoupled from emission
-    through a bounded queue of event chunks.
+    any iterable of events.  A file source in ``wire_format`` is
+    forwarded as its stored lines or frames, read on the emitting
+    thread (see :func:`~repro.core.codec.iter_raw_batches`); other
+    sources are parsed on a dedicated reader thread, decoupled from
+    emission through a bounded queue of event chunks.
 
     ``batch_size`` is the token-bucket burst size: the emitter sends up
     to that many events per :class:`PacedLoop` wakeup in one transport
-    call.  The default of 1 matches the paper's per-event pacing;
-    raising it (e.g. to 32-256) lifts the saturation rate at the cost
-    of event timing being uniform only at batch granularity.
+    call (a larger stored GTB1 frame is re-framed).  The default of 1
+    matches the paper's per-event pacing; raising it (e.g. to 32-256)
+    lifts the saturation rate at the cost of event timing being uniform
+    only at batch granularity.
     ``read_chunk`` is how many events a reader thread hands over per
     queue operation; it does not affect emission timing.
 
@@ -452,16 +456,32 @@ class LiveReplayer:
         """Resume needs a source that can be iterated again."""
         return isinstance(self._source, (str, Path, GraphStream, list, tuple))
 
-    def _verbatim(self) -> bool:
-        """True when the stored bytes go out as they are: a CSV file
-        replayed onto a CSV wire, read inline by
+    def _stored(self) -> bool:
+        """True when the stored bytes go out as they are: a file
+        replayed onto a wire of its own format, read inline by
         :func:`~repro.core.codec.iter_raw_batches`."""
-        if self._wire_format != "csv" or not isinstance(self._source, (str, Path)):
+        if not isinstance(self._source, (str, Path)):
             return False
         try:
-            return codec.detect_stream_format(self._source) == "csv"
+            return codec.detect_stream_format(self._source) == self._wire_format
         except OSError:
             return True  # reading it fails again: a source failure
+
+    def _frame_counter(self) -> Callable[[memoryview, int], int]:
+        """How a stored GTB1 frame is counted before it is sent.
+
+        With a witness sidecar the whole file is verified once, up front
+        (:func:`~repro.core.witness.preverify_shard`; corruption raises
+        before any emission), and each frame's proven header is read.
+        Without one, each frame's records are walked
+        (:func:`~repro.core.binfmt.scan_frame`).  Both report a bad
+        record at the same file byte offset.
+        """
+        from repro.core import witness  # numpy, only for GTB1 files
+
+        if witness.preverify_shard(self._source) is not None:
+            return witness.count_verified_frame
+        return binfmt.scan_frame
 
     def _new_reader(self) -> _ReaderThread:
         return _ReaderThread(
@@ -491,12 +511,9 @@ class LiveReplayer:
         loop = PacedLoop(self._base_rate, self._window_seconds, self._clock)
         tracer = self._tracer
         batch_size = self._batch_size
-        verbatim = self._verbatim()
+        stored = self._stored()
         binary = self._wire_format == "binary"
-        if binary:
-            from repro.core.binfmt import encode_graph_frame as encode
-        else:
-            encode = codec.format_lines
+        encode = binfmt.encode_graph_frame if binary else codec.format_lines
 
         # Sampling bookkeeping kept as plain ints so an unsampled traced
         # batch costs one integer comparison over the untraced path.
@@ -528,17 +545,17 @@ class LiveReplayer:
         def attempt_emit(transport: Transport) -> Callable[[object], int]:
             """One attempt's emit: send a batch after its pacing wait
             through the transport verb bound here, encoding events first
-            (stored CSV bytes go out as they are)."""
-            if verbatim:
-                send_raw = transport.send_raw
+            (stored bytes go out as they are)."""
+            if stored:
+                send_stored = transport.send_frame if binary else transport.send_raw
 
                 def emit_stored(batch: codec.RawBatch) -> int:
                     count = batch.count
                     if tracer is None or loop.emitted + count <= next_sample:
-                        send_raw(batch.data, count)
+                        send_stored(batch.data, count)
                         return count
                     start = tracer.clock.now()
-                    send_raw(batch.data, count)
+                    send_stored(batch.data, count)
                     record_emitted(start, count)
                     return count
 
@@ -577,6 +594,7 @@ class LiveReplayer:
             label="", position=0, emitted=0, speed_factor=1.0, marker_count=0
         )
         source_error: Exception | None = None
+        count_frame: Callable[[memoryview, int], int] | None = None
 
         def take_checkpoint(position: int) -> None:
             """The marker just passed, item ``position`` of the source,
@@ -601,19 +619,26 @@ class LiveReplayer:
 
         def stored_batches() -> Iterator[object]:
             """The file's validated batches and control events, read on
-            this thread.  Items up to the checkpoint were delivered
+            this thread; GTB1 frames are counted by the rule the first
+            attempt chose.  Items up to the checkpoint were delivered
             before a resume and are skipped.  A source failure ends the
             items and is raised after the attempt, as a reader's is."""
-            nonlocal source_error
+            nonlocal source_error, count_frame
             skip = checkpoint.position
             position = 0
             try:
+                if binary and count_frame is None:
+                    count_frame = self._frame_counter()
+                count = count_frame
+                raw_batch = codec.RawBatch
                 for item in codec.iter_raw_batches(
                     self._source, batch_lines=batch_size
                 ):
                     position += 1
                     if position <= skip:
                         continue
+                    if count is not None and type(item) is raw_batch:
+                        item.count = count(item.data, item.offset)
                     yield item
                     if isinstance(item, MarkerEvent):
                         take_checkpoint(position)
@@ -662,7 +687,7 @@ class LiveReplayer:
             transport = self._transport
             reader = None
             items: Iterator[object]
-            if verbatim:
+            if stored:
                 items = stored_batches()
             else:
                 reader = self._new_reader()

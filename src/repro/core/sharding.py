@@ -26,28 +26,24 @@ constructing, or re-encoding, an :class:`Event` — the parent does I/O,
 not parsing.  In-memory sources still partition event-by-event via
 :func:`partition_stream`.
 
-Emission inside a worker runs in one of three modes, all paced by the
-one :class:`~repro.core.replayer.PacedLoop` (token bucket, one-window
-debt cap, window rates, markers, ``SPEED``/``PAUSE``), and all fed by
-:func:`repro.core.codec.iter_raw_batches`.  A CSV shard goes out the
-same way in each: every block is checked against the canonical line
-grammar and its runs of up to ``batch_size`` stored lines are sent
+Every worker replays its shard through one
+:class:`~repro.core.replayer.LiveReplayer` (token bucket, one-window
+debt cap, window rates, markers, ``SPEED``/``PAUSE``, checkpoint
+resume), reading the shard file inline through
+:func:`repro.core.codec.iter_raw_batches` with the file's own format
+on the wire.  A CSV shard's blocks are checked against the canonical
+line grammar and its runs of up to ``batch_size`` stored lines are sent
 through ``Transport.send_raw`` (a non-canonical block is parsed and
-re-formatted first), byte-for-byte the single-process behaviour.
-
-* ``"events"`` — a :class:`LiveReplayer`, with checkpoint resume; a
-  binary shard is parsed on its reader thread and re-encoded;
-* ``"decode"`` — binary frames go out whole through
-  ``Transport.send_frame`` once the worker has counted their records
-  (a struct walk, or one bulk witness check);
-* ``"raw"`` — the same frames, trusting their headers' counts.
-
-``decode`` and ``raw`` have no checkpoint resume.
+re-formatted first); a GTB1 shard's frames of up to ``batch_size``
+records go through ``Transport.send_frame`` once the worker has
+counted their records (a struct walk, or one bulk witness check up
+front).  Byte for byte, this is the single-process behaviour.
 
 Workers synchronise on a start barrier so their pacing windows share an
-epoch, and return their :class:`ReplayReport` over a queue; the merged
-report sums counts and per-window rates and keeps the per-shard
-breakdown (:class:`ShardedReplayReport`).  All cross-process
+epoch, and return their :class:`ReplayReport` (and, when traced, their
+spans and counts) over a queue; the merged report sums counts and
+per-window rates and keeps the per-shard breakdown
+(:class:`ShardedReplayReport`).  All cross-process
 configuration travels as picklable specs (:class:`WorkerConfig`,
 :class:`~repro.core.connectors.TransportSpec`,
 :class:`~repro.core.resilience.RetryPolicy`, ...), so workers can be
@@ -63,22 +59,17 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
 from repro.core import binfmt, codec, witness
 from repro.core.connectors import Transport, TransportSpec
 from repro.core.events import EdgeId, Event, GraphEvent
-from repro.core.replayer import (
-    LiveReplayer,
-    PacedLoop,
-    ReplayReport,
-    close_transport,
-)
+from repro.core.replayer import LiveReplayer, ReplayReport, close_transport
 from repro.core.resilience import ChaosConfig, RetryPolicy, build_transport_chain
 from repro.core.stream import GraphStream
-from repro.core.tracing import shared_clock
+from repro.core.tracing import Span, TraceClock, Tracer, TracingTransport
 from repro.errors import ReplayError, StreamFormatError
 
 __all__ = [
@@ -424,16 +415,18 @@ class WorkerConfig:
     The live transport is rebuilt inside the worker from
     ``transport_spec`` (plus the optional resilience configs, composed
     by :func:`~repro.core.resilience.build_transport_chain`), because
-    sockets and file objects cannot cross a process boundary.
+    sockets and file objects cannot cross a process boundary.  So is
+    the tracer: ``trace`` is the parent tracer's ``(sample_every,
+    clock origin)``, and the worker records on a clock with the same
+    origin.
     """
 
     index: int
     path: str
     rate: float
-    emission: str = "events"
     window_seconds: float = 1.0
-    #: Graph events per paced send in every emission mode (binary
-    #: frames go whole in ``decode``/``raw``).
+    #: Graph events per paced send (a larger stored GTB1 frame is
+    #: re-framed).
     batch_size: int = 64
     transport_spec: TransportSpec | None = None
     chaos_config: ChaosConfig | None = None
@@ -442,6 +435,7 @@ class WorkerConfig:
     breaker_recovery: float = 1.0
     max_resumes: int = 0
     resume_delay: float = 0.0
+    trace: tuple[int, float] | None = None
 
     def build_transport(self) -> Transport:
         if self.transport_spec is None:
@@ -457,75 +451,58 @@ class WorkerConfig:
         )
 
 
-def _frame_counter(config: WorkerConfig):
-    """How ``decode`` emission counts a stored binary frame; None when
-    the reader's own counts stand (``raw`` emission, CSV shards).
+def _live_replayer(
+    config: WorkerConfig,
+    source: GraphStream | str | Path | Iterable[Event],
+    transport: Transport,
+    wire_format: str,
+    tracer: Tracer | None,
+) -> LiveReplayer:
+    """The :class:`LiveReplayer` of one shard; with a tracer, every
+    transport it sends through records ``transported`` spans."""
 
-    Decode-in-worker validates and counts each frame's records before
-    emitting the stored bytes verbatim, so that per-event work scales
-    with ``--workers``: a :func:`~repro.core.binfmt.scan_frame` record
-    walk, or one bulk witness verification up front when the shard has
-    a sidecar (:mod:`repro.core.witness`; corruption raises before any
-    emission).  CSV shards need no counter: ``iter_raw_batches``
-    checks every block against the canonical line grammar and counts
-    its lines as it cuts the runs.
-    """
-    if config.emission == "raw":
-        return None
-    if witness.preverify_shard(config.path) is not None:
-        return witness.count_verified_frame
-    return binfmt.scan_frame
+    def traced(built: Transport) -> Transport:
+        return built if tracer is None else TracingTransport(built, tracer)
+
+    return LiveReplayer(
+        source,
+        traced(transport),
+        rate=config.rate,
+        window_seconds=config.window_seconds,
+        batch_size=config.batch_size,
+        wire_format=wire_format,
+        max_resumes=config.max_resumes,
+        resume_delay=config.resume_delay,
+        transport_factory=(
+            (lambda: traced(config.build_transport()))
+            if config.max_resumes and config.transport_spec is not None
+            else None
+        ),
+        tracer=tracer,
+    )
 
 
 # hot-path
-def replay_shard(config: WorkerConfig, transport: Transport) -> ReplayReport:
+def replay_shard(
+    config: WorkerConfig, transport: Transport, tracer: Tracer | None = None
+) -> ReplayReport:
     """Run one shard's replay on an already-built transport.
 
-    The shard file's own format is the wire format.  ``events``
-    emission runs a :class:`LiveReplayer` (which forwards a CSV shard's
-    validated stored bytes, with checkpoint resume); ``decode`` and
-    ``raw`` feed :func:`~repro.core.codec.iter_raw_batches` to the same
-    :class:`~repro.core.replayer.PacedLoop`: binary frames whole via
-    ``send_frame``, CSV runs of up to ``batch_size`` lines via
-    ``send_raw``.  They have no checkpoint resume: a transport failure
-    propagates.
+    The shard file's own format is the wire format, so the
+    :class:`LiveReplayer` forwards its stored lines or frames (with
+    checkpoint resume when ``config.max_resumes`` allows it).
     """
-    binary = codec.detect_stream_format(config.path) == "binary"
-    if config.emission == "events":
-        return LiveReplayer(
-            config.path,
-            transport,
-            rate=config.rate,
-            window_seconds=config.window_seconds,
-            batch_size=config.batch_size,
-            wire_format="binary" if binary else "csv",
-            max_resumes=config.max_resumes,
-            resume_delay=config.resume_delay,
-            transport_factory=(
-                config.build_transport
-                if config.max_resumes and config.transport_spec is not None
-                else None
-            ),
-        ).run()
-    send = transport.send_frame if binary else transport.send_raw
-    count_frame = _frame_counter(config) if binary else None
+    wire_format = codec.detect_stream_format(config.path)
+    return _live_replayer(config, config.path, transport, wire_format, tracer).run()
 
-    def emit(batch: codec.RawBatch) -> int:
-        count = batch.count if count_frame is None else count_frame(batch.data)
-        send(batch.data, count)
-        return count
 
-    loop = PacedLoop(config.rate, config.window_seconds, shared_clock())
-    try:
-        loop.run(
-            codec.iter_raw_batches(config.path, batch_lines=config.batch_size),
-            emit,
-        )
-    except BaseException as exc:
-        close_transport(transport, exc)
-        raise
-    close_transport(transport, None)
-    return loop.report(transport)
+def _root_error(exc: BaseException) -> BaseException:
+    """The typed error under a failure's :class:`ReplayError` wrappers
+    (a source failure wraps its :class:`StreamFormatError`), which
+    pickling would drop with ``__cause__`` on the way to the parent."""
+    while isinstance(exc, ReplayError) and exc.__cause__ is not None:
+        exc = exc.__cause__
+    return exc
 
 
 def _worker_main(config: WorkerConfig, barrier, results) -> None:
@@ -534,25 +511,32 @@ def _worker_main(config: WorkerConfig, barrier, results) -> None:
     The transport is built *before* the barrier so no worker starts
     pacing until every worker is connected; a failure anywhere aborts
     the barrier, releasing the siblings and the parent immediately.
+    A traced worker returns its spans and exact counts with its report.
     """
     transport: Transport | None = None
+    tracer = None
+    if config.trace is not None:
+        sample_every, origin = config.trace
+        tracer = Tracer(clock=TraceClock(origin=origin), sample_every=sample_every)
     try:
         transport = config.build_transport()
         barrier.wait(timeout=_START_TIMEOUT)
-        report = replay_shard(config, transport)
-        results.put((config.index, report, None))
+        report = replay_shard(config, transport, tracer)
+        trace = None if tracer is None else (tracer.spans, tracer.counts)
+        results.put((config.index, report, None, trace))
     except BaseException as exc:
         barrier.abort()
         if transport is not None:
             close_transport(transport, exc)
         message = f"{type(exc).__name__}: {exc}"
+        root = _root_error(exc)
         try:
             # The queue pickles in a feeder thread, where an item that
             # cannot cross is dropped without a word: check it here.
-            pickle.loads(pickle.dumps(exc))
+            pickle.loads(pickle.dumps(root))
         except Exception:
-            exc = ReplayError(message)
-        results.put((config.index, None, (message, exc)))
+            root = ReplayError(message)
+        results.put((config.index, None, (message, root), None))
 
 
 #: How long workers / the parent wait on the start barrier.
@@ -636,20 +620,8 @@ def merge_replay_reports(reports: Sequence[ReplayReport]) -> ReplayReport:
 def _as_sharded(
     merged: ReplayReport, shards: Sequence[ReplayReport]
 ) -> ShardedReplayReport:
-    return ShardedReplayReport(
-        events_emitted=merged.events_emitted,
-        duration=merged.duration,
-        window_rates=merged.window_rates,
-        marker_times=merged.marker_times,
-        retries=merged.retries,
-        redeliveries=merged.redeliveries,
-        breaker_openings=merged.breaker_openings,
-        chaos_faults=merged.chaos_faults,
-        resumes=merged.resumes,
-        checkpoints=merged.checkpoints,
-        started_at=merged.started_at,
-        shards=tuple(shards),
-    )
+    values = {field.name: getattr(merged, field.name) for field in fields(merged)}
+    return ShardedReplayReport(**values, shards=tuple(shards))
 
 
 # -- the sharded replayer ----------------------------------------------------
@@ -670,12 +642,21 @@ class ShardedReplayer:
     is the whole stream and the replay runs in-process (no fork), so a
     1-worker run is the existing Fig 3a measurement.
 
+    ``tracer`` traces the replay: at one worker it records in process;
+    at N workers each worker records on a clock with the tracer's
+    origin and returns its spans and counts, which are merged into the
+    tracer with the worker index as a category suffix (``replayer#1``),
+    one set of lanes per worker.
+
     ``start_method`` selects the :mod:`multiprocessing` context
     (``None`` = platform default, ``"spawn"``/``"fork"``/... where
     supported); every cross-process value is picklable, so spawn works
     on platforms without fork.  Shard files are written under
     ``shard_dir`` when given (kept afterwards, inspectable) or a
     temporary directory (removed after the run).
+
+    ``emission`` is accepted for existing callers and has no effect:
+    every shard replays through the same :class:`LiveReplayer` path.
     """
 
     def __init__(
@@ -698,6 +679,7 @@ class ShardedReplayer:
         shard_dir: str | Path | None = None,
         start_method: str | None = None,
         worker_timeout: float = 300.0,
+        tracer: Tracer | None = None,
     ):
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
@@ -712,10 +694,6 @@ class ShardedReplayer:
             raise ValueError(
                 f"unknown emission mode {emission!r}; "
                 "expected 'events', 'decode' or 'raw'"
-            )
-        if emission in ("decode", "raw") and max_resumes:
-            raise ValueError(
-                f"{emission} emission does not support checkpoint resume"
             )
         if stream_format not in ("auto", "csv", "binary"):
             raise ValueError(
@@ -734,40 +712,36 @@ class ShardedReplayer:
                 )
         self._source = source
         self._specs = specs
-        self._rate = rate
         self._workers = workers
         self._shard_by = shard_by
-        self._emission = emission
         self._stream_format = stream_format
-        self._window_seconds = window_seconds
-        self._batch_size = batch_size
-        self._chaos_config = chaos_config
-        self._retry_policy = retry_policy
-        self._breaker_threshold = breaker_threshold
-        self._breaker_recovery = breaker_recovery
-        self._max_resumes = max_resumes
-        self._resume_delay = resume_delay
         self._shard_dir = shard_dir
         self._start_method = start_method
         self._worker_timeout = worker_timeout
+        self._tracer = tracer
+        #: Every worker's config but its index, shard path and spec.
+        self._config = WorkerConfig(
+            index=0,
+            path="",
+            rate=rate / workers,
+            window_seconds=window_seconds,
+            batch_size=batch_size,
+            chaos_config=chaos_config,
+            retry_policy=retry_policy,
+            breaker_threshold=breaker_threshold,
+            breaker_recovery=breaker_recovery,
+            max_resumes=max_resumes,
+            resume_delay=resume_delay,
+            trace=(
+                None if tracer is None else (tracer.sample_every, tracer.clock.origin)
+            ),
+        )
         #: The shard layout of the last run (set by :meth:`run`).
         self.plan: ShardPlan | None = None
 
     def _worker_config(self, index: int, path: str) -> WorkerConfig:
-        return WorkerConfig(
-            index=index,
-            path=path,
-            rate=self._rate / self._workers,
-            emission=self._emission,
-            window_seconds=self._window_seconds,
-            batch_size=self._batch_size,
-            transport_spec=self._specs[index],
-            chaos_config=self._chaos_config,
-            retry_policy=self._retry_policy,
-            breaker_threshold=self._breaker_threshold,
-            breaker_recovery=self._breaker_recovery,
-            max_resumes=self._max_resumes,
-            resume_delay=self._resume_delay,
+        return replace(
+            self._config, index=index, path=path, transport_spec=self._specs[index]
         )
 
     def run(self) -> ShardedReplayReport:
@@ -776,8 +750,9 @@ class ShardedReplayer:
         Blocks until every worker finished.  Raises
         :class:`~repro.errors.ReplayError` when any worker failed
         (naming each failed worker's error, with the lowest-indexed
-        failed worker's exception as ``__cause__``) or when workers do
-        not report back within ``worker_timeout``.
+        failed worker's typed error as ``__cause__``: a source failure's
+        :class:`~repro.errors.StreamFormatError`, offsets included) or
+        when workers do not report back within ``worker_timeout``.
         """
         if self._workers == 1:
             return self._run_single()
@@ -805,35 +780,42 @@ class ShardedReplayer:
     def _run_single(self) -> ShardedReplayReport:
         """The 1-worker degenerate case: in-process, no partitioning.
 
-        A file source in the requested format is replayed in place; a
-        format conversion or in-memory source is materialised once.
+        A file source in the requested format is replayed in place; an
+        in-memory source or a format conversion is parsed on the
+        replayer's reader thread.
         """
-        cleanup_dir = None
-        if isinstance(self._source, (str, Path)) and (
-            self._stream_format == "auto"
-            or codec.detect_stream_format(self._source) == self._stream_format
-        ):
-            path = str(self._source)
+        source = self._source
+        stored_format = None
+        path = ""
+        if isinstance(source, (str, Path)):
+            path = str(source)
+            stored_format = codec.detect_stream_format(path)
+        wire_format = self._stream_format
+        if wire_format == "auto":
+            wire_format = stored_format or "csv"
+        config = self._worker_config(0, path)
+        transport = config.build_transport()
+        if wire_format == stored_format:
+            report = replay_shard(config, transport, self._tracer)
         else:
-            # The worker-side replay paths read files; materialise
-            # in-memory (or format-converted) sources once.
-            target_format = (
-                "csv" if self._stream_format == "auto" else self._stream_format
-            )
-            extension = "gtb" if target_format == "binary" else "csv"
-            cleanup_dir = Path(tempfile.mkdtemp(prefix="graphtides-shards-"))
-            path = str(cleanup_dir / f"shard-0.{extension}")
-            if isinstance(self._source, (str, Path)):
-                binfmt.convert_stream(self._source, path, target_format)
-            else:
-                codec.write_stream_file(path, self._source, format=target_format)
-        try:
-            config = self._worker_config(0, path)
-            report = replay_shard(config, config.build_transport())
-        finally:
-            if cleanup_dir is not None:
-                shutil.rmtree(cleanup_dir, ignore_errors=True)
+            report = _live_replayer(
+                config, source, transport, wire_format, self._tracer
+            ).run()
         return _as_sharded(report, (report,))
+
+    def _merge_trace(
+        self, index: int, spans: list[Span], counts: dict[str, int]
+    ) -> None:
+        """Fold worker ``index``'s spans (on its own lanes) and exact
+        counts into the tracer."""
+        tracer = self._tracer
+        assert tracer is not None
+        suffix = f"#{index}"
+        for span in spans:
+            span.category += suffix
+        tracer.spans.extend(spans)
+        for phase, count in counts.items():
+            tracer.count(phase, count)
 
     def _run_workers(self, plan: ShardPlan) -> list[ReplayReport]:
         context = multiprocessing.get_context(self._start_method)
@@ -864,7 +846,7 @@ class ShardedReplayer:
             dead_since: float | None = None
             while received < self._workers:
                 try:
-                    index, report, error = results.get(timeout=0.5)
+                    index, report, error, trace = results.get(timeout=0.5)
                 except queue.Empty:
                     now = time.monotonic()
                     if now > deadline:
@@ -915,6 +897,8 @@ class ShardedReplayer:
                     failures[index] = error
                 else:
                     reports[index] = report
+                if trace is not None:
+                    self._merge_trace(index, *trace)
             for process in processes:
                 process.join(timeout=10.0)
             if failures:

@@ -1,19 +1,20 @@
 """Structural witness sidecars for binary stream shards.
 
-``--emission decode`` makes every worker prove its shard well-formed
-before emitting it: originally a :func:`repro.core.binfmt.scan_frame`
-header walk per frame, ~0.13 µs per record of pure interpreter time —
-which dominates the replay loop once the transport itself is
-sub-microsecond (the shared-memory ring).  A *witness* moves that proof
-off the hot path without weakening it:
+A replay of a GTB1 file proves every frame well-formed before sending
+it: without a sidecar, a :func:`repro.core.binfmt.scan_frame` header
+walk per frame, ~0.13 µs per record of pure interpreter time — which
+dominates the replay loop once the transport itself is sub-microsecond
+(the shared-memory ring).  A *witness* moves that proof off the hot
+path without weakening it:
 
 * At partition time :class:`~repro.core.binfmt.BinaryStreamWriter`
   records what it wrote — per-frame (kind, count, body length) and
   per-record body lengths — into a ``<shard>.witness`` sidecar.  The
   writer already knows these numbers; recording them is one list append
   per record.
-* At replay start the worker *verifies the file against the witness in
-  bulk*: frame offsets and record start offsets are recomputed from the
+* At replay start the replayer *verifies the file against the witness
+  in bulk* (:meth:`repro.core.replayer.LiveReplayer._frame_counter`):
+  frame offsets and record start offsets are recomputed from the
   witness arrays (pure vector arithmetic), and the actual shard bytes
   at every one of those offsets — frame kind/count/body fields, record
   tags, record length prefixes — are gathered and compared in a handful
@@ -22,8 +23,8 @@ off the hot path without weakening it:
   per-frame ``scan_frame`` walk proves, by induction over the same
   structure.
 * After one clean bulk verification the per-frame count is read from
-  the (now proven) frame header via
-  :func:`~repro.core.binfmt.frame_info` — constant work per batch.
+  the (now proven) frame header (:func:`count_verified_frame`) —
+  constant work per batch.
 
 The witness is an *accelerator*, never a requirement: a missing
 sidecar, a sidecar whose recorded file size disagrees (stale — the
@@ -365,16 +366,16 @@ def preverify_shard(path: str | Path) -> "tuple[int, int] | None":
             pass
 
 
-def count_verified_frame(frame) -> int:
+def count_verified_frame(frame, offset: int = 0) -> int:
     """Per-batch count for a witness-verified shard: the frame header
     (already proven against the record walk in bulk) is read, not
-    re-walked.  This is the decode-mode hot loop — one ``unpack_from``
-    per batch."""
+    re-walked — one ``unpack_from`` per frame.  ``offset`` is the
+    frame's file position, as for :func:`~repro.core.binfmt.scan_frame`."""
     try:
         return _frame_header_unpack(frame, 0)[1]
     except struct.error:
         raise StreamFormatError(
-            "truncated binary frame header", byte_offset=0
+            "truncated binary frame header", byte_offset=offset
         ) from None
 
 

@@ -286,8 +286,8 @@ class TestPicklableConfigs:
                 index=1,
                 path="shard-1.csv",
                 rate=500.0,
-                emission="raw",
                 transport_spec=TcpSpec(port=9),
+                trace=(8, 12.5),
                 chaos_config=ChaosConfig(seed=3),
                 retry_policy=RetryPolicy(max_attempts=2),
             ),
@@ -434,10 +434,6 @@ class TestShardedReplayer:
             ShardedReplayer("s.csv", spec, rate=1, shard_by="nope")
         with pytest.raises(ValueError):
             ShardedReplayer("s.csv", spec, rate=1, emission="laser")
-        with pytest.raises(ValueError):
-            ShardedReplayer(
-                "s.csv", spec, rate=1, emission="raw", max_resumes=1
-            )
         with pytest.raises(ValueError):
             ShardedReplayer("s.csv", [spec], rate=1, workers=2)
 
@@ -638,10 +634,6 @@ class TestFormatAwareSharding:
         spec = PipeSpec(target="-")
         with pytest.raises(ValueError):
             ShardedReplayer("s.csv", spec, rate=1, stream_format="xml")
-        with pytest.raises(ValueError):
-            ShardedReplayer(
-                "s.csv", spec, rate=1, emission="decode", max_resumes=1
-            )
         with pytest.raises(ValueError):
             write_shards(
                 mixed_stream().events, 2, tmp_path, stream_format="xml"

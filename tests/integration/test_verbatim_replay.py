@@ -1,4 +1,4 @@
-"""Verbatim CSV replay sends exactly what parse → format would send.
+"""Verbatim file replay sends exactly what the stream holds.
 
 A CSV file replayed onto a CSV wire goes out as its stored bytes when
 its block matches the canonical line grammar, and through
@@ -6,26 +6,41 @@ its block matches the canonical line grammar, and through
 in one hazard the grammar must refuse (or accept) correctly; whatever
 the path, the receiver's bytes must equal ``format(parse(line))`` for
 each graph line — through ``LiveReplayer`` and through
-``ShardedReplayer`` at 1 and 2 workers, every emission mode and every
-byte transport.
+``ShardedReplayer`` at 1 and 2 workers and every byte transport.
+
+A GTB1 file goes out as its stored frames, re-framed to at most
+``batch_size`` records; the receiver's decoded records must be the
+stream's graph events, with or without a witness sidecar.  A malformed
+file of either format is refused with the same typed error on every
+path, and a transport failure resumes from the last marker.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import os
 import socket
 import threading
 import time
 
+from dataclasses import dataclass
+
 import pytest
 
-from repro.core import codec, shm
-from repro.core.connectors import CallbackTransport, PipeSpec, ShmSpec, TcpSpec
-from repro.core.events import GraphEvent
+from repro.core import binfmt, codec, shm, witness
+from repro.core.connectors import (
+    CallbackTransport,
+    PipeSpec,
+    ShmSpec,
+    TcpSpec,
+    Transport,
+    TransportSpec,
+)
+from repro.core.events import GraphEvent, add_edge, add_vertex, marker, pause, speed
 from repro.core.replayer import LiveReplayer
 from repro.core.sharding import ShardedReplayer, _entity_shard, write_shards
-from repro.errors import ReplayError, StreamFormatError
+from repro.errors import ConnectorError, ReplayError, StreamFormatError
 
 FAST = 1e9
 
@@ -86,7 +101,7 @@ def _pipe_capture(tmp_path, workers):
 
 
 @contextlib.contextmanager
-def _tcp_capture(tmp_path, workers):
+def _tcp_capture(tmp_path, workers, connections_per_worker=1):
     """A loopback server keeping each connection's bytes."""
     server = socket.create_server(("127.0.0.1", 0))
     server.settimeout(30.0)
@@ -99,7 +114,7 @@ def _tcp_capture(tmp_path, workers):
 
     def serve():
         readers = []
-        for __ in range(workers):
+        for __ in range(workers * connections_per_worker):
             connection, __ = server.accept()
             buffer = bytearray()
             buffers.append(buffer)
@@ -132,7 +147,7 @@ def _shm_capture(tmp_path, workers):
         while time.monotonic() < deadline:
             slots = consumer.pop_available()
             for slot in slots:
-                if slot.kind == shm.SLOT_RAW:
+                if slot.kind in (shm.SLOT_RAW, shm.SLOT_FRAME):
                     buffer += slot.payload
                 if isinstance(slot.payload, memoryview):
                     slot.payload.release()
@@ -355,6 +370,218 @@ class TestSourceErrors:
         path = _write(
             tmp_path, "bad", CANONICAL.encode() + b"ADD_VERTEX,1,caf\xe9\n"
         )
-        with pytest.raises(StreamFormatError) as err:
+        with pytest.raises(ReplayError, match="stream source failed") as err:
             _sharded(path, PipeSpec(target=str(tmp_path / "out")), 1, emission)
-        assert err.value.byte_offset == 84796
+        assert isinstance(err.value.__cause__, StreamFormatError)
+        assert err.value.__cause__.byte_offset == 84796
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_csv_refusal_keeps_its_type_across_workers(self, tmp_path, workers):
+        lines = [f"ADD_VERTEX,{i},v" for i in range(4000)] + ["ADD_VERTEX,abc,x"]
+        path = _write(tmp_path, "bad", "\n".join(lines * 2).encode() + b"\n")
+        outs = [PipeSpec(target=str(tmp_path / f"out-{i}")) for i in range(workers)]
+        with pytest.raises(ReplayError, match="stream source failed") as err:
+            _sharded(path, outs, workers, "events")
+        cause = err.value.__cause__
+        assert isinstance(cause, StreamFormatError)
+        assert str(cause).endswith("vertex id 'abc' is not an integer")
+        if workers == 1:
+            assert cause.line_number == 4001
+        else:  # the line in the worker's shard file
+            assert cause.line_number is not None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["walk", "witness"])
+    def test_gtb_refusal_keeps_its_type_across_workers(
+        self, tmp_path, workers, sidecar
+    ):
+        path, offset = _corrupt_gtb(tmp_path, sidecar)
+        outs = [PipeSpec(target=str(tmp_path / f"out-{i}")) for i in range(workers)]
+        with pytest.raises(ReplayError, match="stream source failed") as err:
+            _sharded(path, outs, workers, "events")
+        cause = err.value.__cause__
+        assert isinstance(cause, StreamFormatError)
+        if workers == 1:
+            assert cause.byte_offset == offset
+        else:  # the offset in the worker's shard file
+            assert cause.byte_offset is not None
+
+
+# -- GTB1 sources ------------------------------------------------------------
+
+
+def _gtb_events():
+    """Frames of 300 records (larger than every tested batch), markers,
+    a SPEED and a PAUSE."""
+    events = []
+    for block in range(5):
+        for i in range(150):
+            vertex = block * 1000 + i
+            events.append(add_vertex(vertex, f"s{vertex}"))
+            events.append(add_edge(vertex, vertex + 1, "w,\\x"))
+        events.append(marker(f"m{block}"))
+        if block == 1:
+            events.append(speed(2.0))
+        if block == 2:
+            events.append(pause(0.001))
+    return events
+
+
+def _write_gtb(tmp_path, sidecar: bool):
+    path = tmp_path / "stream.gtb"
+    binfmt.write_binary_stream(
+        path,
+        _gtb_events(),
+        batch_records=300,
+        witness_path=witness.witness_path(path) if sidecar else None,
+    )
+    return path
+
+
+def _corrupt_gtb(tmp_path, sidecar: bool):
+    """A GTB1 file whose third graph frame's first record has an unknown
+    tag; returns the path and that record's byte offset."""
+    path = _write_gtb(tmp_path, sidecar)
+    graph_frames = [
+        offset
+        for offset, __, kind in binfmt.read_frame_index(path)
+        if kind == binfmt.FRAME_GRAPH
+    ]
+    offset = graph_frames[2] + binfmt.FRAME_HEADER_SIZE
+    data = bytearray(path.read_bytes())
+    data[offset] = 200
+    path.write_bytes(bytes(data))
+    return path, offset
+
+
+def _wire_frames(wire: bytes) -> list[list]:
+    """Every GTB1 frame on a captured wire, decoded (each connection's
+    stream magic is skipped)."""
+    frames = []
+    position = 0
+    while position < len(wire):
+        if wire.startswith(binfmt.MAGIC, position):
+            position += len(binfmt.MAGIC)
+            continue
+        __, __, body = binfmt._FRAME_HEADER.unpack_from(wire, position)
+        end = position + binfmt.FRAME_HEADER_SIZE + body
+        frames.append(binfmt.decode_frame_events(wire[position:end]))
+        position = end
+    return frames
+
+
+def _graph_multiset(events) -> collections.Counter:
+    return collections.Counter(event for event in events if type(event) is GraphEvent)
+
+
+class TestGtbReplay:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("transport", sorted(CAPTURES))
+    @pytest.mark.parametrize("batch_size", [1, 32, 256])
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["walk", "witness"])
+    def test_receiver_decodes_the_stream_graph_events(
+        self, tmp_path, workers, transport, batch_size, sidecar
+    ):
+        path = _write_gtb(tmp_path, sidecar)
+        with CAPTURES[transport](tmp_path, workers) as (specs, captured):
+            report = ShardedReplayer(
+                str(path), specs, rate=FAST, workers=workers, batch_size=batch_size
+            ).run()
+        frames = [frame for wire in captured for frame in _wire_frames(wire)]
+        expected = _graph_multiset(_gtb_events())
+        assert _graph_multiset(e for frame in frames for e in frame) == expected
+        assert all(0 < len(frame) <= batch_size for frame in frames)
+        assert report.events_emitted == sum(expected.values())
+        assert [label for label, __ in report.marker_times] == [
+            f"m{block}" for block in range(5)
+        ]
+
+    @pytest.mark.parametrize("batch_size", [1, 32, 256])
+    def test_corrupt_record_has_one_offset_with_and_without_a_sidecar(
+        self, tmp_path, batch_size
+    ):
+        offsets = []
+        for sidecar in (False, True):
+            directory = tmp_path / str(sidecar)
+            directory.mkdir()
+            path, offset = _corrupt_gtb(directory, sidecar)
+            with pytest.raises(ReplayError) as err:
+                ShardedReplayer(
+                    str(path),
+                    PipeSpec(target=str(directory / "out")),
+                    rate=FAST,
+                    batch_size=batch_size,
+                ).run()
+            assert "unknown" in str(err.value.__cause__)
+            offsets.append(err.value.__cause__.byte_offset)
+        assert offsets == [offset, offset]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    def test_connector_error_resumes_from_the_last_marker(
+        self, tmp_path, workers, transport, batch_size
+    ):
+        path = _write_gtb(tmp_path, sidecar=True)
+        fail_at = 384 // batch_size  # past the first marker of every shard
+        if transport == "pipe":
+            captured: list[bytes] = []
+            outs = [tmp_path / f"wire-{index}.out" for index in range(workers)]
+            specs = [
+                _FailOnceSpec(PipeSpec(target=str(out), append=True), fail_at)
+                for out in outs
+            ]
+            report = ShardedReplayer(
+                str(path), specs, rate=FAST, workers=workers,
+                batch_size=batch_size, max_resumes=1,
+            ).run()
+            captured.extend(out.read_bytes() for out in outs)
+        else:
+            with _tcp_capture(tmp_path, workers, 2) as (spec, captured):
+                report = ShardedReplayer(
+                    str(path), _FailOnceSpec(spec, fail_at), rate=FAST,
+                    workers=workers, batch_size=batch_size, max_resumes=1,
+                ).run()
+        received = _graph_multiset(
+            e for wire in captured for frame in _wire_frames(wire) for e in frame
+        )
+        expected = _graph_multiset(_gtb_events())
+        assert report.resumes == workers
+        assert not expected - received
+        assert sum((received - expected).values()) == report.redeliveries > 0
+        assert report.events_emitted == sum(expected.values()) + report.redeliveries
+
+
+#: Specs that already failed once, per process (a worker's resume
+#: rebuilds its transport from the same spec).
+_FAILED: set = set()
+
+
+@dataclass(frozen=True)
+class _FailOnceSpec(TransportSpec):
+    """Builds ``inner``; the first transport built in a process raises
+    :class:`ConnectorError` at its ``fail_at``-th send, before sending."""
+
+    inner: TransportSpec
+    fail_at: int
+
+    def build(self):
+        return _FailOnce(self.inner.build(), self)
+
+
+class _FailOnce(Transport):
+    def __init__(self, inner: Transport, spec: _FailOnceSpec):
+        self._inner = inner
+        self._key = (os.getpid(), spec)
+        self._sends = 0
+        self._fail_at = spec.fail_at
+
+    def send_frame(self, frame, count: int) -> None:
+        self._sends += 1
+        if self._sends == self._fail_at and self._key not in _FAILED:
+            _FAILED.add(self._key)
+            raise ConnectorError("injected mid-stream failure")
+        self._inner.send_frame(frame, count)
+
+    def close(self) -> None:
+        self._inner.close()

@@ -323,10 +323,11 @@ class TestReplayScaleOut:
         assert code == 0
         assert receiver.counter.total == expected
         err = capsys.readouterr().err
-        assert "shards: 2 workers (round-robin, events)" in err
+        assert "shards: 2 workers (round-robin): #0 " in err
         assert f"replayed {expected} events" in err
 
     def test_raw_emission_over_tcp(self, small_stream, capsys):
+        """Stored CSV runs of 256 lines reach every worker's receiver."""
         from repro.core.connectors import TcpReceiver
         from repro.core.stream import GraphStream
 
@@ -334,12 +335,12 @@ class TestReplayScaleOut:
         with TcpReceiver(max_connections=2) as receiver:
             code = main([
                 "replay", str(small_stream),
-                "--rate", "100000", "--workers", "2", "--emission", "raw",
+                "--rate", "100000", "--workers", "2", "--batch-size", "256",
                 "--transport", "tcp", "--port", str(receiver.port),
             ])
         assert code == 0
         assert receiver.counter.total == expected
-        assert "(round-robin, raw)" in capsys.readouterr().err
+        assert "(round-robin)" in capsys.readouterr().err
 
     def test_decode_emission_binary_format_over_tcp(
         self, small_stream, capsys
@@ -351,48 +352,92 @@ class TestReplayScaleOut:
         with TcpReceiver(max_connections=2) as receiver:
             code = main([
                 "replay", str(small_stream),
-                "--rate", "100000", "--workers", "2",
-                "--emission", "decode", "--format", "binary",
+                "--rate", "100000", "--workers", "2", "--format", "binary",
                 "--transport", "tcp", "--port", str(receiver.port),
             ])
         assert code == 0
         assert receiver.counter.total == expected
-        assert "(round-robin, decode)" in capsys.readouterr().err
+        assert "(round-robin)" in capsys.readouterr().err
 
-    def test_trace_out_rejected_with_workers(self, small_stream, tmp_path):
-        code = main([
-            "replay", str(small_stream), "--workers", "2",
-            "--trace-out", str(tmp_path / "trace.json"),
-        ])
-        assert code == 2
-
-    @pytest.mark.parametrize("emission", ["decode", "raw"])
-    def test_one_worker_runs_the_requested_emission(
-        self, small_stream, emission, capsys
-    ):
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_one_worker_replay_counts_all_events(self, small_stream, fmt, capsys):
         from repro.core.connectors import TcpReceiver
 
         expected = len(list(GraphStream.read(small_stream).graph_events()))
         with TcpReceiver() as receiver:
             code = main([
                 "replay", str(small_stream), "--rate", "100000",
-                "--emission", emission,
+                "--format", fmt,
                 "--transport", "tcp", "--port", str(receiver.port),
             ])
         assert code == 0
         assert receiver.counter.total == expected
         err = capsys.readouterr().err
-        assert f"shards: 1 workers (round-robin, {emission})" in err
+        assert f"replayed {expected} events" in err
+        assert "shards:" not in err
 
-    def test_trace_out_refusal_names_the_emission(
-        self, small_stream, tmp_path, capsys
+    @pytest.mark.parametrize("suffix", ["csv", "gtb"])
+    @pytest.mark.parametrize("transport", ["pipe", "tcp", "shm"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trace_out_at_every_worker_count(
+        self, small_stream, tmp_path, workers, transport, suffix, capfdbinary
     ):
-        code = main([
-            "replay", str(small_stream), "--emission", "raw",
-            "--trace-out", str(tmp_path / "trace.json"),
-        ])
-        assert code == 2
-        assert "--emission raw" in capsys.readouterr().err
+        import json
+
+        from repro.core.connectors import ShmReceiver, TcpReceiver
+        from repro.core.tracing import validate_chrome_trace
+
+        source = small_stream
+        if suffix == "gtb":
+            source = tmp_path / "small.gtb"
+            assert main(["convert", str(small_stream), "--to", "binary",
+                         "-o", str(source)]) == 0
+        expected = len(list(GraphStream.read(small_stream).graph_events()))
+        trace_path = tmp_path / "trace.json"
+        argv = [
+            "replay", str(source), "--rate", "100000",
+            "--workers", str(workers), "--transport", transport,
+            "--trace-out", str(trace_path), "--trace-sample", "16",
+        ]
+        capfdbinary.readouterr()
+        if transport == "pipe":
+            assert main(argv) == 0
+            delivered = None
+        else:
+            receiver = (
+                TcpReceiver(max_connections=workers)
+                if transport == "tcp"
+                else ShmReceiver(max_producers=workers)
+            )
+            with receiver:
+                if transport == "tcp":
+                    argv += ["--port", str(receiver.port)]
+                else:
+                    argv += ["--shm-name",
+                             ",".join(spec.name for spec in receiver.specs)]
+                assert main(argv) == 0
+            delivered = receiver.counter.total
+        assert delivered in (None, expected)
+        payload = json.loads(trace_path.read_text(encoding="utf-8"))
+        assert validate_chrome_trace(payload) == []
+        lanes = {
+            event["args"]["name"]
+            for event in payload["traceEvents"]
+            if event["name"] == "thread_name"
+        }
+        if workers == 1:
+            assert lanes == {"replayer", "transport"}
+        else:
+            assert lanes == {
+                f"{category}#{index}"
+                for category in ("replayer", "transport")
+                for index in range(workers)
+            }
+        meta = payload["otherData"]
+        assert meta["counts"]["emitted"] == expected
+        assert meta["counts"]["transported"] == expected
+        assert meta["accounting"]["closed"]
+        assert "accounting closed" in capfdbinary.readouterr().err.decode()
 
     def test_auto_format_keeps_a_binary_source_binary(
         self, small_stream, tmp_path, capfdbinary
