@@ -616,7 +616,8 @@ def _print_replay_summary(report) -> None:
         f"replayed {report.events_emitted} events in {report.duration:.2f}s "
         f"({report.mean_rate:.0f} events/s, "
         f"window p5/median/p95 {report.p5_rate:.0f}/{report.median_rate:.0f}/"
-        f"{report.p95_rate:.0f})",
+        f"{report.p95_rate:.0f}, "
+        f"pacing margin {report.pacing_margin_s * 1e3:.3f} ms)",
         file=sys.stderr,
     )
     if (

@@ -113,6 +113,11 @@ _INDEX_OFFSET = struct.Struct("<Q")
 
 FRAME_HEADER_SIZE = _FRAME_HEADER.size
 RECORD_HEADER_SIZE = _RECORD_HEADER.size
+#: Positions of the record-count and body-length fields in a frame
+#: header.  A frame-level refusal names the field that is wrong, at the
+#: byte offset :func:`repro.core.witness.verify_stream` reports for it.
+_COUNT_FIELD = 1
+_BODY_FIELD = 5
 
 #: Wire tag per event type.  A hand-maintained literal (not derived from
 #: enum order) so the on-disk format survives enum refactors; SCHEMA004
@@ -369,6 +374,35 @@ def frame_info(frame: bytes | memoryview) -> tuple[int, int]:
     return kind, count
 
 
+def _frame_bounds(frame: bytes | memoryview, offset: int) -> tuple[int, int]:
+    """``(record count, end of body)`` of the frame ``frame`` starts
+    with; ``offset`` is the frame's file position, so a refusal names
+    the header byte (truncated header) or field (body overrun) at fault.
+    """
+    try:
+        __, count, body_len = _FRAME_HEADER.unpack_from(frame, 0)
+    except struct.error:
+        raise StreamFormatError(
+            "truncated binary frame header", byte_offset=offset
+        ) from None
+    end_of_body = FRAME_HEADER_SIZE + body_len
+    if end_of_body > len(frame):
+        raise StreamFormatError(
+            f"binary frame overruns its buffer ({end_of_body} > {len(frame)})",
+            byte_offset=offset + _BODY_FIELD,
+        )
+    return count, end_of_body
+
+
+def _count_mismatch(count: int, seen: int, offset: int) -> StreamFormatError:
+    """The refusal of a frame whose header count disagrees with its
+    record walk, at the count field of the frame at ``offset``."""
+    return StreamFormatError(
+        f"binary frame header promises {count} record(s), body holds {seen}",
+        byte_offset=offset + _COUNT_FIELD,
+    )
+
+
 def iter_frame_record_spans(
     frame: bytes | memoryview, offset: int = 0
 ) -> Iterator[tuple[int, int]]:
@@ -377,18 +411,10 @@ def iter_frame_record_spans(
     Spans include the record header, so ``frame[start:end]`` is the
     record's complete wire bytes — the streamed partitioner scatters
     these into per-shard writers without decoding them.  ``offset`` is
-    added to the byte offset a bad record reports (the frame's position
+    added to the byte offset a refusal reports (the frame's position
     in its file).
     """
-    try:
-        __, count, body_len = _FRAME_HEADER.unpack_from(frame, 0)
-    except struct.error:
-        raise StreamFormatError("truncated binary frame header") from None
-    end_of_body = FRAME_HEADER_SIZE + body_len
-    if end_of_body > len(frame):
-        raise StreamFormatError(
-            f"binary frame overruns its buffer ({end_of_body} > {len(frame)})"
-        )
+    count, end_of_body = _frame_bounds(frame, offset)
     unpack_record = _RECORD_HEADER.unpack_from
     position = FRAME_HEADER_SIZE
     seen = 0
@@ -409,31 +435,24 @@ def iter_frame_record_spans(
         position = end
         seen += 1
     if seen != count:
-        raise StreamFormatError(
-            f"binary frame header promises {count} record(s), body holds "
-            f"{seen}"
-        )
+        raise _count_mismatch(count, seen, offset)
 
 
 # hot-path
-def decode_frame_events(frame: bytes | memoryview) -> list[Event]:
+def decode_frame_events(
+    frame: bytes | memoryview, offset: int = 0
+) -> list[Event]:
     """Decode every record of one frame (header included) into events.
 
     The parse loop of every GTB1 reader that needs events (a reader
     thread transcoding a replay, a line-only transport's
     ``send_frame``): per record one ``Struct.unpack_from`` for the
     header, one for the entity, and one UTF-8 payload construction —
-    no string splitting, no integer parsing.
+    no string splitting, no integer parsing.  ``offset`` is added to
+    the byte offset a refusal reports (the frame's position in its
+    file, as for :func:`scan_frame`).
     """
-    try:
-        __, count, body_len = _FRAME_HEADER.unpack_from(frame, 0)
-    except struct.error:
-        raise StreamFormatError("truncated binary frame header") from None
-    end_of_body = FRAME_HEADER_SIZE + body_len
-    if end_of_body > len(frame):
-        raise StreamFormatError(
-            f"binary frame overruns its buffer ({end_of_body} > {len(frame)})"
-        )
+    count, end_of_body = _frame_bounds(frame, offset)
     events: list[Event] = []
     append = events.append
     decoders = _DECODERS
@@ -445,7 +464,8 @@ def decode_frame_events(frame: bytes | memoryview) -> list[Event]:
             tag, body = unpack_record(frame, position)
         except struct.error:
             raise StreamFormatError(
-                "truncated binary record header", byte_offset=position
+                "truncated binary record header",
+                byte_offset=offset + position,
             ) from None
         start = position + header_size
         position = start + body
@@ -453,25 +473,22 @@ def decode_frame_events(frame: bytes | memoryview) -> list[Event]:
         if decoder is None:
             raise StreamFormatError(
                 f"unknown binary record tag {tag}",
-                byte_offset=start - header_size,
+                byte_offset=offset + start - header_size,
             )
         if position > end_of_body:
             raise StreamFormatError(
                 f"binary record overruns its frame ({position} > {end_of_body})",
-                byte_offset=start - header_size,
+                byte_offset=offset + start - header_size,
             )
         try:
             append(decoder(frame, start, position))
         except (struct.error, UnicodeDecodeError, ValueError) as exc:
             raise StreamFormatError(
                 f"malformed binary record: {exc}",
-                byte_offset=start - header_size,
+                byte_offset=offset + start - header_size,
             ) from None
     if len(events) != count:
-        raise StreamFormatError(
-            f"binary frame header promises {count} record(s), body holds "
-            f"{len(events)}"
-        )
+        raise _count_mismatch(count, len(events), offset)
     return events
 
 
@@ -485,19 +502,11 @@ def scan_frame(frame: bytes | memoryview, offset: int = 0) -> int:
     proven well-formed and counted (the length prefixes make that a
     fixed-cost header walk, where CSV needs a charwise
     split-and-parse), then the frame bytes go out verbatim.  ``offset``
-    is added to the byte offset a bad record reports (see
+    is added to the byte offset a refusal reports (see
     :class:`~repro.core.codec.RawBatch`).  Consumers that need the
     payloads call :func:`decode_frame_events` instead.
     """
-    try:
-        __, count, body_len = _FRAME_HEADER.unpack_from(frame, 0)
-    except struct.error:
-        raise StreamFormatError("truncated binary frame header") from None
-    end_of_body = FRAME_HEADER_SIZE + body_len
-    if end_of_body > len(frame):
-        raise StreamFormatError(
-            f"binary frame overruns its buffer ({end_of_body} > {len(frame)})"
-        )
+    count, end_of_body = _frame_bounds(frame, offset)
     known_tags = _KNOWN_TAGS
     unpack_record = _RECORD_HEADER.unpack_from
     header_size = RECORD_HEADER_SIZE
@@ -523,10 +532,7 @@ def scan_frame(frame: bytes | memoryview, offset: int = 0) -> int:
             byte_offset=offset + position,
         )
     if seen != count:
-        raise StreamFormatError(
-            f"binary frame header promises {count} record(s), body holds "
-            f"{seen}"
-        )
+        raise _count_mismatch(count, seen, offset)
     return seen
 
 
@@ -916,10 +922,10 @@ def iter_parse_binary_chunks(
         if isinstance(item, Event):
             pending.append(item)
         elif tracer is None:
-            pending.extend(decode_frame_events(item.data))
+            pending.extend(decode_frame_events(item.data, item.offset))
         else:
             decode_start = tracer.clock.now()
-            events = decode_frame_events(item.data)
+            events = decode_frame_events(item.data, item.offset)
             if events and tracer.sample_batch(decoded, len(events)):
                 tracer.record_span(
                     "decoded",

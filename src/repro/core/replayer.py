@@ -10,7 +10,8 @@ timestamps and busy-waiting for timeliness."
 Every live replay is a :class:`LiveReplayer` pacing through one loop,
 :class:`PacedLoop`.  It consumes an iterator of batches and control
 events, waits for each batch's slot on the unified trace clock (sleep,
-then busy-wait the last millisecond), calls ``emit(batch)``, which
+then busy-wait a margin calibrated from the loop's own sleep
+overshoot), calls ``emit(batch)``, which
 sends the batch and returns its event count, and records per-window
 egress rates so the achieved rate can be analysed afterwards (the
 Figure 3a measurement).  ``MARKER``, ``SPEED`` and ``PAUSE`` take
@@ -49,6 +50,7 @@ source (file path, :class:`~repro.core.stream.GraphStream`, list).
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -71,12 +73,48 @@ from repro.core.stream import GraphStream
 from repro.core.tracing import TraceClock, Tracer, shared_clock
 from repro.errors import ConnectorError, ReplayError
 
-__all__ = ["LiveReplayer", "PacedLoop", "ReplayReport", "ReplayCheckpoint"]
+__all__ = [
+    "LiveReplayer",
+    "PacedLoop",
+    "ReplayReport",
+    "ReplayCheckpoint",
+    "next_pacing_margin",
+]
 
 _SENTINEL = object()
 
-#: Sleep when more than this far from the deadline; busy-wait below it.
-_SPIN_THRESHOLD = 0.0015
+#: The pacing margin (seconds): how long before a batch's deadline the
+#: loop stops sleeping and busy-waits.  It starts at ``_MARGIN_START``,
+#: tracks the ``_MARGIN_QUANTILE`` of the loop's own sleep overshoot and
+#: stays within ``[_MARGIN_FLOOR, _MARGIN_CEILING]``.
+_MARGIN_START = 200e-6
+_MARGIN_FLOOR = 50e-6
+_MARGIN_CEILING = 1e-3
+_MARGIN_QUANTILE = 0.95
+#: Log-space step of one update: an overshoot above the margin raises
+#: it by ``exp(0.95 * gain)`` (x1.21), any other sleep lowers it by
+#: ``exp(-0.05 * gain)`` (x0.99), so ~5% of sleeps overshoot it.
+_MARGIN_GAIN = 0.2
+_MARGIN_UP = math.exp(_MARGIN_QUANTILE * _MARGIN_GAIN)
+_MARGIN_DOWN = math.exp(-(1.0 - _MARGIN_QUANTILE) * _MARGIN_GAIN)
+
+
+def next_pacing_margin(margin: float, overshoot: float) -> float:
+    """The pacing margin after a sleep woke ``overshoot`` seconds late.
+
+    A stochastic-approximation quantile tracker: each sample moves the
+    margin one multiplicative step towards the overshoot's 95th
+    percentile.  One outlier (a descheduled sleep, milliseconds late)
+    moves it by a single up-step, which the next ~20 on-time sleeps
+    undo, where a peak tracker would hold it high for a whole replay.
+    The result is clamped to ``[_MARGIN_FLOOR, _MARGIN_CEILING]``.
+    """
+    margin *= _MARGIN_UP if overshoot > margin else _MARGIN_DOWN
+    if margin < _MARGIN_FLOOR:
+        return _MARGIN_FLOOR
+    if margin > _MARGIN_CEILING:
+        return _MARGIN_CEILING
+    return margin
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,6 +162,10 @@ class ReplayReport:
     #: — add it to the (run-relative) ``marker_times`` to place markers
     #: on the same epoch as probe and receiver records.
     started_at: float = 0.0
+    #: The pacing loop's final calibrated margin (seconds): how long
+    #: before each deadline it stopped sleeping, about the 95th
+    #: percentile of its own sleep overshoot (see :class:`PacedLoop`).
+    pacing_margin_s: float = 0.0
 
     @property
     def mean_rate(self) -> float:
@@ -162,8 +204,13 @@ class PacedLoop:
     (anything that is not an :class:`Event`) or control events, and
     calls ``emit(batch)`` once each batch is due; ``emit`` sends the
     batch and returns how many events it held.  It is a token bucket
-    of one batch: sleep to about 1 ms before the deadline, spin the
-    rest, then charge ``count`` intervals.  A loop that falls more
+    of one batch: sleep until :attr:`margin` before the deadline, spin
+    the rest, then charge ``count`` intervals.  The margin follows the
+    95th percentile of the loop's own sleep overshoot (wake time minus
+    intended wake, :func:`next_pacing_margin`), so the loop sleeps
+    through every wait longer than the margin instead of spinning a
+    fixed millisecond.  An overshoot past the deadline delays that one
+    batch; the schedule itself never moves.  A loop that falls more
     than one window behind drops the debt, so a slow transport degrades
     the rate instead of bursting afterwards.  ``SPEED`` rescales the
     rate, ``PAUSE`` sleeps and restarts the schedule, and each marker
@@ -187,6 +234,8 @@ class PacedLoop:
         self.duration = 0.0
         self.window_rates: list[float] = []
         self.marker_times: list[tuple[str, float]] = []
+        #: Seconds before a deadline the loop stops sleeping.
+        self.margin = _MARGIN_START
 
     # hot-path
     def run(self, items: Iterable[object], emit: Callable[[object], int]) -> None:
@@ -194,6 +243,7 @@ class PacedLoop:
         perf_counter = self._now
         window_seconds = self.window_seconds
         window_rates = self.window_rates
+        margin = self.margin
         interval = 1.0 / (self.rate * self.speed)
         next_emit = window_start = perf_counter()
         window_count = 0
@@ -202,9 +252,13 @@ class PacedLoop:
                 now = perf_counter()
                 wait = next_emit - now
                 if wait > 0:
-                    if wait > _SPIN_THRESHOLD:
+                    if wait > margin:
                         # pacing sleep, bounded by the next emit slot
-                        time.sleep(wait - 0.001)  # repro-check: disable=HOT001
+                        time.sleep(wait - margin)  # repro-check: disable=HOT001
+                        overshoot = perf_counter() - (next_emit - margin)
+                        self.margin = margin = next_pacing_margin(
+                            margin, overshoot
+                        )
                     while perf_counter() < next_emit:
                         pass
                     now = next_emit
@@ -251,6 +305,7 @@ class PacedLoop:
             resumes=resumes,
             checkpoints=self.checkpoints,
             started_at=self.start,
+            pacing_margin_s=self.margin,
         )
 
 

@@ -579,7 +579,8 @@ def merge_replay_reports(reports: Sequence[ReplayReport]) -> ReplayReport:
     passed once the *slowest* shard passes it); checkpoints count the
     shared marker boundaries, not their replicas, so the merged value
     is the per-shard maximum.  ``duration`` is the longest worker
-    duration and ``started_at`` the earliest worker start.
+    duration, ``started_at`` the earliest worker start and
+    ``pacing_margin_s`` the largest shard margin (the noisiest sleeper).
     """
     if not reports:
         raise ValueError("cannot merge zero replay reports")
@@ -614,6 +615,7 @@ def merge_replay_reports(reports: Sequence[ReplayReport]) -> ReplayReport:
         resumes=sum(r.resumes for r in reports),
         checkpoints=max(r.checkpoints for r in reports),
         started_at=min(r.started_at for r in reports),
+        pacing_margin_s=max(r.pacing_margin_s for r in reports),
     )
 
 

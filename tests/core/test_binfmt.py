@@ -114,12 +114,35 @@ class TestFrames:
             )
             + bytes(frame[binfmt.FRAME_HEADER_SIZE :])
         )
-        with pytest.raises(StreamFormatError, match="promises 2"):
-            binfmt.decode_frame_events(rebuilt)
-        with pytest.raises(StreamFormatError, match="promises 2"):
-            list(binfmt.iter_frame_record_spans(rebuilt))
-        with pytest.raises(StreamFormatError, match="promises 2"):
-            binfmt.scan_frame(rebuilt)
+        for walk in _frame_walks(100):
+            with pytest.raises(StreamFormatError, match="promises 2") as info:
+                walk(rebuilt)
+            assert info.value.byte_offset == 101  # the count field
+
+    def test_frame_level_refusals_name_the_header_field(self):
+        frame = binfmt.encode_graph_frame([add_vertex(1)])
+        for walk in _frame_walks(100):
+            with pytest.raises(StreamFormatError, match="truncated") as info:
+                walk(frame[:4])
+            assert info.value.byte_offset == 100
+            with pytest.raises(StreamFormatError, match="overruns") as info:
+                walk(frame[:-1])
+            assert info.value.byte_offset == 105  # the body-length field
+
+    def test_decode_refusals_carry_the_frame_offset(self):
+        record = binfmt._RECORD_HEADER.pack(200, 0)
+        with pytest.raises(StreamFormatError, match="unknown") as info:
+            binfmt.decode_frame_events(binfmt.frame_records([record]), 100)
+        assert info.value.byte_offset == 100 + binfmt.FRAME_HEADER_SIZE
+
+
+def _frame_walks(offset: int):
+    """Every frame walk, each given the frame's file ``offset``."""
+    return [
+        lambda data: binfmt.scan_frame(data, offset),
+        lambda data: list(binfmt.iter_frame_record_spans(data, offset)),
+        lambda data: binfmt.decode_frame_events(data, offset),
+    ]
 
 
 class TestScanFrame:

@@ -259,6 +259,12 @@ class TestMergeReplayReports:
         )
         assert merged.started_at == 9.0
 
+    def test_pacing_margin_is_the_largest_shard_margin(self):
+        merged = merge_replay_reports(
+            [self.make(pacing_margin_s=1e-4), self.make(pacing_margin_s=3e-4)]
+        )
+        assert merged.pacing_margin_s == 3e-4
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             merge_replay_reports([])

@@ -406,6 +406,38 @@ class TestSourceErrors:
         else:  # the offset in the worker's shard file
             assert cause.byte_offset is not None
 
+    @pytest.mark.parametrize("batch_size", [4, 512], ids=["split", "whole"])
+    def test_frame_count_refusal_has_the_witness_offset(self, tmp_path, batch_size):
+        """A graph frame whose header claims one record fewer than it
+        holds is refused at its count field: with the sidecar (bulk
+        witness check), without it (per-frame walk, whether the frame
+        is re-framed or sent whole), and transcoded to CSV (the reader
+        thread's decode)."""
+        path = _write_gtb(tmp_path, sidecar=True)
+        count_field = _graph_frames(path)[2] + 1
+        data = bytearray(path.read_bytes())
+        data[count_field] -= 1
+        path.write_bytes(bytes(data))
+        offsets = []
+        cases = [(True, "auto"), (False, "auto"), (False, "csv")]
+        for sidecar, stream_format in cases:
+            if not sidecar:
+                witness.witness_path(path).unlink(missing_ok=True)
+            with pytest.raises(ReplayError, match="stream source failed") as err:
+                ShardedReplayer(
+                    str(path),
+                    PipeSpec(target=str(tmp_path / "out")),
+                    rate=FAST,
+                    workers=1,
+                    stream_format=stream_format,
+                    batch_size=batch_size,
+                ).run()
+            cause = err.value.__cause__
+            assert isinstance(cause, StreamFormatError)
+            assert "promises 299 record(s)" in str(cause)
+            offsets.append(cause.byte_offset)
+        assert offsets == [count_field] * 3
+
 
 # -- GTB1 sources ------------------------------------------------------------
 
@@ -438,16 +470,20 @@ def _write_gtb(tmp_path, sidecar: bool):
     return path
 
 
-def _corrupt_gtb(tmp_path, sidecar: bool):
-    """A GTB1 file whose third graph frame's first record has an unknown
-    tag; returns the path and that record's byte offset."""
-    path = _write_gtb(tmp_path, sidecar)
-    graph_frames = [
+def _graph_frames(path) -> list[int]:
+    """The file offset of each graph frame of a GTB1 file."""
+    return [
         offset
         for offset, __, kind in binfmt.read_frame_index(path)
         if kind == binfmt.FRAME_GRAPH
     ]
-    offset = graph_frames[2] + binfmt.FRAME_HEADER_SIZE
+
+
+def _corrupt_gtb(tmp_path, sidecar: bool):
+    """A GTB1 file whose third graph frame's first record has an unknown
+    tag; returns the path and that record's byte offset."""
+    path = _write_gtb(tmp_path, sidecar)
+    offset = _graph_frames(path)[2] + binfmt.FRAME_HEADER_SIZE
     data = bytearray(path.read_bytes())
     data[offset] = 200
     path.write_bytes(bytes(data))

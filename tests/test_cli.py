@@ -1,5 +1,7 @@
 """Tests for the graphtides command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -66,6 +68,19 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "replayed" in captured.err
         assert "ADD_VERTEX" in captured.out
+
+    def test_replay_summary_prints_the_pacing_margin(self, tmp_path, capsys):
+        output = tmp_path / "stream.csv"
+        main(["generate", "--rounds", "50", "-o", str(output)])
+        capsys.readouterr()
+        code = main(
+            ["replay", str(output), "--rate", "20000", "--batch-size", "8"]
+        )
+        assert code == 0
+        summary = capsys.readouterr().err
+        found = re.search(r"pacing margin (\d+\.\d{3}) ms\)", summary)
+        assert found, summary
+        assert 0.05 <= float(found.group(1)) <= 1.0  # its floor and ceiling
 
     def test_experiment_fig3b_scaled(self, capsys):
         code = main(["experiment", "fig3b", "--scale", "0.01"])
