@@ -33,12 +33,22 @@ The verbs stay separate methods on each byte-stream class because
 Matching receivers (:class:`PipeReceiver`, :class:`TcpReceiver`,
 :class:`ShmReceiver`) count arriving events per time window; they
 implement the measurement side of the replayer benchmark (Figure 3a).
+A pipe or TCP receiver counts a CSV wire as its bytes arrive: each read
+takes what the fd holds, and the lines read are recorded at most once
+per millisecond (``_RECORD_QUANTUM``), so a window's count follows the
+batches sent into it rather than the fill of a 64 KiB read.  A binary
+frame wire is counted per frame, an shm ring per drained round.
+Transports that hold sends back for one write (the shm ring's slots,
+the pipe and TCP ``flush_every`` lines) deliver them on
+:meth:`Transport.flush`, which the paced replayer calls before it
+sleeps.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import select
 import socket
 import sys
 import threading
@@ -77,6 +87,10 @@ SOCKET_BUFFER_BYTES = 1 << 20
 
 #: Slots :class:`ShmTransport` buffers before one ring write.
 _SHM_FLUSH_SLOTS = 64
+
+#: Seconds between two records of a CSV wire receiver: lines arriving
+#: within one quantum of the last record are recorded together.
+_RECORD_QUANTUM = 0.001
 
 
 class Transport:
@@ -121,6 +135,14 @@ class Transport:
         from repro.core import binfmt, codec
 
         self.send_many(codec.format_lines(binfmt.decode_frame_events(frame)))
+
+    def flush(self) -> None:
+        """Deliver what the transport holds back now.
+
+        The paced replayer calls it before it sleeps, so a batch never
+        waits out a pacing sleep in a write buffer.  The default holds
+        nothing back.
+        """
 
     def close(self) -> None:
         """Release resources; further sends raise :class:`ConnectorError`."""
@@ -240,6 +262,15 @@ class PipeTransport(Transport):
             buffer.flush()
             self._since_flush = 0
 
+    def flush(self) -> None:
+        if self._closed or not self._since_flush:
+            return
+        try:
+            self._file.flush()
+        except (OSError, ValueError) as exc:
+            raise ConnectorError(f"pipe write failed: {exc}") from exc
+        self._since_flush = 0
+
     def close(self) -> None:
         if self._closed:
             return
@@ -356,6 +387,15 @@ class TcpTransport(Transport):
             self._socket.sendall(frame)
         except OSError as exc:
             raise ConnectorError(f"tcp write failed: {exc}") from exc
+
+    def flush(self) -> None:
+        if self._closed or not self._since_flush:
+            return
+        try:
+            self._file.flush()
+        except OSError as exc:
+            raise ConnectorError(f"tcp write failed: {exc}") from exc
+        self._since_flush = 0
 
     def close(self) -> None:
         if self._closed:
@@ -633,16 +673,25 @@ def _count_stream(file, record: Callable[[int], None]) -> None:
     """Count events arriving on a stream, autodetecting the format.
 
     A stream leading with the :mod:`repro.core.binfmt` magic is a
-    binary frame wire: record counts come straight from the frame
-    headers.  Anything else is the newline-delimited CSV wire: events
-    are counted by newlines in fixed-size chunks (a final line without
-    a trailing newline still counts).  ``record(count)`` is invoked in
-    batches of at most ~256 lines / one frame, matching the previous
-    per-256-lines recording granularity.
+    binary frame wire: ``record(count)`` is called once per frame, with
+    the count from its header.  Anything else is the newline-delimited
+    CSV wire, counted by newlines (a final line without a trailing
+    newline counts at EOF).
 
-    Works with binary and text file objects alike; text reads in
-    universal-newline mode normalise ``\\r\\n`` before counting, so the
-    totals match the old line-iteration loop exactly.
+    CSV lines are counted as they arrive: each read is one raw read
+    (``read1``) of whatever the pipe or socket holds, up to 64 KiB,
+    never a wait for a full buffer.  Lines read are recorded at once
+    when the last record is at least :data:`_RECORD_QUANTUM` old;
+    otherwise they wait on the fd for the rest of the quantum, joined
+    by whatever arrives meanwhile, so a flood is recorded once per
+    quantum.  The wait is a ``poll`` (``select.select`` breaks on fds
+    of 1024 and above), which rounds it up to a whole millisecond: a
+    wait that runs out ends up to a millisecond late, so the lines
+    after it are recorded at once.  Without that, a stream arriving
+    just over a quantum apart would be deferred a millisecond at every
+    record.  A source without a pollable fd records every read; a text
+    file object has no ``read1`` and keeps its 64 KiB reads, where
+    universal newlines normalise ``\\r\\n`` before counting.
     """
     from repro.core import binfmt
 
@@ -652,21 +701,44 @@ def _count_stream(file, record: Callable[[int], None]) -> None:
             record(count)
         return
     newline = "\n" if isinstance(first, str) else b"\n"
-    batch = first.count(newline)
+    read = getattr(file, "read1", file.read)
+    poller = None
+    try:
+        fd = file.fileno()
+    except (AttributeError, OSError, ValueError):
+        fd = -1  # io.UnsupportedOperation is both OSError and ValueError
+    if fd >= 0:
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+    clock = time.monotonic
+    pending = first.count(newline)
     last = first
+    recorded_at = 0.0
+    # Whether the last record ended a wait that ran out (or none yet).
+    quiet = True
     while True:
-        chunk = file.read(1 << 16)
+        chunk = read(1 << 16)
         if not chunk:
             break
-        batch += chunk.count(newline)
+        pending += chunk.count(newline)
         last = chunk
-        if batch >= 256:
-            record(batch)
-            batch = 0
+        if not pending:
+            continue
+        now = clock()
+        if quiet or now - recorded_at >= _RECORD_QUANTUM or poller is None:
+            quiet = False
+        elif poller.poll((recorded_at + _RECORD_QUANTUM - now) * 1000.0):
+            continue  # more bytes: read them into this record
+        else:
+            quiet = True
+            now = clock()
+        record(pending)
+        pending = 0
+        recorded_at = now
     if last and not last.endswith(newline):
-        batch += 1
-    if batch:
-        record(batch)
+        pending += 1
+    if pending:
+        record(pending)
 
 
 class _Receiver:

@@ -238,8 +238,19 @@ class PacedLoop:
         self.margin = _MARGIN_START
 
     # hot-path
-    def run(self, items: Iterable[object], emit: Callable[[object], int]) -> None:
-        """Pace ``items`` through ``emit``; exceptions propagate."""
+    def run(
+        self,
+        items: Iterable[object],
+        emit: Callable[[object], int],
+        flush: Callable[[], None] | None = None,
+    ) -> None:
+        """Pace ``items`` through ``emit``; exceptions propagate.
+
+        ``flush`` (the transport's) runs before every sleep, pacing or
+        ``PAUSE``, so sent batches do not wait out the sleep in a write
+        buffer; a wait short enough to spin, or a run that never waits,
+        leaves the buffering to the transport.
+        """
         perf_counter = self._now
         window_seconds = self.window_seconds
         window_rates = self.window_rates
@@ -252,6 +263,9 @@ class PacedLoop:
                 now = perf_counter()
                 wait = next_emit - now
                 if wait > 0:
+                    if wait > margin and flush is not None:
+                        flush()
+                        wait = next_emit - perf_counter()
                     if wait > margin:
                         # pacing sleep, bounded by the next emit slot
                         time.sleep(wait - margin)  # repro-check: disable=HOT001
@@ -280,6 +294,8 @@ class PacedLoop:
                 self.speed = item.factor
                 interval = 1.0 / (self.rate * item.factor)
             elif isinstance(item, PauseEvent):
+                if flush is not None:
+                    flush()
                 # PAUSE events block by design
                 time.sleep(item.seconds)  # repro-check: disable=HOT001
                 next_emit = perf_counter()
@@ -751,7 +767,7 @@ class LiveReplayer:
             loop.speed = checkpoint.speed_factor
             attempt_start = loop.emitted
             try:
-                loop.run(items, attempt_emit(transport))
+                loop.run(items, attempt_emit(transport), transport.flush)
             except BaseException as exc:
                 # Release the source now, not when the traceback dies.
                 items.close()

@@ -218,6 +218,9 @@ class ChaosTransport(Transport):
                 unacknowledged=count,
             )
 
+    def flush(self) -> None:
+        self._inner.flush()
+
     def close(self) -> None:
         self._inner.close()
 
@@ -436,6 +439,9 @@ class RetryingTransport(Transport):
                 if breaker is not None:
                     breaker.record_success()
                 return
+
+    def flush(self) -> None:
+        self._inner.flush()
 
     def close(self) -> None:
         self._inner.close()

@@ -52,6 +52,7 @@ started with either the ``fork`` or ``spawn`` method.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import pickle
 import queue
@@ -61,7 +62,7 @@ import threading
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Generator, Iterable, Sequence
 
 from repro.core import binfmt, codec, witness
 from repro.core.connectors import Transport, TransportSpec
@@ -189,39 +190,36 @@ def _csv_entity_shard(line: str, workers: int) -> int:
 _GRAPH_FIRST_CHARS = frozenset("ARU")
 
 
-def _write_shards_csv_bytes(
-    source: str | Path, workers: int, directory: Path, shard_by: str
-) -> ShardPlan:
-    """Streamed CSV partitioner: scatter lines to shard files without
-    parsing graph lines.
+#: The shard of a placement that goes to every shard (a control event).
+_EVERY_SHARD = -1
 
-    Lines come from the reader's own blocks and line splitter
-    (``codec._iter_blocks`` and ``codec._split_lines``: UTF-8 checked,
-    universal newlines), so every reader agrees on where lines end.  A
-    line starting with a graph command's first character is copied to
-    exactly one shard, where the worker's reader validates it.  Any
-    other line that is not blank or a comment is parsed: a control line
-    (it steers replays — worth validating once here) is replicated to
-    every shard, and a padded graph line goes to one shard like the
-    others.  Blanks and comments are dropped.
+
+def _csv_placements(
+    source: str | Path, workers: int, shard_by: str
+) -> Generator[tuple[int, int, bytes], None, None]:
+    """Where the streamed CSV partitioner puts each line of ``source``.
+
+    Yields ``(shard, line_number, data)`` per kept line in source order:
+    ``data`` is the line's bytes with its ``\n``, ``line_number`` its
+    1-based line in the source, ``shard`` its shard or
+    :data:`_EVERY_SHARD`.  Lines come from the reader's own blocks and
+    line splitter (``codec._iter_blocks`` and ``codec._split_lines``:
+    UTF-8 checked, universal newlines), so every reader agrees on where
+    lines end.  A line starting with a graph command's first character
+    goes to exactly one shard, where the worker's reader validates it.
+    Any other line that is not blank or a comment is parsed: a control
+    line (it steers replays — worth validating once here) goes to every
+    shard, and a padded graph line to one shard like the others.
+    Blanks and comments are dropped.
     """
-    paths = [directory / f"shard-{index}.csv" for index in range(workers)]
-    graph_counts = [0] * workers
-    control_events = 0
     round_robin = 0
     hash_mode = shard_by == "hash"
-    # Acquire the shard files and the source view inside the same try
-    # so a failure opening any of them (or mapping the source) cannot
-    # leak the handles opened before it.
-    files: list[BinaryIO] = []
-    mapped = None
+    mapped = codec._open_stream_mmap(source)
+    if mapped is None:
+        return
     try:
-        for path in paths:
-            files.append(open(path, "wb", buffering=1 << 16))
-        mapped = codec._open_stream_mmap(source)
         line_number = 0
-        blocks = codec._iter_blocks(mapped) if mapped is not None else ()
-        for __, text in blocks:
+        for __, text in codec._iter_blocks(mapped):
             for line in codec._split_lines(text):
                 line_number += 1
                 data = (line + "\n").encode("utf-8")
@@ -232,9 +230,7 @@ def _write_shards_csv_bytes(
                         continue
                     event = codec.parse_line(line, line_number)
                     if not isinstance(event, GraphEvent):
-                        control_events += 1
-                        for handle in files:
-                            handle.write(data)
+                        yield _EVERY_SHARD, line_number, data
                         continue
                 if not hash_mode:
                     index = round_robin
@@ -245,11 +241,37 @@ def _write_shards_csv_bytes(
                     index = _csv_entity_shard(line, workers)
                 else:
                     index = _entity_shard(event.entity, workers)
+                yield index, line_number, data
+    finally:
+        mapped.close()
+
+
+def _write_shards_csv_bytes(
+    source: str | Path, workers: int, directory: Path, shard_by: str
+) -> ShardPlan:
+    """Streamed CSV partitioner: scatter lines to shard files without
+    parsing graph lines (see :func:`_csv_placements`)."""
+    paths = [directory / f"shard-{index}.csv" for index in range(workers)]
+    graph_counts = [0] * workers
+    control_events = 0
+    # Acquire the shard files and the source view inside the same try
+    # so a failure opening any of them (or mapping the source) cannot
+    # leak the handles opened before it.
+    files: list[BinaryIO] = []
+    placements = _csv_placements(source, workers, shard_by)
+    try:
+        for path in paths:
+            files.append(open(path, "wb", buffering=1 << 16))
+        for index, __, data in placements:
+            if index == _EVERY_SHARD:
+                control_events += 1
+                for handle in files:
+                    handle.write(data)
+            else:
                 files[index].write(data)
                 graph_counts[index] += 1
     finally:
-        if mapped is not None:
-            mapped.close()
+        placements.close()
         for handle in files:
             handle.close()
     return ShardPlan(
@@ -261,24 +283,59 @@ def _write_shards_csv_bytes(
     )
 
 
+def _binary_placements(
+    source: str | Path, workers: int, shard_by: str
+) -> Generator[tuple[int, int, "memoryview | Event"], None, None]:
+    """Where the streamed binary partitioner puts each record of ``source``.
+
+    Yields ``(shard, offset, payload)`` in source order: a graph
+    record's complete bytes (a view of the source mapping, valid until
+    the next item) with its file offset and shard, or a control event
+    with :data:`_EVERY_SHARD`.  Graph frames are walked record header
+    to record header; records are never decoded.
+    """
+    round_robin = 0
+    hash_mode = shard_by == "hash"
+    for item in binfmt.iter_binary_batches(source):
+        if isinstance(item, Event):
+            yield _EVERY_SHARD, -1, item
+            continue
+        frame = item.data
+        for start, end in binfmt.iter_frame_record_spans(frame, item.offset):
+            if hash_mode:
+                try:
+                    index = binfmt.record_entity_id(frame, start) % workers
+                except StreamFormatError as exc:
+                    # The peek names the record's offset in its frame.
+                    raise StreamFormatError(
+                        str(exc).split(": ", 1)[1],
+                        byte_offset=item.offset + start,
+                    ) from None
+            else:
+                index = round_robin
+                round_robin += 1
+                if round_robin == workers:
+                    round_robin = 0
+            yield index, item.offset + start, frame[start:end]
+
+
 def _write_shards_binary_records(
     source: str | Path, workers: int, directory: Path, shard_by: str
 ) -> ShardPlan:
     """Streamed binary partitioner: scatter raw records to shard files.
 
-    Graph frames are walked record header to record header; each
-    record's bytes move verbatim into one shard's
+    Each record's bytes move verbatim into one shard's
     :class:`~repro.core.binfmt.BinaryStreamWriter` (which reframes and
-    indexes them).  Control events are replicated to every shard.
+    indexes them); control events are replicated to every shard (see
+    :func:`_binary_placements`).
     """
     paths = [directory / f"shard-{index}.gtb" for index in range(workers)]
     graph_counts = [0] * workers
     control_events = 0
-    round_robin = 0
-    hash_mode = shard_by == "hash"
     # Construct the writers inside the try: each one opens a file, so a
     # failure on the k-th must still close the k-1 already open.
     writers: list[binfmt.BinaryStreamWriter] = []
+    placements = _binary_placements(source, workers, shard_by)
     try:
         for path in paths:
             writers.append(
@@ -286,24 +343,16 @@ def _write_shards_binary_records(
                     path, witness_path=witness.witness_path(path)
                 )
             )
-        for item in binfmt.iter_binary_batches(source):
-            if isinstance(item, Event):
+        for index, __, payload in placements:
+            if isinstance(payload, Event):
                 control_events += 1
                 for writer in writers:
-                    writer.add(item)
-                continue
-            frame = item.data
-            for start, end in binfmt.iter_frame_record_spans(frame):
-                if hash_mode:
-                    index = binfmt.record_entity_id(frame, start) % workers
-                else:
-                    index = round_robin
-                    round_robin += 1
-                    if round_robin == workers:
-                        round_robin = 0
-                writers[index].add_record(bytes(frame[start:end]))
+                    writer.add(payload)
+            else:
+                writers[index].add_record(bytes(payload))
                 graph_counts[index] += 1
     finally:
+        placements.close()
         for writer in writers:
             writer.close()
     return ShardPlan(
@@ -313,6 +362,77 @@ def _write_shards_binary_records(
         graph_events=tuple(graph_counts),
         control_events=control_events,
     )
+
+
+def _shard_record(path: str, byte_offset: int) -> tuple[int, int, int] | None:
+    """Where ``byte_offset`` falls in the GTB1 shard file ``path``:
+    ``(n, within, record)`` for ``within`` bytes into its ``n``-th
+    graph record (1-based), which is record ``record`` of the file
+    counting control records too (0-based, as the witness numbers
+    them); None when no graph record holds it."""
+    graph = 0
+    record = -1
+    with contextlib.closing(binfmt.iter_binary_batches(path)) as items:
+        for item in items:
+            if isinstance(item, Event):
+                record += 1
+                continue
+            for start, end in binfmt.iter_frame_record_spans(item.data, item.offset):
+                graph += 1
+                record += 1
+                if item.offset + start <= byte_offset < item.offset + end:
+                    return graph, byte_offset - item.offset - start, record
+    return None
+
+
+def _source_position(
+    source: str | Path, plan: ShardPlan, shard: int, error: StreamFormatError
+) -> StreamFormatError:
+    """``error``, raised by ``shard``'s worker, at its place in ``source``.
+
+    Re-walks the partitioner's placements up to the refused line or
+    record (on the error path only, so a clean run pays nothing): a
+    CSV shard's line ``n`` is the ``n``-th line placed on it, and a
+    GTB1 shard's ``n``-th graph record is the ``n``-th record placed
+    on it, refused at the same offset within the record.  An error the
+    walk cannot place comes back unchanged.
+    """
+    path = plan.paths[shard]
+    csv = path.endswith(".csv")
+    placements: Generator[tuple[int, int, object], None, None]
+    if csv:
+        if error.line_number is None:
+            return error
+        wanted, within, shard_record = error.line_number, 0, -1
+        placements = _csv_placements(source, plan.workers, plan.shard_by)
+    else:
+        found = None
+        if error.byte_offset is not None:
+            found = _shard_record(path, error.byte_offset)
+        if found is None:
+            return error
+        wanted, within, shard_record = found
+        placements = _binary_placements(source, plan.workers, plan.shard_by)
+    seen = 0
+    record = -1
+    with contextlib.closing(placements):
+        for index, position, __ in placements:
+            record += 1
+            if index == shard or (csv and index == _EVERY_SHARD):
+                seen += 1
+                if seen == wanted:
+                    break
+        else:
+            return error
+    # Both kinds of position prefix the message ("line N: ...").
+    bare = str(error).split(": ", 1)[1]
+    if csv:
+        return StreamFormatError(bare, position)
+    # A witness refusal names the file and its record number.
+    bare = bare.replace(
+        f"{path}: record {shard_record} ", f"{source}: record {record} "
+    )
+    return StreamFormatError(bare, byte_offset=position + within)
 
 
 def _write_shards_events(
@@ -819,6 +939,23 @@ class ShardedReplayer:
         for phase, count in counts.items():
             tracer.count(phase, count)
 
+    def _place_in_source(
+        self, plan: ShardPlan, failures: dict[int, tuple[str, BaseException]]
+    ) -> None:
+        """Move each worker's format refusal from its shard file to the
+        source file, when the shards are the source's own lines or
+        records (see :func:`_source_position`)."""
+        source = self._source
+        if not isinstance(source, (str, Path)) or self._stream_format not in (
+            "auto",
+            codec.detect_stream_format(source),
+        ):
+            return
+        for index, (message, error) in failures.items():
+            if isinstance(error, StreamFormatError):
+                placed = _source_position(source, plan, index, error)
+                failures[index] = (message.replace(str(error), str(placed)), placed)
+
     def _run_workers(self, plan: ShardPlan) -> list[ReplayReport]:
         context = multiprocessing.get_context(self._start_method)
         barrier = context.Barrier(self._workers + 1)
@@ -904,6 +1041,7 @@ class ShardedReplayer:
             for process in processes:
                 process.join(timeout=10.0)
             if failures:
+                self._place_in_source(plan, failures)
                 errors = sorted(
                     f"worker {index}: {message}"
                     for index, (message, __) in failures.items()

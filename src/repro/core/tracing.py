@@ -415,6 +415,9 @@ class TracingTransport(Transport):
             self._tracer.count("transported", self._sent - self._counted)
             self._counted = self._sent
 
+    def flush(self) -> None:
+        self._inner.flush()
+
     def close(self) -> None:
         self.flush_counts()
         self._inner.close()

@@ -384,11 +384,11 @@ class TestSourceErrors:
             _sharded(path, outs, workers, "events")
         cause = err.value.__cause__
         assert isinstance(cause, StreamFormatError)
-        assert str(cause).endswith("vertex id 'abc' is not an integer")
-        if workers == 1:
-            assert cause.line_number == 4001
-        else:  # the line in the worker's shard file
-            assert cause.line_number is not None
+        assert str(cause) == "line 4001: vertex id 'abc' is not an integer"
+        # At 2 workers the bad line is line 2001 of shard-0.csv: the
+        # refusal names its line in the source all the same.
+        assert cause.line_number == 4001
+        assert "line 4001: vertex id" in str(err.value)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("sidecar", [False, True], ids=["walk", "witness"])
@@ -401,10 +401,45 @@ class TestSourceErrors:
             _sharded(path, outs, workers, "events")
         cause = err.value.__cause__
         assert isinstance(cause, StreamFormatError)
-        if workers == 1:
-            assert cause.byte_offset == offset
-        else:  # the offset in the worker's shard file
-            assert cause.byte_offset is not None
+        # At 2 workers the record sits elsewhere in its shard file: the
+        # refusal names its offset in the source all the same.
+        assert cause.byte_offset == offset
+        assert str(cause).startswith(f"byte offset {offset}: ")
+        assert "shard-" not in str(cause)
+
+    def test_hash_sharded_refusal_names_its_source_line(self, tmp_path):
+        """Under entity-hash sharding, with control lines copied to every
+        shard, a worker's refusal still names the source line."""
+        lines = [f"ADD_VERTEX,{i},v" for i in range(2000)] + ["MARKER,half"]
+        lines += [f"ADD_VERTEX,{i},v" for i in range(2000, 4000)]
+        lines += ["ADD_EDGE,7-x,w"] + [f"ADD_VERTEX,{i},v" for i in range(4000, 4100)]
+        path = _write(tmp_path, "bad", "\n".join(lines).encode() + b"\n")
+        outs = [PipeSpec(target=str(tmp_path / f"out-{i}")) for i in range(3)]
+        with pytest.raises(ReplayError, match="stream source failed") as err:
+            ShardedReplayer(
+                str(path), outs, rate=FAST, workers=3, shard_by="hash"
+            ).run()
+        cause = err.value.__cause__
+        assert isinstance(cause, StreamFormatError)
+        assert cause.line_number == 4002
+        assert str(cause).startswith("line 4002: edge id '7-x'")
+
+    def test_hash_sharding_refuses_a_bad_tag_at_its_source_offset(self, tmp_path):
+        """The partitioner's own entity peek refuses an unknown tag at
+        the record's offset in the file, not in its frame."""
+        path, offset = _corrupt_gtb(tmp_path, sidecar=False)
+        outs = [PipeSpec(target=str(tmp_path / f"out-{i}")) for i in range(3)]
+        with pytest.raises((ReplayError, StreamFormatError)) as err:
+            ShardedReplayer(
+                str(path), outs, rate=FAST, workers=3, shard_by="hash"
+            ).run()
+        refusal = err.value
+        if isinstance(refusal, ReplayError):
+            refusal = refusal.__cause__
+        assert refusal.byte_offset == offset
+        assert str(refusal) == (
+            f"byte offset {offset}: record tag 200 is not a graph event"
+        )
 
     @pytest.mark.parametrize("batch_size", [4, 512], ids=["split", "whole"])
     def test_frame_count_refusal_has_the_witness_offset(self, tmp_path, batch_size):
