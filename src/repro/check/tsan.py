@@ -7,17 +7,20 @@ instrumented fields, and reports **races**: pairs of accesses to the
 same field from different threads, at least one a write, whose held
 lock-sets are disjoint (the classic Eraser lockset algorithm) and
 which are not ordered by a happens-before edge (vector clocks updated
-at ``Thread.start``/``Thread.join``, so the replayer's
-write-then-join-then-read hand-off of ``_reader_error`` is correctly
-*not* a race).
+at ``Thread.start``/``Thread.join``, so a receiver's reader threads
+counting into one :class:`~repro.core.connectors.WindowCounter`, joined
+by ``close()`` before the caller reads the total, is correctly *not* a
+race).
 
 Typical test usage::
 
     monitor = Monitor()
     with watch_threads(monitor):          # start/join happens-before
-        replayer = LiveReplayer(path, transport, rate=5000.0)
-        instrument(replayer, monitor, fields=("_reader_error", "_queue"))
-        replayer.run()
+        receiver = TcpReceiver(max_connections=2)
+        instrument(receiver, monitor, fields=("_next_id",))
+        with receiver:
+            ShardedReplayer(path, TcpSpec(port=receiver.port),
+                            rate=5000.0, workers=2).run()
     assert monitor.races() == []
 
 ``instrument`` swaps the object's class for a recording subclass and

@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument(
         "--format", choices=("auto", "csv", "binary"), default="auto",
         help="wire format: auto keeps the source format; csv or binary "
-        "transcodes the shards during partitioning (at one worker, on "
-        "the replayer's reader thread)",
+        "transcodes the shards during partitioning (at one worker, "
+        "between the replayer's pacing waits)",
     )
     retry = rep.add_argument_group(
         "resilient delivery",

@@ -911,8 +911,8 @@ def iter_parse_binary_chunks(
     """Yield chunks (lists) of decoded events from a binary stream file.
 
     The binary sibling of :func:`repro.core.codec.iter_parse_chunks`,
-    used by the replayer's reader thread.  With a tracer, each decoded
-    frame gets a sampled ``decoded`` span.
+    through which the replayer reads a GTB1 file it transcodes to CSV.
+    With a tracer, each decoded frame gets a sampled ``decoded`` span.
     """
     if chunk_events <= 0:
         raise ValueError(f"chunk_events must be positive, got {chunk_events}")

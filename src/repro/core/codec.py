@@ -698,11 +698,11 @@ def iter_parse_chunks(
 ) -> Iterator[list[Event]]:
     """Yield chunks (lists) of parsed events from a stream file.
 
-    The replayer's reader thread uses this to hand whole chunks across
-    the queue instead of paying one hand-off per event.  With a
-    :class:`~repro.core.tracing.Tracer`, each decoded file block gets a
-    sampled ``decoded`` span (stamped on the tracer's clock) so the
-    reader side of the pipeline is visible in exported traces.
+    The replayer reads a transcoded file through this, on its emitting
+    thread.  With a :class:`~repro.core.tracing.Tracer`, each decoded
+    file block gets a sampled ``decoded`` span (stamped on the tracer's
+    clock) so the read side of the pipeline is visible in exported
+    traces.
     """
     if chunk_events <= 0:
         raise ValueError(f"chunk_events must be positive, got {chunk_events}")

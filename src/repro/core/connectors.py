@@ -845,8 +845,9 @@ class PipeReceiver(_Receiver):
 
     def __exit__(self, *exc_info) -> None:
         try:
-            if self._thread.is_alive():
-                self._thread.join(timeout=10.0)
+            # Join even a finished reader: the join orders its counts
+            # before the caller's reads.
+            self._thread.join(timeout=10.0)
         finally:
             self.close()
 
@@ -979,7 +980,9 @@ class TcpReceiver(_Receiver):
         so no counted events are lost to shutdown timing.
         """
         self._stop.set()
-        if self._thread.is_alive():
+        # Join a started thread even when it has finished: the join
+        # orders its readers' counts before the caller's reads.
+        if self._thread.ident is not None:
             self._thread.join(timeout=max(10.0, 2 * self.accept_poll_seconds))
         try:
             self._server.close()

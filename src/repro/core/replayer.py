@@ -16,22 +16,26 @@ sends the batch and returns its event count, and records per-window
 egress rates so the achieved rate can be analysed afterwards (the
 Figure 3a measurement).  ``MARKER``, ``SPEED`` and ``PAUSE`` take
 effect at their exact stream position, since the feeder emits its
-pending batch before yielding one.  The feeder depends on the source:
+pending batch before yielding one.
+
+Unlike the paper's replayer, the feeder reads the source on the
+emitting thread, between pacing waits: under the GIL a reader thread
+only interleaves with the emitter, and the inline stored-bytes path
+replays a CSV file flat out about seven times faster than the reader
+thread's parse, queue and re-format path did.  By source:
 
 * A stream file replayed onto a wire of its own format needs no event
-  objects: the emitting thread reads it inline through
-  :func:`repro.core.codec.iter_raw_batches` and sends the stored bytes.
-  CSV runs of up to ``batch_size`` lines, whose blocks pass the
-  canonical line grammar, go through ``send_raw``; GTB1 frames of up to
-  ``batch_size`` records go through ``send_frame`` once their records
-  are counted (:meth:`LiveReplayer._frame_counter`).
-* In-memory sources, and files transcoded to the other wire format,
-  follow the paper's two-thread design: a reader thread parses the
-  stream into a bounded hand-off queue of event chunks (one put/get
-  per ``read_chunk`` events), and the emitter cuts them into batches
-  of up to ``batch_size`` graph events and encodes each one (CSV
-  lines for ``send_many``, or a GTB1 frame for ``send_frame``) after
-  its pacing wait.
+  objects: it is read through :func:`repro.core.codec.iter_raw_batches`
+  and the stored bytes are sent.  CSV runs of up to ``batch_size``
+  lines, whose blocks pass the canonical line grammar, go through
+  ``send_raw``; GTB1 frames of up to ``batch_size`` records go through
+  ``send_frame`` once their records are counted
+  (:meth:`LiveReplayer._frame_counter`).
+* In-memory sources, and files transcoded to the other wire format
+  (parsed by :func:`repro.core.codec.iter_parse_chunks`), are cut into
+  batches of up to ``batch_size`` graph events, each encoded after its
+  pacing wait (CSV lines for ``send_many``, or a GTB1 frame for
+  ``send_frame``).
 
 ``batch_size=1`` reproduces per-event pacing exactly; larger batches
 trade timing granularity for a higher saturation rate.
@@ -42,7 +46,7 @@ Resilience: the replayer checkpoints at every marker boundary.  When a
 transport failure escapes the delivery layer (see
 :mod:`repro.core.resilience`) and ``max_resumes`` allows it, the replay
 *resumes* from the last checkpoint instead of dying: the source is
-re-read, events up to the checkpoint are fast-forwarded without
+re-read, items up to the checkpoint are fast-forwarded without
 emission, and events after it are re-emitted (at-least-once
 redelivery, counted in the report).  Resume requires a re-iterable
 source (file path, :class:`~repro.core.stream.GraphStream`, list).
@@ -51,8 +55,6 @@ source (file path, :class:`~repro.core.stream.GraphStream`, list).
 from __future__ import annotations
 
 import math
-import queue
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,8 +82,6 @@ __all__ = [
     "ReplayCheckpoint",
     "next_pacing_margin",
 ]
-
-_SENTINEL = object()
 
 #: The pacing margin (seconds): how long before a batch's deadline the
 #: loop stops sleeping and busy-waits.  It starts at ``_MARGIN_START``,
@@ -121,8 +121,9 @@ def next_pacing_margin(margin: float, overshoot: float) -> float:
 class ReplayCheckpoint:
     """A resume point taken at a marker boundary.
 
-    ``position`` is the number of stream items fully handled before
-    the checkpoint (the fast-forward distance on resume);
+    ``position`` is the number of feeder items (batches and control
+    events) handled before the checkpoint, the marker included (the
+    fast-forward distance on resume);
     ``speed_factor`` restores the rate state the markers were passed
     at; ``marker_count`` is how many marker timestamps were recorded,
     so a failed attempt's markers can be rolled back.
@@ -335,109 +336,59 @@ def close_transport(transport: Transport, failure: BaseException | None) -> None
             raise
 
 
-class _ReaderThread:
-    """One replay attempt's reader: thread + hand-off queue + stop flag.
+# hot-path
+def _event_batches(
+    source: GraphStream | str | Path | Iterable[Event],
+    batch_size: int,
+    tracer: Tracer | None,
+) -> Iterator[list[Event] | Event]:
+    """Batches of up to ``batch_size`` graph events, and control events.
 
-    Each resume attempt gets a fresh instance, so a reader that is
-    stuck in a slow source can never feed chunks into a later
-    attempt's queue.
+    ``source`` is an iterable of events, or a stream file parsed by
+    :func:`~repro.core.codec.iter_parse_chunks` (a transcoding replay).
+    A control event is yielded after the pending batch, and so is an
+    error: a failing source, or a non-event item (:class:`ReplayError`),
+    raises once the events read before it are yielded.  The batch list
+    is reused, since :class:`PacedLoop` emits a batch before it asks for
+    the next item.
     """
-
-    def __init__(
-        self,
-        source: GraphStream | str | Path | Iterable[Event],
-        read_chunk: int,
-        queue_capacity: int,
-        tracer: Tracer | None = None,
-    ):
-        self._source = source
-        self._read_chunk = read_chunk
-        self._tracer = tracer
-        # The queue holds chunks, so express the event-denominated
-        # capacity in chunk units (at least two so reader and emitter
-        # can overlap).
-        self.queue: queue.Queue[list[Event] | object] = queue.Queue(
-            maxsize=max(2, queue_capacity // read_chunk)
-        )
-        self._stop = threading.Event()
-        # guarded-by: the reader writes before exiting; readers of
-        # `error` only look after join(), so the join edge orders it.
-        self.error: Exception | None = None
-        self._thread = threading.Thread(target=self._read_source, daemon=True)
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def _put(self, item: list[Event] | object) -> bool:
-        """Enqueue ``item``, giving up when the emitter has stopped."""
-        while not self._stop.is_set():
-            try:
-                self.queue.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    # hot-path
-    def _read_source(self) -> None:
-        try:
-            if isinstance(self._source, (str, Path)):
-                for chunk in codec.iter_parse_chunks(
-                    self._source,
-                    chunk_events=self._read_chunk,
-                    tracer=self._tracer,
-                ):
-                    if not self._put(chunk):
-                        return
-            else:
-                buffer: list[Event] = []
-                for event in self._source:
-                    buffer.append(event)
-                    if len(buffer) >= self._read_chunk:
-                        if not self._put(buffer):
-                            return
-                        buffer = []
-                if buffer:
-                    self._put(buffer)
-        except Exception as exc:  # surfaced on the emitter thread
-            self.error = exc  # guarded-by: join() before error is read
-        finally:
-            self._put(_SENTINEL)
-
-    def _drain_queue(self) -> None:
-        try:
-            while True:
-                self.queue.get_nowait()
-        except queue.Empty:
-            pass
-
-    def stop(self, join_timeout: float) -> bool:
-        """Stop, drain and join; returns False when the thread leaked.
-
-        A reader stuck inside a blocking source cannot be interrupted;
-        after ``join_timeout`` it is abandoned (it is a daemon thread
-        and its queue is attempt-local, so it cannot corrupt a resume).
-        """
-        self._stop.set()
-        self._drain_queue()
-        self._thread.join(timeout=join_timeout)
-        if self._thread.is_alive():
-            return False
-        # One more drain: the reader may have enqueued its sentinel
-        # between our drain and its exit.
-        self._drain_queue()
-        return True
+    chunks: Iterable[Iterable[Event]] = (
+        codec.iter_parse_chunks(source, tracer=tracer)
+        if isinstance(source, (str, Path))
+        else (source,)
+    )
+    pending: list[Event] = []
+    try:
+        for chunk in chunks:
+            for item in chunk:
+                if isinstance(item, GraphEvent):
+                    pending.append(item)
+                    if len(pending) >= batch_size:
+                        yield pending
+                        pending.clear()
+                    continue
+                if not isinstance(item, Event):
+                    raise ReplayError(f"cannot replay {type(item).__name__}")
+                if pending:
+                    yield pending
+                    pending.clear()
+                yield item
+    except Exception:
+        if pending:
+            yield pending
+        raise
+    if pending:
+        yield pending
 
 
 class LiveReplayer:
     """Replays a stream over a transport at a tunable uniform rate.
 
     ``source`` is a :class:`GraphStream`, a path to a stream file, or
-    any iterable of events.  A file source in ``wire_format`` is
-    forwarded as its stored lines or frames, read on the emitting
-    thread (see :func:`~repro.core.codec.iter_raw_batches`); other
-    sources are parsed on a dedicated reader thread, decoupled from
-    emission through a bounded queue of event chunks.
+    any iterable of events, read on the emitting thread between pacing
+    waits.  A file source in ``wire_format`` is forwarded as its stored
+    lines or frames (see :func:`~repro.core.codec.iter_raw_batches`);
+    other sources are batched as events and encoded after each wait.
 
     ``batch_size`` is the token-bucket burst size: the emitter sends up
     to that many events per :class:`PacedLoop` wakeup in one transport
@@ -445,8 +396,6 @@ class LiveReplayer:
     matches the paper's per-event pacing; raising it (e.g. to 32-256)
     lifts the saturation rate at the cost of event timing being uniform
     only at batch granularity.
-    ``read_chunk`` is how many events a reader thread hands over per
-    queue operation; it does not affect emission timing.
 
     ``max_resumes`` enables checkpoint resume: when a
     :class:`~repro.errors.ConnectorError` escapes the transport during
@@ -472,14 +421,11 @@ class LiveReplayer:
         transport: Transport,
         rate: float,
         window_seconds: float = 1.0,
-        queue_capacity: int = 65536,
         batch_size: int = 1,
-        read_chunk: int = 1024,
         wire_format: str = "csv",
         max_resumes: int = 0,
         resume_delay: float = 0.0,
         transport_factory: Callable[[], Transport] | None = None,
-        reader_join_timeout: float = 5.0,
         clock: TraceClock | None = None,
         tracer: Tracer | None = None,
     ):
@@ -487,12 +433,8 @@ class LiveReplayer:
             raise ValueError(f"rate must be positive, got {rate}")
         if window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        if queue_capacity <= 0:
-            raise ValueError("queue_capacity must be positive")
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if read_chunk <= 0:
-            raise ValueError(f"read_chunk must be positive, got {read_chunk}")
         if wire_format not in ("csv", "binary"):
             raise ValueError(
                 f"unknown wire_format {wire_format!r}; "
@@ -502,26 +444,19 @@ class LiveReplayer:
             raise ValueError(f"max_resumes must be >= 0, got {max_resumes}")
         if resume_delay < 0:
             raise ValueError("resume_delay must be >= 0")
-        if reader_join_timeout <= 0:
-            raise ValueError("reader_join_timeout must be positive")
         self._source = source
         self._transport = transport
         self._base_rate = rate
         self._window_seconds = window_seconds
         self._batch_size = batch_size
-        self._read_chunk = read_chunk
         self._wire_format = wire_format
-        self._queue_capacity = queue_capacity
         self._max_resumes = max_resumes
         self._resume_delay = resume_delay
         self._transport_factory = transport_factory
-        self._reader_join_timeout = reader_join_timeout
         if tracer is not None and clock is None:
             clock = tracer.clock
         self._clock = clock if clock is not None else shared_clock()
         self._tracer = tracer
-        #: True when a reader thread could not be joined (stuck source).
-        self.reader_leaked = False
 
     def _resumable(self) -> bool:
         """Resume needs a source that can be iterated again."""
@@ -554,18 +489,6 @@ class LiveReplayer:
             return witness.count_verified_frame
         return binfmt.scan_frame
 
-    def _new_reader(self) -> _ReaderThread:
-        return _ReaderThread(
-            self._source,
-            self._read_chunk,
-            self._queue_capacity,
-            tracer=self._tracer,
-        )
-
-    def _stop_reader(self, reader: _ReaderThread | None) -> None:
-        if reader is not None and not reader.stop(self._reader_join_timeout):
-            self.reader_leaked = True  # guarded-by: emitter-only
-
     # -- emission ----------------------------------------------------------
 
     # hot-path
@@ -573,9 +496,10 @@ class LiveReplayer:
         """Replay the whole stream; blocks until finished.
 
         Raises :class:`ReplayError` when the stream source failed
-        (malformed file) or :class:`ConnectorError` when the transport
-        raised and the resume budget is spent.  The transport is closed
-        and any reader thread stopped on every exit path.
+        (malformed file, after the items before the failure were sent)
+        or :class:`ConnectorError` when the transport raised and the
+        resume budget is spent.  The transport is closed on every exit
+        path.
         """
         # All pacing and stamping goes through the unified trace clock,
         # so replayer series share an epoch with receivers and probes.
@@ -688,23 +612,30 @@ class LiveReplayer:
                 marker_count=len(loop.marker_times),
             )
 
-        def stored_batches() -> Iterator[object]:
-            """The file's validated batches and control events, read on
-            this thread; GTB1 frames are counted by the rule the first
-            attempt chose.  Items up to the checkpoint were delivered
-            before a resume and are skipped.  A source failure ends the
-            items and is raised after the attempt, as a reader's is."""
+        def paced_items() -> Iterator[object]:
+            """One attempt's batches and control events, read on this
+            thread: the file's stored bytes (GTB1 frames counted by the
+            rule the first attempt chose) or :func:`_event_batches`.
+            The first ``checkpoint.position`` items were delivered
+            before a resume and are skipped; a marker becomes the
+            checkpoint once passed.  A source failure ends the items and
+            is raised after the attempt."""
             nonlocal source_error, count_frame
             skip = checkpoint.position
             position = 0
             try:
-                if binary and count_frame is None:
-                    count_frame = self._frame_counter()
+                source: Iterator[object]
+                if stored:
+                    if binary and count_frame is None:
+                        count_frame = self._frame_counter()
+                    source = codec.iter_raw_batches(
+                        self._source, batch_lines=batch_size
+                    )
+                else:
+                    source = _event_batches(self._source, batch_size, tracer)
                 count = count_frame
                 raw_batch = codec.RawBatch
-                for item in codec.iter_raw_batches(
-                    self._source, batch_lines=batch_size
-                ):
+                for item in source:
                     position += 1
                     if position <= skip:
                         continue
@@ -713,57 +644,16 @@ class LiveReplayer:
                     yield item
                     if isinstance(item, MarkerEvent):
                         take_checkpoint(position)
+            except ReplayError:
+                raise  # a non-event item: not a source failure
             except Exception as exc:
                 source_error = exc
-
-        def batches(reader: _ReaderThread) -> Iterator[list[Event] | Event]:
-            """Cut the reader's chunks into batches of up to
-            ``batch_size`` graph events, reusing one list (the loop
-            emits a batch before it asks for the next item).  Items up
-            to the checkpoint were delivered before a resume and are
-            skipped; a marker becomes the checkpoint once passed."""
-            skip = checkpoint.position
-            position = 0
-            pending: list[Event] = []
-            while True:
-                # bounded by reader progress: the reader thread
-                # always enqueues the sentinel (in its finally)
-                chunk = reader.queue.get()  # repro-check: disable=HOT001
-                if chunk is _SENTINEL:
-                    break
-                for item in chunk:
-                    position += 1
-                    if position <= skip:
-                        continue
-                    if isinstance(item, GraphEvent):
-                        pending.append(item)
-                        if len(pending) >= batch_size:
-                            yield pending
-                            pending.clear()
-                        continue
-                    if not isinstance(item, Event):
-                        raise ReplayError(f"cannot replay {type(item).__name__}")
-                    if pending:
-                        yield pending
-                        pending.clear()
-                    yield item
-                    if isinstance(item, MarkerEvent):
-                        take_checkpoint(position)
-            if pending:
-                yield pending
 
         resumes = 0
         resume_redeliveries = 0
         while True:
             transport = self._transport
-            reader = None
-            items: Iterator[object]
-            if stored:
-                items = stored_batches()
-            else:
-                reader = self._new_reader()
-                reader.start()
-                items = batches(reader)
+            items = paced_items()
             loop.speed = checkpoint.speed_factor
             attempt_start = loop.emitted
             try:
@@ -771,7 +661,6 @@ class LiveReplayer:
             except BaseException as exc:
                 # Release the source now, not when the traceback dies.
                 items.close()
-                self._stop_reader(reader)
                 resumable = isinstance(exc, ConnectorError) and self._resumable()
                 if not resumable or resumes >= self._max_resumes:
                     flush_trace_counts()
@@ -795,13 +684,13 @@ class LiveReplayer:
                     time.sleep(self._resume_delay)  # repro-check: disable=HOT001
                 continue
             flush_trace_counts()
-            self._stop_reader(reader)
             close_transport(transport, None)
             break
 
-        error = source_error if reader is None else reader.error
-        if error is not None:
-            raise ReplayError(f"stream source failed: {error}") from error
+        if source_error is not None:
+            raise ReplayError(
+                f"stream source failed: {source_error}"
+            ) from source_error
         return loop.report(
             transport, resumes=resumes, redeliveries=resume_redeliveries
         )

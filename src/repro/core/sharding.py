@@ -870,11 +870,13 @@ class ShardedReplayer:
         """Partition, replay all shards, and merge the reports.
 
         Blocks until every worker finished.  Raises
-        :class:`~repro.errors.ReplayError` when any worker failed
-        (naming each failed worker's error, with the lowest-indexed
-        failed worker's typed error as ``__cause__``: a source failure's
-        :class:`~repro.errors.StreamFormatError`, offsets included) or
-        when workers do not report back within ``worker_timeout``.
+        :class:`~repro.errors.ReplayError` when the partitioner refuses
+        the source (``stream source failed: ...``, as at one worker) or
+        any worker failed (naming each failed worker's error, with the
+        lowest-indexed failed worker's typed error as ``__cause__``: a
+        source failure's :class:`~repro.errors.StreamFormatError`,
+        offsets included), or when workers do not report back within
+        ``worker_timeout``.
         """
         if self._workers == 1:
             return self._run_single()
@@ -886,13 +888,16 @@ class ShardedReplayer:
             directory = Path(tempfile.mkdtemp(prefix="graphtides-shards-"))
             cleanup = True
         try:
-            self.plan = write_shards(
-                self._source,
-                self._workers,
-                directory,
-                shard_by=self._shard_by,
-                stream_format=self._stream_format,
-            )
+            try:
+                self.plan = write_shards(
+                    self._source,
+                    self._workers,
+                    directory,
+                    shard_by=self._shard_by,
+                    stream_format=self._stream_format,
+                )
+            except StreamFormatError as exc:
+                raise ReplayError(f"stream source failed: {exc}") from exc
             shards = self._run_workers(self.plan)
         finally:
             if cleanup:
@@ -903,8 +908,8 @@ class ShardedReplayer:
         """The 1-worker degenerate case: in-process, no partitioning.
 
         A file source in the requested format is replayed in place; an
-        in-memory source or a format conversion is parsed on the
-        replayer's reader thread.
+        in-memory source or a format conversion is batched as events.
+        Either way the source is read on the emitting thread.
         """
         source = self._source
         stored_format = None

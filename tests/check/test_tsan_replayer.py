@@ -1,106 +1,152 @@
-"""Tsan-instrumented replay: the reader/emitter hand-off is race-free.
+"""Tsan-instrumented replay: the receiver's shared counters are race-free.
 
-A CSV file replayed onto a CSV wire is read inline on the emitting
-thread, so the file sources here are GTB1: transcoding a binary file
-to CSV lines keeps the reader thread and its hand-off queue.
+A replay reads its source on the emitting thread, so a replayer has no
+second thread.  The threads that share state are the receiver's: a
+2-worker :class:`ShardedReplayer` opens one TCP connection per worker,
+and :class:`TcpReceiver` reads each on its own thread, drawing ingest
+ids from ``_next_id`` and counting into one :class:`WindowCounter`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import time
+
 import pytest
 
-from repro.core import binfmt, codec, events
-from repro.core.connectors import CallbackTransport
-from repro.core.replayer import LiveReplayer
+from repro.core import codec, events
+from repro.core.connectors import PipeReceiver, TcpReceiver, TcpSpec
+from repro.core.sharding import ShardedReplayer
 from repro.check.tsan import Monitor, instrument, watch_threads
 from repro.errors import ReplayError
 
-#: Replayer fields the emitter thread reads while the reader runs.
-REPLAYER_FIELDS = (
-    "_base_rate",
-    "_source",
-    "_read_chunk",
-    "reader_leaked",
-)
+#: Receiver fields every connection's reader thread writes.
+RECEIVER_FIELDS = ("_next_id",)
 
-#: Per-attempt reader fields both threads can touch.
-READER_FIELDS = ("queue", "error")
+#: Counter fields every reader thread writes through ``record``.
+COUNTER_FIELDS = ("total", "_current_start", "_current_count", "_windows")
+
+EVENTS = 3000
 
 
-def _write_stream(path, count=3000):
+def _write_stream(path, count=EVENTS, stream_format="csv"):
     codec.write_stream_file(
         path,
         (events.add_vertex(i, f"s{i}") for i in range(count)),
-        format="binary",
+        format=stream_format,
     )
     return path
 
 
-def _instrument_replay(replayer, monitor):
-    """Instrument the replayer plus every reader it creates."""
-    instrument(replayer, monitor, fields=REPLAYER_FIELDS)
-    original = replayer._new_reader
-
-    def make_reader():
-        reader = original()
-        instrument(reader, monitor, fields=READER_FIELDS)
-        return reader
-
-    replayer._new_reader = make_reader
-    return replayer
+def _instrumented_receiver(monitor, id_lock=None):
+    """A 2-connection TCP receiver with its shared fields instrumented;
+    ``id_lock`` replaces the id lock before its locks are wrapped."""
+    receiver = TcpReceiver(max_connections=2)
+    if id_lock is not None:
+        receiver._id_lock = id_lock
+    instrument(receiver, monitor, fields=RECEIVER_FIELDS)
+    instrument(receiver.counter, monitor, fields=COUNTER_FIELDS)
+    return receiver
 
 
-def test_clean_replay_is_race_free(tmp_path, tsan_monitor):
-    stream = _write_stream(tmp_path / "stream.gtb")
-    received: list[str] = []
-    replayer = LiveReplayer(
-        stream,
-        CallbackTransport(received.append),
-        rate=1e6,
-        batch_size=256,
-    )
-    _instrument_replay(replayer, tsan_monitor)
-    report = replayer.run()
-    assert report.events_emitted == 3000
-    assert len(received) == 3000
-    # Both threads actually touched the instrumented state.
-    threads = {access.thread for access in tsan_monitor.accesses}
-    assert len(threads) == 2
+def _replay(source, receiver, **kwargs):
+    with receiver:
+        report = ShardedReplayer(
+            source,
+            TcpSpec(port=receiver.port),
+            rate=1e6,
+            workers=2,
+            batch_size=64,
+            **kwargs,
+        ).run()
+    return report
+
+
+def _writer_threads(monitor):
+    """The threads that wrote an instrumented field."""
+    return {access.thread for access in monitor.accesses if access.write}
+
+
+def _assert_clean_file_replay(stream, monitor):
+    receiver = _instrumented_receiver(monitor)
+    report = _replay(str(stream), receiver)
+    assert report.events_emitted == EVENTS
+    assert receiver.counter.total == EVENTS
+    # Both connections' reader threads touched the shared state.
+    assert len(_writer_threads(monitor)) >= 2
     # Race-freedom is asserted by the fixture at teardown.
 
 
-def test_reader_failure_handoff_is_race_free(tmp_path):
-    bad = tmp_path / "bad.gtb"
-    bad.write_bytes(binfmt.MAGIC + b"\x01\x02\x03")  # truncated frame header
-    monitor = Monitor()
-    with watch_threads(monitor):
-        replayer = LiveReplayer(
-            bad,
-            CallbackTransport(lambda line: None),
-            rate=1e6,
-        )
-        _instrument_replay(replayer, monitor)
-        with pytest.raises(ReplayError, match="stream source failed"):
-            replayer.run()
-    # The reader wrote its error field and run() read it after joining;
-    # the join edge must order those accesses, so no race is reported.
-    error_accesses = [
-        access for access in monitor.accesses if access.field == "error"
-    ]
-    assert any(access.write for access in error_accesses)
-    assert len({access.thread for access in error_accesses}) == 2
-    monitor.assert_race_free()
+def test_clean_replay_is_race_free(tmp_path, tsan_monitor):
+    _assert_clean_file_replay(_write_stream(tmp_path / "s.csv"), tsan_monitor)
+
+
+def test_binary_frame_replay_is_race_free(tmp_path, tsan_monitor):
+    stream = _write_stream(tmp_path / "s.gtb", stream_format="binary")
+    _assert_clean_file_replay(stream, tsan_monitor)
 
 
 def test_iterable_source_replay_is_race_free(tsan_monitor):
     source = [events.add_vertex(i) for i in range(500)]
-    replayer = LiveReplayer(
-        source,
-        CallbackTransport(lambda line: None),
-        rate=1e6,
-        batch_size=64,
-        read_chunk=50,
-    )
-    _instrument_replay(replayer, tsan_monitor)
-    report = replayer.run()
+    receiver = _instrumented_receiver(tsan_monitor)
+    report = _replay(source, receiver)
     assert report.events_emitted == 500
+    assert receiver.counter.total == 500
+    assert len(_writer_threads(tsan_monitor)) >= 2
+
+
+def test_receiver_totals_are_read_after_a_join(tmp_path, tsan_monitor):
+    """Both receivers join their reader threads on exit even when the
+    readers have already finished, so a total read afterwards is
+    ordered after every count."""
+    stream = _write_stream(tmp_path / "s.csv", count=100)
+    read, write = os.pipe()
+    pipe = PipeReceiver(read)
+    tcp = TcpReceiver()
+    for receiver in (pipe, tcp):
+        instrument(receiver.counter, tsan_monitor, fields=COUNTER_FIELDS)
+    with pipe:
+        with os.fdopen(write, "wb") as out:
+            out.write(stream.read_bytes())
+        time.sleep(0.2)  # the reader sees EOF and finishes first
+    with tcp:
+        ShardedReplayer(str(stream), TcpSpec(port=tcp.port), rate=1e6).run()
+        time.sleep(0.2)
+    assert pipe.counter.total == tcp.counter.total == 100
+
+
+def test_reader_failure_handoff_is_race_free(tmp_path):
+    """A worker refuses a bad line after both connections delivered
+    events; the test thread reads the counts only after the receiver
+    joined its readers, and the join edge orders those accesses."""
+    # Each shard's first 64 KiB block is sent before the bad line's
+    # block is refused.
+    pad = "x" * 64
+    lines = [f"ADD_VERTEX,{i},{pad}" for i in range(EVENTS)]
+    lines.append("ADD_VERTEX,abc,")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    monitor = Monitor()
+    with watch_threads(monitor):
+        receiver = _instrumented_receiver(monitor)
+        with pytest.raises(ReplayError, match="stream source failed"):
+            _replay(str(bad), receiver)
+        assert 0 < receiver.counter.total <= EVENTS
+    assert len(_writer_threads(monitor)) >= 2
+    monitor.assert_race_free()
+
+
+def test_unlocked_id_counter_is_reported(tmp_path):
+    """The oracle can fail: with the id lock replaced by a no-op, the
+    two reader threads' writes of ``_next_id`` are a race."""
+    stream = _write_stream(tmp_path / "stream.csv")
+    monitor = Monitor()
+    with watch_threads(monitor):
+        receiver = _instrumented_receiver(
+            monitor, id_lock=contextlib.nullcontext()
+        )
+        _replay(str(stream), receiver)
+    races = monitor.races()
+    assert races
+    assert {race.field for race in races} == {"_next_id"}

@@ -307,7 +307,6 @@ class TestBatchedReplayer:
             CallbackTransport(received.append),
             rate=100_000,
             batch_size=64,
-            read_chunk=50,
         )
         report = replayer.run()
         assert report.events_emitted == 300
@@ -339,14 +338,12 @@ class TestReplayerCleanup:
         path = tmp_path / "stream.csv"
         codec.write_stream_file(path, [add_vertex(i) for i in range(5000)])
         transport = _ExplodingTransport(boom_after=100)
-        replayer = LiveReplayer(
-            str(path), transport, rate=1_000_000, read_chunk=100
-        )
+        replayer = LiveReplayer(str(path), transport, rate=1_000_000)
         before = set(threading.enumerate())
         with pytest.raises(ConnectorError, match="injected"):
             replayer.run()
         assert transport.closed
-        # The reader thread must not outlive the failed run.
+        # No thread may outlive the failed run.
         leaked = [
             t for t in threading.enumerate() if t not in before and t.is_alive()
         ]

@@ -1,15 +1,23 @@
-"""Replayer failure paths: transport errors, checkpoint resume, reader
-hygiene (no leaked threads, no aliasing across resume attempts)."""
+"""Replayer failure paths: transport errors, source errors, checkpoint
+resume (at-least-once counts for every kind of source), and no thread
+outliving a failed run."""
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
 
 import pytest
 
 from repro.check.tsan import Monitor, instrument, watch_threads
-from repro.core.connectors import CallbackTransport, Transport
+from repro.core import codec
+from repro.core.connectors import (
+    CallbackTransport,
+    TcpReceiver,
+    TcpSpec,
+    Transport,
+)
 from repro.core.events import add_vertex, marker, speed
 from repro.core.replayer import LiveReplayer, PacedLoop, ReplayCheckpoint
 from repro.core.resilience import (
@@ -18,6 +26,7 @@ from repro.core.resilience import (
     RetryPolicy,
     RetryingTransport,
 )
+from repro.core.sharding import ShardedReplayer
 from repro.core.stream import GraphStream
 from repro.core.tracing import shared_clock
 from repro.errors import ConnectorError, ReplayError, TransientTransportError
@@ -68,18 +77,6 @@ class FlakyTransport(Transport):
         self.closed = True
 
 
-class BlockingSource:
-    """An iterable whose iteration wedges until released."""
-
-    def __init__(self, head=()):
-        self.release = threading.Event()
-        self._head = list(head)
-
-    def __iter__(self):
-        yield from self._head
-        self.release.wait(timeout=30.0)
-
-
 class TestTransportFailure:
     def test_error_propagates_and_closes_transport(self):
         transport = FlakyTransport(fail_on={3})
@@ -89,7 +86,6 @@ class TestTransportFailure:
         with pytest.raises(ConnectorError, match="call 3"):
             replayer.run()
         assert transport.closed
-        assert not replayer.reader_leaked
 
     def test_mid_batch_failure_zero_loss_via_retrying_transport(self):
         """Acceptance: a transport raising mid-batch loses nothing when
@@ -125,11 +121,10 @@ class TestTransportFailure:
                 break
             time.sleep(0.01)
         assert leaked == []
-        assert not replayer.reader_leaked
 
     def test_reader_error_and_transport_error_same_run(self):
-        """The transport dies first; the reader's own source error must
-        not mask the ConnectorError (and nothing may hang)."""
+        """The transport dies first; the source's own error, further on,
+        must not mask the ConnectorError (and nothing may hang)."""
 
         def bad_source():
             for i in range(100):
@@ -138,51 +133,41 @@ class TestTransportFailure:
 
         transport = FlakyTransport(fail_on={1})
         replayer = LiveReplayer(
-            bad_source(), transport, rate=1e6, batch_size=10, read_chunk=8
+            bad_source(), transport, rate=1e6, batch_size=10
         )
         with pytest.raises(ConnectorError, match="call 1"):
             replayer.run()
         assert transport.closed
 
-    def test_reader_join_timeout_flags_leak(self):
-        source = BlockingSource(head=_events(64))
-        transport = FlakyTransport(fail_on={1})
-        replayer = LiveReplayer(
-            source,
-            transport,
-            rate=1e6,
-            batch_size=8,
-            read_chunk=4,
-            reader_join_timeout=0.2,
-        )
-        try:
-            with pytest.raises(ConnectorError):
-                replayer.run()
-            assert replayer.reader_leaked
-        finally:
-            source.release.set()
-
-    def test_tsan_on_retrying_transport_wrapped_replay(self, tsan_monitor):
-        """Runtime sanitizer over the full resilience chain: replayer,
-        reader hand-off, retrying transport, chaos faults."""
-        received: list[str] = []
-        chaos = ChaosTransport(
-            CallbackTransport(received.append),
-            ChaosConfig(send_failure_probability=0.1, seed=11),
-        )
-        transport = RetryingTransport(
-            chaos, RetryPolicy(max_attempts=10, base_delay=0.0)
-        )
+    def test_tsan_on_retrying_transport_wrapped_replay(
+        self, tmp_path, tsan_monitor
+    ):
+        """Runtime sanitizer over the full resilience chain: two workers
+        replay through chaos faults and retries over TCP into one
+        receiver, whose reader threads share its id and window
+        counters."""
+        path = tmp_path / "stream.csv"
+        codec.write_stream_file(path, _events(1000))
+        receiver = TcpReceiver(max_connections=2)
+        instrument(receiver, tsan_monitor, fields=("_next_id",))
         instrument(
-            transport, tsan_monitor, fields=("stats", "policy", "_rng")
+            receiver.counter, tsan_monitor, fields=("total", "_current_count")
         )
-        replayer = LiveReplayer(
-            _events(1000), transport, rate=1e6, batch_size=32
-        )
-        report = replayer.run()
+        with receiver:
+            report = ShardedReplayer(
+                str(path),
+                TcpSpec(port=receiver.port),
+                rate=1e6,
+                workers=2,
+                batch_size=32,
+                chaos_config=ChaosConfig(send_failure_probability=0.1, seed=11),
+                retry_policy=RetryPolicy(max_attempts=10, base_delay=0.0),
+            ).run()
         assert report.events_emitted == 1000
-        assert len(received) == 1000
+        assert receiver.counter.total == 1000
         assert report.chaos_faults > 0
+        writers = {access.thread for access in tsan_monitor.accesses if access.write}
+        assert len(writers) >= 2
         # Race-freedom asserted by the fixture at teardown.
 
 
@@ -322,11 +307,60 @@ class TestCheckpointResume:
                 _events(1), CallbackTransport(lambda l: None), rate=1.0,
                 resume_delay=-0.1,
             )
-        with pytest.raises(ValueError, match="reader_join_timeout"):
-            LiveReplayer(
-                _events(1), CallbackTransport(lambda l: None), rate=1.0,
-                reader_join_timeout=0.0,
-            )
+
+
+class TestInlineSources:
+    """In-memory and transcoded sources are read on the emitting thread."""
+
+    # Markers after events 100, 200 and 300.  At batch_size 1 call 120
+    # fails with events 0-118 sent; at 64 (batches 64 + 36 between
+    # markers) call 4 fails with events 0-163 sent.  Either way the
+    # resume re-sends events 100-299 from the checkpoint at m1.
+    @pytest.mark.parametrize(
+        "batch_size, fail_on, redelivered", [(1, 120, 19), (64, 4, 64)]
+    )
+    @pytest.mark.parametrize("source", ["memory", "gtb1-file"])
+    def test_resume_counts(
+        self, tmp_path, source, batch_size, fail_on, redelivered
+    ):
+        stream = _marked_stream(total=300, every=100)
+        if source == "gtb1-file":
+            path = tmp_path / "stream.gtb"
+            codec.write_stream_file(path, stream, format="binary")
+            stream = str(path)
+        transport = FlakyTransport(fail_on={fail_on})
+        report = LiveReplayer(
+            stream, transport, rate=1e6, batch_size=batch_size, max_resumes=1
+        ).run()
+        assert report.resumes == 1
+        assert report.redeliveries == redelivered
+        assert report.events_emitted == 300 + redelivered
+        expected = collections.Counter(f"ADD_VERTEX,{i}," for i in range(300))
+        expected.update(f"ADD_VERTEX,{i}," for i in range(100, 100 + redelivered))
+        assert collections.Counter(transport.lines) == expected
+
+    def test_generator_failure_after_n_events(self):
+        def source():
+            yield from _events(100)
+            raise RuntimeError("source exploded")
+
+        transport = FlakyTransport()
+        replayer = LiveReplayer(source(), transport, rate=1e6, batch_size=8)
+        with pytest.raises(ReplayError, match="stream source failed") as err:
+            replayer.run()
+        assert transport.lines == [f"ADD_VERTEX,{i}," for i in range(100)]
+        assert isinstance(err.value.__cause__, RuntimeError)
+        assert transport.closed
+
+    def test_non_event_item_is_refused(self):
+        transport = FlakyTransport()
+        replayer = LiveReplayer(
+            _events(3) + ["ADD_VERTEX,9,"], transport, rate=1e6
+        )
+        with pytest.raises(ReplayError, match="cannot replay str"):
+            replayer.run()
+        assert len(transport.lines) == 3
+        assert transport.closed
 
 
 class TestCheckpointState:

@@ -226,41 +226,34 @@ class TestLiveReplayer:
 # -- ShardedReplayer ---------------------------------------------------------
 
 
-def _sharded(path, specs, workers, emission):
+def _sharded(path, specs, workers):
     return ShardedReplayer(
         str(path),
         specs,
         rate=FAST,
         workers=workers,
-        emission=emission,
         batch_size=4,
     ).run()
 
 
 class TestShardedReplayer:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
-    @pytest.mark.parametrize("emission", ["events", "decode", "raw"])
     @pytest.mark.parametrize("transport", sorted(CAPTURES))
-    def test_one_worker_sends_reformatted_bytes(
-        self, tmp_path, name, emission, transport
-    ):
+    def test_one_worker_sends_reformatted_bytes(self, tmp_path, name, transport):
         path = _write(tmp_path, name, FIXTURES[name])
         with CAPTURES[transport](tmp_path, 1) as (specs, captured):
-            report = _sharded(path, specs, 1, emission)
+            report = _sharded(path, specs, 1)
         expected = _expected_lines(path)
         assert captured == [b"".join(expected)]
         assert report.events_emitted == len(expected)
 
-    @pytest.mark.parametrize("emission", ["events", "decode", "raw"])
     @pytest.mark.parametrize("transport", sorted(CAPTURES))
-    def test_two_workers_send_the_reformatted_multiset(
-        self, tmp_path, emission, transport
-    ):
+    def test_two_workers_send_the_reformatted_multiset(self, tmp_path, transport):
         # The partitioner and both workers' readers must agree on lines
         # and on their canonical bytes.
         path = _write(tmp_path, "all", ALL_HAZARDS)
         with CAPTURES[transport](tmp_path, 2) as (specs, captured):
-            report = _sharded(path, specs, 2, emission)
+            report = _sharded(path, specs, 2)
         expected = _expected_lines(path)
         wire_lines = [line for wire in captured for line in _lines(wire)]
         assert collections.Counter(wire_lines) == collections.Counter(expected)
@@ -307,7 +300,6 @@ class TestLoneCarriageReturnSharding:
             [PipeSpec(target=str(out)) for out in outs],
             rate=FAST,
             workers=2,
-            emission="events",
         )
         report = replayer.run()
         return replayer.plan, report, [out.read_bytes() for out in outs]
@@ -365,13 +357,12 @@ class TestSourceErrors:
         assert str(error) == f"stream source failed: line 9001: {message}"
         assert error.__cause__.line_number == 9001
 
-    @pytest.mark.parametrize("emission", ["decode", "raw"])
-    def test_stored_byte_emission_refuses_a_bad_byte(self, tmp_path, emission):
+    def test_stored_byte_emission_refuses_a_bad_byte(self, tmp_path):
         path = _write(
             tmp_path, "bad", CANONICAL.encode() + b"ADD_VERTEX,1,caf\xe9\n"
         )
         with pytest.raises(ReplayError, match="stream source failed") as err:
-            _sharded(path, PipeSpec(target=str(tmp_path / "out")), 1, emission)
+            _sharded(path, PipeSpec(target=str(tmp_path / "out")), 1)
         assert isinstance(err.value.__cause__, StreamFormatError)
         assert err.value.__cause__.byte_offset == 84796
 
@@ -381,7 +372,7 @@ class TestSourceErrors:
         path = _write(tmp_path, "bad", "\n".join(lines * 2).encode() + b"\n")
         outs = [PipeSpec(target=str(tmp_path / f"out-{i}")) for i in range(workers)]
         with pytest.raises(ReplayError, match="stream source failed") as err:
-            _sharded(path, outs, workers, "events")
+            _sharded(path, outs, workers)
         cause = err.value.__cause__
         assert isinstance(cause, StreamFormatError)
         assert str(cause) == "line 4001: vertex id 'abc' is not an integer"
@@ -398,7 +389,7 @@ class TestSourceErrors:
         path, offset = _corrupt_gtb(tmp_path, sidecar)
         outs = [PipeSpec(target=str(tmp_path / f"out-{i}")) for i in range(workers)]
         with pytest.raises(ReplayError, match="stream source failed") as err:
-            _sharded(path, outs, workers, "events")
+            _sharded(path, outs, workers)
         cause = err.value.__cause__
         assert isinstance(cause, StreamFormatError)
         # At 2 workers the record sits elsewhere in its shard file: the
@@ -446,8 +437,8 @@ class TestSourceErrors:
         """A graph frame whose header claims one record fewer than it
         holds is refused at its count field: with the sidecar (bulk
         witness check), without it (per-frame walk, whether the frame
-        is re-framed or sent whole), and transcoded to CSV (the reader
-        thread's decode)."""
+        is re-framed or sent whole), and transcoded to CSV (decoded
+        inline by the replayer)."""
         path = _write_gtb(tmp_path, sidecar=True)
         count_field = _graph_frames(path)[2] + 1
         data = bytearray(path.read_bytes())
