@@ -3,8 +3,9 @@
 Section 3.2: "In order to enable parallelism and horizontal scaling of
 input workload, we opt for concurrent streaming of disjunct streams by
 different event sources."  The sweep replays 1–8 disjoint streams at a
-fixed per-source rate into one platform and measures the aggregate
-processed rate: it scales with the source count until the platform's
+fixed per-source rate into one platform (one :class:`TestHarness` over
+the list of streams, offered ``n`` times the per-source rate) and
+measures the aggregate processed rate: it scales with the source count until the platform's
 service capacity saturates, after which extra sources only deepen the
 backpressure.
 """
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.harness import HarnessConfig
+from repro.core.harness import HarnessConfig, TestHarness
 from repro.core.models import UniformRules
-from repro.core.multistream import MultiReplayHarness, disjoint_streams
+from repro.core.multistream import disjoint_streams
 from repro.platforms.inmem import InMemoryPlatform
 
 SOURCE_COUNTS = (1, 2, 4, 8)
@@ -41,10 +42,13 @@ def streams_by_count(scale):
 
 def _aggregate_rate(streams) -> tuple[float, int]:
     platform = InMemoryPlatform(service_time=SERVICE_TIME, queue_capacity=500)
-    result = MultiReplayHarness(
+    # The sources share the harness rate evenly.
+    result = TestHarness(
         platform,
         streams,
-        HarnessConfig(rate=PER_SOURCE_RATE, level=0, log_interval=0.5),
+        HarnessConfig(
+            rate=len(streams) * PER_SOURCE_RATE, level=0, log_interval=0.5
+        ),
     ).run()
     rate = (
         result.events_processed / result.duration if result.duration else 0.0

@@ -19,8 +19,8 @@ Typical test usage::
         receiver = TcpReceiver(max_connections=2)
         instrument(receiver, monitor, fields=("_next_id",))
         with receiver:
-            ShardedReplayer(path, TcpSpec(port=receiver.port),
-                            rate=5000.0, workers=2).run()
+            ShardedReplayer([a, b], TcpSpec(port=receiver.port),
+                            rate=5000.0).run()
     assert monitor.races() == []
 
 ``instrument`` swaps the object's class for a recording subclass and

@@ -3,8 +3,10 @@
 Subcommands::
 
     graphtides generate --model social --rounds 10000 -o stream.csv
+    graphtides generate --rounds 10000 -o a.csv b.csv   # disjoint streams
     graphtides inspect stream.csv
     graphtides replay stream.csv --rate 20000 --transport pipe
+    graphtides replay a.csv b.csv --rate 40000 --transport tcp  # 2 workers
     graphtides experiment fig3a|fig3b|fig3c|fig3d [--scale 0.05]
     graphtides trace result.jsonl -o trace.json [--validate]
     graphtides fuzz run --seed 42 --budget 50 [--corpus corpus]
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.generator import StreamGenerator
 from repro.core.models import (
     BlockchainRules,
     DdosTrafficRules,
@@ -59,14 +60,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="output stream format: CSV lines or the length-prefixed "
         "GTB1 binary frame format",
     )
-    gen.add_argument("-o", "--output", required=True)
+    gen.add_argument(
+        "-o", "--output", required=True, nargs="+", metavar="PATH",
+        help="output stream file(s); N paths write N disjoint streams "
+        "(vertex ids 10M apart, seeds SEED + i * 7919), one event source "
+        "each, for an N-worker replay; the first is the stream one path "
+        "writes",
+    )
 
     ins = sub.add_parser("inspect", help="print stream statistics")
     ins.add_argument("stream")
 
-    rep = sub.add_parser("replay", help="replay a stream file (live, wall clock)")
-    rep.add_argument("stream")
-    rep.add_argument("--rate", type=float, default=10_000.0)
+    rep = sub.add_parser("replay", help="replay stream files (live, wall clock)")
+    rep.add_argument(
+        "stream", nargs="+",
+        help="stream file(s); N files start N worker processes, one per "
+        "file, each at rate/N (section 3.2: a stream has one event "
+        "source, so input scales out over disjoint streams, e.g. from "
+        "'generate -o A B'); with --transport stdout all workers share "
+        "one pipe, so prefer tcp or shm for exact downstream counting",
+    )
+    rep.add_argument(
+        "--rate", type=float, default=10_000.0,
+        help="aggregate target rate (events/s) over all workers",
+    )
     rep.add_argument(
         "--transport",
         choices=("stdout", "pipe", "tcp", "shm"),
@@ -92,28 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
         "re-framed (1 = per-event pacing; larger values such as 256 "
         "raise the saturation rate)",
     )
-    scale = rep.add_argument_group(
-        "scale-out",
-        "process-parallel sharded replay (repro.core.sharding): the "
-        "stream is partitioned into marker-aligned shards, each worker "
-        "replays its shard at rate/N",
-    )
-    scale.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = classic single-process replay); "
-        "with --transport stdout all workers share the same pipe, so "
-        "prefer tcp for exact downstream counting",
-    )
-    scale.add_argument(
-        "--shard-by", choices=("round-robin", "hash"), default="round-robin",
-        help="graph-event partitioning: round-robin balances exactly; "
-        "hash keeps each vertex's events on one shard (may skew)",
-    )
-    scale.add_argument(
+    rep.add_argument(
         "--format", choices=("auto", "csv", "binary"), default="auto",
-        help="wire format: auto keeps the source format; csv or binary "
-        "transcodes the shards during partitioning (at one worker, "
-        "between the replayer's pacing waits)",
+        help="wire format: auto keeps each source's format; csv or "
+        "binary transcodes a source of the other format between the "
+        "replayer's pacing waits",
     )
     retry = rep.add_argument_group(
         "resilient delivery",
@@ -462,15 +462,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    rules = _MODELS[args.model]()
-    generator = StreamGenerator(rules, rounds=args.rounds, seed=args.seed)
-    stream = generator.generate()
-    stream.write(args.output, format=args.format)
-    stats = stream.statistics()
-    print(
-        f"wrote {stats.total_events} events to {args.output} "
-        f"({stats.topology_events} topology, {stats.state_events} state)"
+    from repro.core.multistream import disjoint_streams
+
+    streams = disjoint_streams(
+        _MODELS[args.model], len(args.output), rounds=args.rounds, seed=args.seed
     )
+    for path, stream in zip(args.output, streams):
+        stream.write(path, format=args.format)
+        stats = stream.statistics()
+        print(
+            f"wrote {stats.total_events} events to {path} "
+            f"({stats.topology_events} topology, {stats.state_events} state)"
+        )
     return 0
 
 
@@ -493,7 +496,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _replay_transport_spec(args: argparse.Namespace):
     """The picklable base-transport spec(s) the replay flags describe.
 
-    For ``--transport shm`` with multiple workers this returns one
+    For ``--transport shm`` with multiple sources this returns one
     :class:`ShmSpec` per worker (rings are strictly single-producer),
     so the result may be a tuple; :class:`ShardedReplayer` accepts
     either.
@@ -507,7 +510,7 @@ def _replay_transport_spec(args: argparse.Namespace):
     if not args.shm_name:
         raise SystemExit("--transport shm requires --shm-name")
     names = [name.strip() for name in args.shm_name.split(",") if name.strip()]
-    workers = getattr(args, "workers", 1)
+    workers = len(args.stream)
     if len(names) != workers:
         raise SystemExit(
             f"--shm-name lists {len(names)} segment(s) for {workers} "
@@ -571,7 +574,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 "mode": "live",
                 "stream": args.stream,
                 "transport": args.transport,
-                "workers": args.workers,
+                "workers": len(args.stream),
             },
         )
     chaos_config, retry_policy = _replay_chain_configs(args)
@@ -579,8 +582,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         args.stream,
         _replay_transport_spec(args),
         rate=args.rate,
-        workers=args.workers,
-        shard_by=args.shard_by,
         stream_format=args.format,
         batch_size=args.batch_size,
         chaos_config=chaos_config,
@@ -590,9 +591,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         max_resumes=args.max_resumes,
         tracer=tracer,
     ).run()
-    if args.workers > 1:
+    if report.workers > 1:
         print(
-            f"shards: {args.workers} workers ({args.shard_by}): "
+            f"workers: {report.workers} sources: "
             + ", ".join(
                 f"#{index} {shard.events_emitted} events @ {shard.mean_rate:.0f}/s"
                 for index, shard in enumerate(report.shards)

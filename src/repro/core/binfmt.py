@@ -79,7 +79,6 @@ __all__ = [
     "decode_frame_events",
     "scan_frame",
     "iter_frame_record_spans",
-    "record_entity_id",
     "frame_info",
     "BinaryStreamWriter",
     "write_binary_stream",
@@ -314,34 +313,6 @@ def decode_event(record: bytes | memoryview, offset: int = 0) -> Event:
         ) from None
 
 
-def record_entity_id(record: bytes | memoryview, offset: int = 0) -> int:
-    """The shard key of a graph record (vertex id / edge source id)
-    without decoding the rest of the record — the streamed partitioner's
-    ``shard_by="hash"`` peek."""
-    try:
-        tag = record[offset]
-    except IndexError:
-        raise StreamFormatError(
-            "truncated binary record header", byte_offset=offset
-        ) from None
-    event_type = _TYPE_BY_TAG.get(tag)
-    if event_type is None or not event_type.is_graph_event:
-        raise StreamFormatError(
-            f"record tag {tag} is not a graph event", byte_offset=offset
-        )
-    try:
-        return _I64.unpack_from(record, offset + RECORD_HEADER_SIZE)[0]
-    except struct.error:
-        raise StreamFormatError(
-            "truncated binary record body", byte_offset=offset
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# Frame encoding
-# ---------------------------------------------------------------------------
-
-
 def encode_graph_frame(events: Iterable[GraphEvent]) -> bytes:
     """Pack graph events into one graph frame (header + records)."""
     encode = _encode_graph
@@ -357,8 +328,8 @@ def encode_control_frame(event: Event) -> bytes:
 
 
 def frame_records(records: list[bytes], kind: int = FRAME_GRAPH) -> bytes:
-    """Frame already-encoded records verbatim (the partitioner's path:
-    records sliced from a source file are reframed without decoding)."""
+    """Frame already-encoded records verbatim (the re-framing path:
+    records sliced from a stored frame are reframed without decoding)."""
     body = b"".join(records)
     return _FRAME_HEADER.pack(kind, len(records), len(body)) + body
 
@@ -409,8 +380,8 @@ def iter_frame_record_spans(
     """Yield the ``(start, end)`` byte span of each record in a frame.
 
     Spans include the record header, so ``frame[start:end]`` is the
-    record's complete wire bytes — the streamed partitioner scatters
-    these into per-shard writers without decoding them.  ``offset`` is
+    record's complete wire bytes, which re-framing copies without
+    decoding them.  ``offset`` is
     added to the byte offset a refusal reports (the frame's position
     in its file).
     """
@@ -548,8 +519,6 @@ class BinaryStreamWriter:
     ``batch_records`` records; control events flush the pending graph
     frame first (frames never mix kinds, and stream order is
     preserved), then land in their own single-record control frame.
-    ``add_record`` appends an already-encoded graph record verbatim —
-    the streamed partitioner's zero-decode path.
 
     Usable as a context manager; :meth:`close` writes the trailing
     frame index.  ``events_written`` counts every record framed so far.
@@ -612,7 +581,13 @@ class BinaryStreamWriter:
     def add(self, event: Event) -> None:
         """Append one event (graph events batch; control events frame)."""
         if type(event) is GraphEvent or isinstance(event, GraphEvent):
-            self.add_record(_encode_graph(event))
+            record = _encode_graph(event)
+            self._pending.append(record)
+            self._pending_bytes += len(record)
+            if self._witness_path is not None:
+                self._record_lens.append(len(record) - RECORD_HEADER_SIZE)
+            if len(self._pending) >= self._batch_records:
+                self._flush_pending()
         else:
             self._flush_pending()
             frame = encode_control_frame(event)
@@ -621,15 +596,6 @@ class BinaryStreamWriter:
                     len(frame) - FRAME_HEADER_SIZE - RECORD_HEADER_SIZE
                 )
             self._write_frame(frame, 1, FRAME_CONTROL)
-
-    def add_record(self, record: bytes) -> None:
-        """Append an already-encoded graph record verbatim."""
-        self._pending.append(record)
-        self._pending_bytes += len(record)
-        if self._witness_path is not None:
-            self._record_lens.append(len(record) - RECORD_HEADER_SIZE)
-        if len(self._pending) >= self._batch_records:
-            self._flush_pending()
 
     def extend(self, events: Iterable[Event]) -> None:
         for event in events:
@@ -912,34 +878,42 @@ def iter_parse_binary_chunks(
 
     The binary sibling of :func:`repro.core.codec.iter_parse_chunks`,
     through which the replayer reads a GTB1 file it transcodes to CSV.
-    With a tracer, each decoded frame gets a sampled ``decoded`` span.
+    A refused frame raises once the events decoded before it are
+    yielded.  With a tracer, each decoded frame gets a sampled ``decoded`` span.
     """
     if chunk_events <= 0:
         raise ValueError(f"chunk_events must be positive, got {chunk_events}")
     pending: list[Event] = []
     decoded = 0
-    for item in iter_binary_batches(path):
-        if isinstance(item, Event):
-            pending.append(item)
-        elif tracer is None:
-            pending.extend(decode_frame_events(item.data, item.offset))
-        else:
-            decode_start = tracer.clock.now()
-            events = decode_frame_events(item.data, item.offset)
-            if events and tracer.sample_batch(decoded, len(events)):
-                tracer.record_span(
-                    "decoded",
-                    "reader",
-                    decode_start,
-                    tracer.clock.now() - decode_start,
-                    event_id=decoded,
-                    count=len(events),
-                )
-            decoded += len(events)
-            pending.extend(events)
-        while len(pending) >= chunk_events:
-            yield pending[:chunk_events]
-            del pending[:chunk_events]
+    try:
+        for item in iter_binary_batches(path):
+            if isinstance(item, Event):
+                pending.append(item)
+            elif tracer is None:
+                pending.extend(decode_frame_events(item.data, item.offset))
+            else:
+                decode_start = tracer.clock.now()
+                events = decode_frame_events(item.data, item.offset)
+                if events and tracer.sample_batch(decoded, len(events)):
+                    tracer.record_span(
+                        "decoded",
+                        "reader",
+                        decode_start,
+                        tracer.clock.now() - decode_start,
+                        event_id=decoded,
+                        count=len(events),
+                    )
+                decoded += len(events)
+                pending.extend(events)
+            while len(pending) >= chunk_events:
+                yield pending[:chunk_events]
+                del pending[:chunk_events]
+    except Exception:
+        # The events decoded before a refused frame go out first, as
+        # from a stored-frame replay of the same file.
+        if pending:
+            yield pending
+        raise
     if pending:
         yield pending
 

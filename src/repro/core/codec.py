@@ -699,7 +699,8 @@ def iter_parse_chunks(
     """Yield chunks (lists) of parsed events from a stream file.
 
     The replayer reads a transcoded file through this, on its emitting
-    thread.  With a :class:`~repro.core.tracing.Tracer`, each decoded
+    thread.  A refused block raises once the events parsed before it
+    are yielded.  With a :class:`~repro.core.tracing.Tracer`, each decoded
     file block gets a sampled ``decoded`` span (stamped on the tracer's
     clock) so the read side of the pipeline is visible in exported
     traces.
@@ -745,6 +746,11 @@ def iter_parse_chunks(
             while len(pending) >= chunk_events:
                 yield pending[:chunk_events]
                 del pending[:chunk_events]
+    except Exception:
+        # The events parsed before a refused block go out first.
+        if pending:
+            yield pending
+        raise
     finally:
         blocks.close()
     if pending:

@@ -424,7 +424,7 @@ class ShmTransport(Transport):
     slot copied straight into the ring's arena — no write syscall, no
     kernel buffer, no second copy on the consumer side (the receiver
     reads the payload in place).  ``send_raw``/``send_frame`` accept
-    :class:`memoryview` slices of the shard file's mmap, so the only
+    :class:`memoryview` slices of the stream file's mmap, so the only
     copy on the whole path is the single mmap→arena ``memcpy``.
 
     Sends are buffered: slots accumulate locally and are written to the
@@ -1019,10 +1019,11 @@ class ShmReceiver(_Receiver):
     surfaces as a typed :class:`~repro.errors.StreamFormatError` on
     the ``error`` attribute.
 
-    Hand the receiver's specs to workers and replay::
+    Hand the receiver's specs to the workers, one ring each, and replay
+    two disjoint streams (one worker per stream, each at ``rate / 2``)::
 
         with ShmReceiver(max_producers=2) as receiver:
-            ShardedReplayer(path, receiver.specs, workers=2).run()
+            ShardedReplayer([a, b], receiver.specs, rate=rate).run()
         total = receiver.counter.total
     """
 

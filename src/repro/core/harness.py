@@ -83,14 +83,6 @@ class HarnessConfig:
     #: Span sampling stride (1 = trace every event).  Phase counters
     #: stay exact regardless, so accounting closes at any stride.
     trace_sample_every: int = 1
-    #: Replay the stream through this many parallel (simulated)
-    #: replayers, each driving a marker-aligned shard at
-    #: ``rate / replay_workers`` — the simulation-side mirror of the
-    #: live :class:`~repro.core.sharding.ShardedReplayer`.
-    replay_workers: int = 1
-    #: Graph-event partitioning strategy for ``replay_workers > 1``
-    #: (see :func:`repro.core.sharding.partition_stream`).
-    shard_by: str = "round-robin"
 
     def __post_init__(self) -> None:
         if self.trace_sample_every < 1:
@@ -109,17 +101,6 @@ class HarnessConfig:
             raise ValueError("drain_poll_interval must be positive")
         if self.max_duration is not None and self.max_duration <= 0:
             raise ValueError("max_duration must be positive or None")
-        if self.replay_workers <= 0:
-            raise ValueError(
-                f"replay_workers must be positive, got {self.replay_workers}"
-            )
-        from repro.core.sharding import SHARD_STRATEGIES
-
-        if self.shard_by not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"unknown shard_by {self.shard_by!r}; "
-                f"expected one of {SHARD_STRATEGIES}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +166,14 @@ class TestHarness:
     * level 1 — the platform's native metrics, sampled periodically;
     * level 2 — the configured :class:`InternalProbeSpec` probes.
 
+    ``stream`` is one stream, or a list of disjoint streams replayed
+    concurrently into the platform from one simulated replayer each
+    (source names ``replayer-0`` ... ``replayer-N-1``), which share
+    ``config.rate`` evenly: the horizontal input scaling of paper
+    section 3.2 (see :func:`repro.core.multistream.disjoint_streams`),
+    and the simulation-side mirror of the live
+    :class:`~repro.core.sharding.ShardedReplayer`.
+
     Additional hooks: ``query_probes`` map a metric name to a callable
     ``platform -> float`` sampled each interval via the platform's
     *public* query interface (allowed at every level — it is the normal
@@ -198,7 +187,7 @@ class TestHarness:
     def __init__(
         self,
         platform: Platform,
-        stream: GraphStream,
+        stream: GraphStream | list[GraphStream],
         config: HarnessConfig,
         internal_probes: list[InternalProbeSpec] | None = None,
         query_probes: dict[str, Callable[[Platform], float]] | None = None,
@@ -212,6 +201,8 @@ class TestHarness:
             )
         if internal_probes and config.level < 2:
             raise GraphTidesError("internal probes require evaluation level 2")
+        if isinstance(stream, list) and not stream:
+            raise ValueError("need at least one stream")
         self.platform = platform
         self.stream = stream
         self.config = config
@@ -220,19 +211,13 @@ class TestHarness:
         self.object_probes = object_probes or {}
 
     def _sources(self) -> list[tuple[GraphStream, float, str]]:
-        """The replayers to run, as ``(stream, rate, source_name)``.
-
-        One replayer at the full rate, or ``replay_workers``
-        marker-aligned shards sharing it.
-        """
-        config = self.config
-        if config.replay_workers == 1:
-            return [(self.stream, config.rate, "replayer")]
-        from repro.core.sharding import partition_stream
-
-        shards = partition_stream(self.stream, config.replay_workers, config.shard_by)
-        rate = config.rate / config.replay_workers
-        return [(shard, rate, f"replayer-{i}") for i, shard in enumerate(shards)]
+        """The replayers to run, as ``(stream, rate, source_name)``:
+        one per stream, sharing the rate."""
+        stream, rate = self.stream, self.config.rate
+        if not isinstance(stream, list):
+            return [(stream, rate, "replayer")]
+        rate /= len(stream)
+        return [(each, rate, f"replayer-{i}") for i, each in enumerate(stream)]
 
     def run(self) -> RunResult:
         """Execute the evaluation and return the collected results."""

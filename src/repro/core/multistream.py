@@ -10,23 +10,21 @@ multiple independent graphs are provided and changed concurrently."
 This module implements that scaling pattern: :func:`offset_stream`
 relabels a stream's vertex ids into a disjoint id range,
 :func:`disjoint_streams` builds N independent streams from the same
-rules, and :class:`MultiReplayHarness` replays them concurrently into
-one platform from N simulated replayer instances, through the
-single-stream :class:`~repro.core.harness.TestHarness` run loop.
+rules.  N workers replay N such streams, one each, at ``rate / N``:
+:class:`~repro.core.harness.TestHarness` takes the list of streams
+(one simulated replayer per stream), and
+:class:`~repro.core.sharding.ShardedReplayer` the list of stream files
+(one worker process per file), which ``graphtides generate -o A B ...``
+writes.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Any
-
 from repro.core.events import EdgeId, Event, GraphEvent
 from repro.core.generator import StreamGenerator
-from repro.core.harness import HarnessConfig, TestHarness
 from repro.core.stream import GraphStream
-from repro.platforms.base import Platform
 
-__all__ = ["offset_stream", "disjoint_streams", "MultiReplayHarness"]
+__all__ = ["offset_stream", "disjoint_streams", "DEFAULT_ID_STRIDE"]
 
 #: Default id distance between sources; far above any realistic stream.
 DEFAULT_ID_STRIDE = 10_000_000
@@ -69,8 +67,9 @@ def disjoint_streams(
     """N independent streams over disjoint vertex-id ranges.
 
     Each source gets its own :class:`GeneratorRules` instance (from
-    ``rules_factory``), its own derived seed, and the id range
-    ``[i * id_stride, (i+1) * id_stride)``.
+    ``rules_factory``), its own derived seed ``seed + i * 7919``, and
+    the id range ``[i * id_stride, (i+1) * id_stride)``.  Source 0 is
+    the stream a single generator with ``seed`` writes.
     """
     if sources <= 0:
         raise ValueError(f"sources must be positive, got {sources}")
@@ -81,45 +80,8 @@ def disjoint_streams(
         generator = StreamGenerator(
             rules_factory(),
             rounds=rounds,
-            seed=seed * 7919 + index,
+            seed=seed + index * 7919,
             emit_phase_marker=emit_phase_marker,
         )
         streams.append(offset_stream(generator.generate(), index * id_stride))
     return streams
-
-
-class MultiReplayHarness(TestHarness):
-    """Replays several disjoint streams concurrently into one platform.
-
-    A :class:`TestHarness` whose replayers are one per stream (source
-    names ``replayer-0`` ... ``replayer-N-1``), each at ``config.rate``,
-    so the aggregate offered load is ``N * rate`` — the horizontal
-    input scaling of section 3.2.  Everything else (levels, probes,
-    fault schedules, tracing, drain) is the single-stream harness's.
-    """
-
-    def __init__(
-        self,
-        platform: Platform,
-        streams: list[GraphStream],
-        config: HarnessConfig,
-        **probes: Any,
-    ):
-        if not streams:
-            raise ValueError("need at least one stream")
-        if config.replay_workers > 1:
-            raise ValueError(
-                "replay_workers shards one stream; disjoint sources are "
-                f"already parallel, got replay_workers={config.replay_workers}"
-            )
-        # ``stream`` is the whole offered workload; replay uses ``streams``.
-        super().__init__(
-            platform, GraphStream(chain.from_iterable(streams)), config, **probes
-        )
-        self.streams = streams
-
-    def _sources(self) -> list[tuple[GraphStream, float, str]]:
-        return [
-            (stream, self.config.rate, f"replayer-{index}")
-            for index, stream in enumerate(self.streams)
-        ]

@@ -40,7 +40,7 @@ thread's parse, queue and re-format path did.  By source:
 ``batch_size=1`` reproduces per-event pacing exactly; larger batches
 trade timing granularity for a higher saturation rate.
 :class:`repro.core.sharding.ShardedReplayer` runs one
-:class:`LiveReplayer` per shard.
+:class:`LiveReplayer` per source, one source per worker.
 
 Resilience: the replayer checkpoints at every marker boundary.  When a
 transport failure escapes the delivery layer (see

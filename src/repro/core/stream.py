@@ -172,17 +172,6 @@ class GraphStream:
             split += 1
         return GraphStream(self._events[:split]), GraphStream(self._events[split:])
 
-    def partition(
-        self, workers: int, shard_by: str = "round-robin"
-    ) -> list["GraphStream"]:
-        """Split into ``workers`` marker-aligned shards for parallel
-        replay: graph events are distributed, control events replicated
-        (see :func:`repro.core.sharding.partition_stream`).
-        """
-        from repro.core.sharding import partition_stream
-
-        return partition_stream(self, workers, shard_by)
-
     # -- statistics ---------------------------------------------------------
 
     def statistics(self) -> StreamStatistics:

@@ -1,4 +1,4 @@
-"""Structural witness sidecars for binary stream shards.
+"""Structural witness sidecars for binary stream files.
 
 A replay of a GTB1 file proves every frame well-formed before sending
 it: without a sidecar, a :func:`repro.core.binfmt.scan_frame` header
@@ -7,15 +7,15 @@ dominates the replay loop once the transport itself is sub-microsecond
 (the shared-memory ring).  A *witness* moves that proof off the hot
 path without weakening it:
 
-* At partition time :class:`~repro.core.binfmt.BinaryStreamWriter`
+* At write time :class:`~repro.core.binfmt.BinaryStreamWriter`
   records what it wrote — per-frame (kind, count, body length) and
-  per-record body lengths — into a ``<shard>.witness`` sidecar.  The
+  per-record body lengths — into a ``<stream>.witness`` sidecar.  The
   writer already knows these numbers; recording them is one list append
   per record.
 * At replay start the replayer *verifies the file against the witness
   in bulk* (:meth:`repro.core.replayer.LiveReplayer._frame_counter`):
   frame offsets and record start offsets are recomputed from the
-  witness arrays (pure vector arithmetic), and the actual shard bytes
+  witness arrays (pure vector arithmetic), and the actual file bytes
   at every one of those offsets — frame kind/count/body fields, record
   tags, record length prefixes — are gathered and compared in a handful
   of numpy operations, ~6 ns per record.  A witness that tiles the file

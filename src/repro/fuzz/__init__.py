@@ -3,8 +3,8 @@
 The Perun-style loop over GraphTides workloads: seeded mutators
 (:mod:`repro.fuzz.mutators`) perturb generator configs and stream files
 in both on-disk formats, an evaluator (:mod:`repro.fuzz.evaluator`)
-runs each candidate through the real parse → round-trip → shard →
-platform → replay pipeline behind a watchdog, a ddmin minimizer
+runs each candidate through the real parse → round-trip → platform →
+replay pipeline behind a watchdog, a ddmin minimizer
 (:mod:`repro.fuzz.minimizer`) shrinks findings, and survivors land in a
 versioned regression corpus (:mod:`repro.fuzz.corpus`) replayed by CI
 and the robustness experiment.

@@ -7,16 +7,12 @@ Stages (each a real framework entry point, not a model of one):
 2. ``roundtrip``  — CSV↔GTB1↔back conversion; the reparsed event list
                     must equal the original exactly (payload bytes,
                     float controls included).
-3. ``shard``      — :func:`repro.core.sharding.write_shards` with
-                    ``shard_by="hash"`` (the streamed byte-level
-                    partitioner); the resulting :class:`ShardPlan`'s
-                    graph-event balance feeds the skew cliff oracle.
-4. ``platform``   — a simulated-time :class:`TestHarness` run into a
+3. ``platform``   — a simulated-time :class:`TestHarness` run into a
                     real platform; the sampled ``backlog`` series feeds
                     the backlog-blowup cliff oracle against a
                     calibrated baseline.  Virtual time keeps this stage
                     deterministic and immune to pause bombs.
-5. ``replay``     — a straight :class:`LiveReplayer` run, then a
+4. ``replay``     — a straight :class:`LiveReplayer` run, then a
                     chaos+retry+checkpoint-resume run (seeded per
                     candidate, ``batch_size=1`` so the fault sequence
                     is independent of pacing); delivered-line counts
@@ -36,7 +32,7 @@ Oracle verdicts (:class:`Verdict.status`):
 * ``divergence`` — the format round trip changed the event list.
 * ``loss``       — the resilient replay delivered fewer lines than the
                    straight replay.
-* ``cliff``      — shard imbalance or backlog blowup beyond the
+* ``cliff``      — input-queue overflow or backlog blowup beyond the
                    calibrated baseline.
 """
 
@@ -53,7 +49,6 @@ from repro.core.events import Event, PauseEvent, SpeedEvent, pause, speed
 from repro.core.harness import HarnessConfig, TestHarness
 from repro.core.replayer import LiveReplayer
 from repro.core.resilience import ChaosConfig, RetryPolicy, build_transport_chain
-from repro.core.sharding import write_shards
 from repro.core.stream import GraphStream
 from repro.errors import GraphTidesError
 from repro.fuzz.workload import Workload
@@ -116,7 +111,6 @@ class EvaluatorConfig:
 
     seed: int = 42
     deadline: float = 20.0
-    workers: int = 4
     harness_rate: float = 2000.0
     harness_log_interval: float = 0.02
     platform_service_time: float = 20e-6
@@ -126,7 +120,6 @@ class EvaluatorConfig:
     replay_rate: float = 20000.0
     replay_pause_budget: float = 5.0
     max_replay_events: int = 20000
-    cliff_imbalance: float = 3.0
     cliff_backlog_factor: float = 8.0
     cliff_backlog_floor: float = 50.0
     send_failure_probability: float = 0.02
@@ -201,30 +194,6 @@ def _stage_roundtrip(
             _first_difference(events, reparsed),
             kind=f"{workload.fmt}-{other}-{workload.fmt}",
         )
-    return None
-
-
-def _stage_shard(
-    path: Path, config: EvaluatorConfig, tmp: Path
-) -> Verdict | None:
-    """Streamed byte-level partitioning; imbalance is the skew cliff."""
-    shard_dir = tmp / "shards"
-    plan = write_shards(
-        path, config.workers, shard_dir, shard_by="hash"
-    )
-    total = plan.total_graph_events
-    if total >= 8 * config.workers:
-        mean = total / config.workers
-        peak = max(plan.graph_events)
-        imbalance = peak / mean if mean else 0.0
-        if imbalance >= config.cliff_imbalance:
-            return Verdict(
-                "cliff",
-                "shard",
-                f"hash-shard imbalance {imbalance:.2f}x "
-                f"(shards {list(plan.graph_events)})",
-                kind="shard-imbalance",
-            )
     return None
 
 
@@ -410,11 +379,6 @@ def _run_pipeline(
 
     progress.enter("roundtrip")
     verdict = _stage_roundtrip(events, workload, tmp)
-    if verdict is not None:
-        return verdict
-
-    progress.enter("shard")
-    verdict = _stage_shard(path, config, tmp)
     if verdict is not None:
         return verdict
 

@@ -3,7 +3,7 @@
 Two registries, both deterministic functions of their ``rng``:
 
 * :data:`EVENT_MUTATORS` — ``(events, rng) -> events`` transformations
-  applied before serialization: degree/shard skew, burst trains,
+  applied before serialization: degree skew, burst trains,
   marker storms, escape-heavy and oversized payloads, pause bombs,
   adversarial float controls, duplication/reordering.
 * :data:`BYTE_MUTATORS` — ``(data, rng) -> data`` transformations
@@ -105,8 +105,8 @@ def _with_payload(event: GraphEvent, payload: str) -> GraphEvent:
 def skew_hub(events: list[Event], rng: random.Random) -> list[Event]:
     """Redirect a large fraction of edge events at one hub vertex.
 
-    Every rewritten edge keys to the same entity, so ``shard_by=hash``
-    partitioning collapses onto one shard — the degree-distribution /
+    Every rewritten edge lands on the same vertex, so the platform's
+    per-vertex work piles up on one hub — the degree-distribution /
     hub-collision cliff.
     """
     indices = _graph_indices(events)

@@ -14,19 +14,21 @@ Properties").
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from repro.core.events import EdgeId, EventType, GraphEvent
+from repro.core.events import EdgeId, Event, EventType, GraphEvent
 from repro.errors import (
     EdgeExistsError,
     EdgeNotFoundError,
+    GraphOperationError,
     SelfLoopError,
     VertexExistsError,
     VertexNotFoundError,
 )
 
-__all__ = ["StreamGraph", "GraphDelta"]
+__all__ = ["StreamGraph", "GraphDelta", "fold_events"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,3 +272,31 @@ class StreamGraph:
         return (
             f"StreamGraph(vertices={self.vertex_count}, edges={self.edge_count})"
         )
+
+
+def fold_events(events: Iterable[Event]) -> tuple[int, str]:
+    """Fold an arrival order into a :class:`StreamGraph`: a delivery oracle.
+
+    Applies the graph events of ``events`` in order (control events are
+    skipped) and returns ``(refused, digest)``: the number of applies
+    the graph refused (an edge before one of its endpoints, an update
+    or removal before its entity exists, a duplicate add) and a SHA-256
+    digest of the final vertex and edge states.  A delivery that keeps
+    its source's order folds to the source's own result; a reordering
+    shows as refused applies or another digest, where counts and
+    multisets still agree.  Checks call this; no timed path does.
+    """
+    graph = StreamGraph()
+    refused = 0
+    for event in events:
+        if isinstance(event, GraphEvent):
+            try:
+                graph.apply(event)
+            except GraphOperationError:
+                refused += 1
+    vertices = sorted(graph._vertex_state.items())
+    edges = sorted(
+        ((edge.source, edge.target), state)
+        for edge, state in graph._edge_state.items()
+    )
+    return refused, hashlib.sha256(repr((vertices, edges)).encode()).hexdigest()

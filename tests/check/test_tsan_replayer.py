@@ -2,9 +2,10 @@
 
 A replay reads its source on the emitting thread, so a replayer has no
 second thread.  The threads that share state are the receiver's: a
-2-worker :class:`ShardedReplayer` opens one TCP connection per worker,
-and :class:`TcpReceiver` reads each on its own thread, drawing ingest
-ids from ``_next_id`` and counting into one :class:`WindowCounter`.
+:class:`ShardedReplayer` of two disjoint sources opens one TCP
+connection per worker, and :class:`TcpReceiver` reads each on its own
+thread, drawing ingest ids from ``_next_id`` and counting into one
+:class:`WindowCounter`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from repro.core import codec, events
 from repro.core.connectors import PipeReceiver, TcpReceiver, TcpSpec
+from repro.core.stream import GraphStream
 from repro.core.sharding import ShardedReplayer
 from repro.check.tsan import Monitor, instrument, watch_threads
 from repro.errors import ReplayError
@@ -30,13 +32,24 @@ COUNTER_FIELDS = ("total", "_current_start", "_current_count", "_windows")
 EVENTS = 3000
 
 
-def _write_stream(path, count=EVENTS, stream_format="csv"):
+def _write_stream(path, count=EVENTS, stream_format="csv", first=0):
     codec.write_stream_file(
         path,
-        (events.add_vertex(i, f"s{i}") for i in range(count)),
+        (events.add_vertex(i, f"s{i}") for i in range(first, first + count)),
         format=stream_format,
     )
     return path
+
+
+def _write_sources(tmp_path, stream_format="csv", count=EVENTS // 2):
+    """Two disjoint streams of ``count`` vertices, one per worker."""
+    suffix = "gtb" if stream_format == "binary" else "csv"
+    return [
+        str(_write_stream(
+            tmp_path / f"s{index}.{suffix}", count, stream_format, index * count
+        ))
+        for index in range(2)
+    ]
 
 
 def _instrumented_receiver(monitor, id_lock=None):
@@ -50,10 +63,10 @@ def _instrumented_receiver(monitor, id_lock=None):
     return receiver
 
 
-def _replay(source, receiver, **kwargs):
+def _replay(sources, receiver, **kwargs):
     with receiver:
         report = ShardedReplayer(
-            source,
+            sources,
             TcpSpec(port=receiver.port),
             rate=1e6,
             workers=2,
@@ -68,9 +81,9 @@ def _writer_threads(monitor):
     return {access.thread for access in monitor.accesses if access.write}
 
 
-def _assert_clean_file_replay(stream, monitor):
+def _assert_clean_file_replay(sources, monitor):
     receiver = _instrumented_receiver(monitor)
-    report = _replay(str(stream), receiver)
+    report = _replay(sources, receiver)
     assert report.events_emitted == EVENTS
     assert receiver.counter.total == EVENTS
     # Both connections' reader threads touched the shared state.
@@ -79,18 +92,22 @@ def _assert_clean_file_replay(stream, monitor):
 
 
 def test_clean_replay_is_race_free(tmp_path, tsan_monitor):
-    _assert_clean_file_replay(_write_stream(tmp_path / "s.csv"), tsan_monitor)
+    _assert_clean_file_replay(_write_sources(tmp_path), tsan_monitor)
 
 
 def test_binary_frame_replay_is_race_free(tmp_path, tsan_monitor):
-    stream = _write_stream(tmp_path / "s.gtb", stream_format="binary")
-    _assert_clean_file_replay(stream, tsan_monitor)
+    _assert_clean_file_replay(
+        _write_sources(tmp_path, stream_format="binary"), tsan_monitor
+    )
 
 
 def test_iterable_source_replay_is_race_free(tsan_monitor):
-    source = [events.add_vertex(i) for i in range(500)]
+    sources = [
+        GraphStream([events.add_vertex(i) for i in range(start, start + 250)])
+        for start in (0, 250)
+    ]
     receiver = _instrumented_receiver(tsan_monitor)
-    report = _replay(source, receiver)
+    report = _replay(sources, receiver)
     assert report.events_emitted == 500
     assert receiver.counter.total == 500
     assert len(_writer_threads(tsan_monitor)) >= 2
@@ -120,19 +137,22 @@ def test_reader_failure_handoff_is_race_free(tmp_path):
     """A worker refuses a bad line after both connections delivered
     events; the test thread reads the counts only after the receiver
     joined its readers, and the join edge orders those accesses."""
-    # Each shard's first 64 KiB block is sent before the bad line's
+    # Each source's first 64 KiB block is sent before the bad line's
     # block is refused.
     pad = "x" * 64
-    lines = [f"ADD_VERTEX,{i},{pad}" for i in range(EVENTS)]
-    lines.append("ADD_VERTEX,abc,")
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    sources = []
+    for index in range(2):
+        lines = [f"ADD_VERTEX,{index * EVENTS + i},{pad}" for i in range(EVENTS)]
+        lines.append("ADD_VERTEX,abc,")
+        bad = tmp_path / f"bad-{index}.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        sources.append(str(bad))
     monitor = Monitor()
     with watch_threads(monitor):
         receiver = _instrumented_receiver(monitor)
         with pytest.raises(ReplayError, match="stream source failed"):
-            _replay(str(bad), receiver)
-        assert 0 < receiver.counter.total <= EVENTS
+            _replay(sources, receiver)
+        assert 0 < receiver.counter.total <= 2 * EVENTS
     assert len(_writer_threads(monitor)) >= 2
     monitor.assert_race_free()
 
@@ -140,13 +160,12 @@ def test_reader_failure_handoff_is_race_free(tmp_path):
 def test_unlocked_id_counter_is_reported(tmp_path):
     """The oracle can fail: with the id lock replaced by a no-op, the
     two reader threads' writes of ``_next_id`` are a race."""
-    stream = _write_stream(tmp_path / "stream.csv")
     monitor = Monitor()
     with watch_threads(monitor):
         receiver = _instrumented_receiver(
             monitor, id_lock=contextlib.nullcontext()
         )
-        _replay(str(stream), receiver)
+        _replay(_write_sources(tmp_path), receiver)
     races = monitor.races()
     assert races
     assert {race.field for race in races} == {"_next_id"}

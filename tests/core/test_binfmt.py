@@ -62,16 +62,6 @@ class TestRecordCodec:
         original = add_edge(-5, -9, "")
         assert binfmt.decode_event(binfmt.encode_event(original)) == original
 
-    def test_record_entity_id(self):
-        assert binfmt.record_entity_id(binfmt.encode_event(add_vertex(42))) == 42
-        assert (
-            binfmt.record_entity_id(binfmt.encode_event(add_edge(-3, 9))) == -3
-        )
-
-    def test_record_entity_id_rejects_control(self):
-        with pytest.raises(StreamFormatError, match="not a graph event"):
-            binfmt.record_entity_id(binfmt.encode_event(marker("m")))
-
     def test_unknown_tag_rejected(self):
         record = bytearray(binfmt.encode_event(add_vertex(1)))
         record[0] = 200

@@ -73,7 +73,6 @@ def _via_sharded_replayer(path):
         rate=FAST,
         workers=1,
         emission="events",
-        shard_dir=path.parent / "shards",
     ).run()
     return codec.parse_stream_file(out)
 

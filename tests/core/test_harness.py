@@ -8,9 +8,10 @@ from repro.core.events import add_vertex, marker
 from repro.core.generator import StreamGenerator
 from repro.core.harness import HarnessConfig, InternalProbeSpec, TestHarness
 from repro.core.models import UniformRules, WeaverTable3Rules
-from repro.core.multistream import MultiReplayHarness, offset_stream
+from repro.core.multistream import offset_stream
 from repro.core.stream import GraphStream
 from repro.errors import GraphTidesError
+from repro.graph.builders import build_graph
 from repro.platforms.chronolike import ChronoLikePlatform
 from repro.platforms.inmem import InMemoryPlatform
 from repro.platforms.kineolike import KineoLikePlatform
@@ -186,28 +187,28 @@ class TestMarkerCorrelation:
 
 
 class TestShardedHarnessRuns:
-    """replay_workers > 1 runs N parallel simulated replayers over
-    marker-aligned shards; totals must match the single-replayer run."""
+    """A list of N disjoint streams runs N parallel simulated replayers
+    sharing the rate; totals must match the single-replayer runs."""
 
     def test_processes_whole_stream_with_workers(self, stream):
+        streams = [offset_stream(stream, 1_000_000 * i) for i in range(3)]
         result = TestHarness(
             InMemoryPlatform(),
-            stream,
-            HarnessConfig(rate=2000, level=0, replay_workers=3),
+            streams,
+            HarnessConfig(rate=6000, level=0),
         ).run()
         graph_events = len(list(stream.graph_events()))
-        assert result.events_emitted == graph_events
-        assert result.events_processed == graph_events
+        assert result.events_emitted_per_source == [graph_events] * 3
+        assert result.events_processed == 3 * graph_events
         assert result.drained
 
     def test_final_graph_matches_single_worker(self):
-        # Hash sharding keeps no cross-shard ordering, so dependent
-        # events must be separated by a replicated control event: the
-        # bootstrap pause holds every shard until all vertices exist.
-        from repro.core.events import add_edge, pause
+        # Each source keeps its own order, so no pause has to hold
+        # dependent events apart: the platform builds each source's
+        # graph as a single replayer does.
+        from repro.core.events import add_edge
 
         events = [add_vertex(i) for i in range(20)]
-        events += [marker("bootstrap-end"), pause(0.5)]
         events += [add_edge(i, (i + 7) % 20) for i in range(20)]
         stream = GraphStream(events)
 
@@ -215,40 +216,33 @@ class TestShardedHarnessRuns:
         TestHarness(
             single_platform, stream, HarnessConfig(rate=2000, level=0)
         ).run()
+        streams = [offset_stream(stream, 1000 * i) for i in range(4)]
         sharded_platform = InMemoryPlatform()
         TestHarness(
-            sharded_platform,
-            stream,
-            HarnessConfig(
-                rate=2000, level=0, replay_workers=4, shard_by="hash"
-            ),
+            sharded_platform, streams, HarnessConfig(rate=8000, level=0)
         ).run()
-        assert (
-            sharded_platform.graph.vertex_count
-            == single_platform.graph.vertex_count
-            == 20
+        assert single_platform.graph.vertex_count == 20
+        assert single_platform.graph.edge_count == 20
+        expected, report = build_graph(
+            GraphStream([event for each in streams for event in each])
         )
-        assert (
-            sharded_platform.graph.edge_count
-            == single_platform.graph.edge_count
-            == 20
-        )
+        assert not report.failed
+        assert sharded_platform.graph == expected
+        assert expected.edge_count == 4 * 20
 
     def test_log_records_per_worker_sources(self, stream):
         result = TestHarness(
             InMemoryPlatform(),
-            stream,
-            HarnessConfig(rate=2000, level=0, replay_workers=2),
+            [stream, offset_stream(stream, 1_000_000)],
+            HarnessConfig(rate=2000, level=0),
         ).run()
         sources = {record.source for record in result.log.records}
         assert {"replayer-0", "replayer-1"} <= sources
         assert "replayer" not in sources
 
     def test_workers_validated(self):
-        with pytest.raises(ValueError, match="replay_workers"):
-            HarnessConfig(rate=100, replay_workers=0)
-        with pytest.raises(ValueError, match="shard_by"):
-            HarnessConfig(rate=100, replay_workers=2, shard_by="nope")
+        with pytest.raises(ValueError, match="at least one stream"):
+            TestHarness(InMemoryPlatform(), [], HarnessConfig(rate=100))
 
 
 @pytest.fixture(scope="module")
@@ -277,8 +271,8 @@ def _single_run(make_platform):
 
 def _multi_run(stream: GraphStream) -> None:
     streams = [stream, offset_stream(stream, 1_000_000)]
-    MultiReplayHarness(
-        WeaverLikePlatform(batch_size=10), streams, HarnessConfig(rate=10_000)
+    TestHarness(
+        WeaverLikePlatform(batch_size=10), streams, HarnessConfig(rate=20_000)
     ).run()
 
 

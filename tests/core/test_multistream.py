@@ -3,13 +3,9 @@
 import pytest
 
 from repro.core.events import GraphEvent, MarkerEvent, add_vertex
-from repro.core.harness import HarnessConfig
+from repro.core.harness import HarnessConfig, TestHarness
 from repro.core.models import UniformRules
-from repro.core.multistream import (
-    MultiReplayHarness,
-    disjoint_streams,
-    offset_stream,
-)
+from repro.core.multistream import disjoint_streams, offset_stream
 from repro.core.stream import GraphStream
 from repro.errors import GraphTidesError
 from repro.graph.builders import build_graph
@@ -78,12 +74,15 @@ class TestDisjointStreams:
             disjoint_streams(UniformRules, sources=1, rounds=10, id_stride=0)
 
 
-class TestMultiReplayHarness:
+class TestSourceListHarness:
+    """:class:`TestHarness` over a list of disjoint streams: one
+    simulated replayer per stream, sharing ``config.rate``."""
+
     def test_concurrent_replay_processes_everything(self):
         streams = disjoint_streams(UniformRules, sources=3, rounds=300, seed=2)
         platform = InMemoryPlatform()
-        result = MultiReplayHarness(
-            platform, streams, HarnessConfig(rate=1000, level=1)
+        result = TestHarness(
+            platform, streams, HarnessConfig(rate=3000, level=1)
         ).run()
         assert result.drained
         expected = sum(len(list(s.graph_events())) for s in streams)
@@ -96,19 +95,44 @@ class TestMultiReplayHarness:
                 UniformRules, sources=sources, rounds=400, seed=3
             )
             platform = InMemoryPlatform(service_time=0.0)
-            result = MultiReplayHarness(
-                platform, streams, HarnessConfig(rate=1000, level=0)
+            result = TestHarness(
+                platform, streams, HarnessConfig(rate=1000 * sources, level=0)
             ).run()
+            assert result.events_emitted_per_source and all(
+                emitted > 0 for emitted in result.events_emitted_per_source
+            )
             return result.events_emitted / result.duration
 
         # Three sources at the same per-source rate offer roughly three
         # times the load of one (durations are pause-dominated equally).
         assert run(3) > 2 * run(1)
 
+    def test_sources_share_the_rate(self):
+        """Two sources at rate 2R replay each source as one source at R."""
+        streams = disjoint_streams(UniformRules, sources=2, rounds=200, seed=3)
+        pair = TestHarness(
+            InMemoryPlatform(service_time=0.0),
+            streams,
+            HarnessConfig(rate=2000, level=0),
+        ).run()
+        alone = TestHarness(
+            InMemoryPlatform(service_time=0.0),
+            streams[0],
+            HarnessConfig(rate=1000, level=0),
+        ).run()
+        assert pair.events_emitted_per_source[0] == alone.events_emitted
+        first = [
+            r.value
+            for r in pair.log.filter(metric="ingress_rate", source="replayer-0")
+        ]
+        assert first == [
+            r.value for r in alone.log.filter(metric="ingress_rate", source="replayer")
+        ]
+
     def test_per_source_records_in_log(self):
         streams = disjoint_streams(UniformRules, sources=2, rounds=200, seed=4)
-        result = MultiReplayHarness(
-            InMemoryPlatform(), streams, HarnessConfig(rate=1000, level=0)
+        result = TestHarness(
+            InMemoryPlatform(), streams, HarnessConfig(rate=2000, level=0)
         ).run()
         sources = result.log.filter(metric="ingress_rate").sources()
         assert "replayer-0" in sources
@@ -119,8 +143,8 @@ class TestMultiReplayHarness:
             UniformRules, sources=2, rounds=200, seed=5, id_stride=100_000
         )
         platform = InMemoryPlatform()
-        MultiReplayHarness(
-            platform, streams, HarnessConfig(rate=5000, level=0)
+        TestHarness(
+            platform, streams, HarnessConfig(rate=10_000, level=0)
         ).run()
         low = [v for v in platform.graph.vertices() if v < 100_000]
         high = [v for v in platform.graph.vertices() if v >= 100_000]
@@ -130,7 +154,7 @@ class TestMultiReplayHarness:
 
     def test_needs_streams(self):
         with pytest.raises(ValueError):
-            MultiReplayHarness(
+            TestHarness(
                 InMemoryPlatform(), [], HarnessConfig(rate=100, level=0)
             )
 
@@ -139,17 +163,8 @@ class TestMultiReplayHarness:
 
         streams = disjoint_streams(UniformRules, sources=1, rounds=50)
         with pytest.raises(GraphTidesError, match="level"):
-            MultiReplayHarness(
+            TestHarness(
                 WeaverLikePlatform(), streams, HarnessConfig(rate=100, level=1)
-            )
-
-    def test_replay_workers_rejected(self):
-        streams = disjoint_streams(UniformRules, sources=2, rounds=50)
-        with pytest.raises(ValueError, match="replay_workers"):
-            MultiReplayHarness(
-                InMemoryPlatform(),
-                streams,
-                HarnessConfig(rate=100, level=0, replay_workers=2),
             )
 
     def test_fault_schedule_applies_to_disjoint_sources(self):
@@ -160,11 +175,11 @@ class TestMultiReplayHarness:
         schedule = FaultSchedule(
             faults=(ProcessFault(process="shard", at=1.0, duration=1.0),)
         )
-        result = MultiReplayHarness(
+        result = TestHarness(
             WeaverLikePlatform(),
             streams,
             HarnessConfig(
-                rate=750, level=0, log_interval=0.1, fault_schedule=schedule
+                rate=1500, level=0, log_interval=0.1, fault_schedule=schedule
             ),
         ).run()
         assert result.events_processed == 3000
@@ -195,8 +210,8 @@ class TestOffsetCollisions:
 class TestRecordMerging:
     def test_merged_log_is_chronological_across_sources(self):
         streams = disjoint_streams(UniformRules, sources=2, rounds=200, seed=6)
-        result = MultiReplayHarness(
-            InMemoryPlatform(), streams, HarnessConfig(rate=1000, level=1)
+        result = TestHarness(
+            InMemoryPlatform(), streams, HarnessConfig(rate=2000, level=1)
         ).run()
         timestamps = [record.timestamp for record in result.log]
         assert timestamps == sorted(timestamps)
@@ -207,8 +222,8 @@ class TestRecordMerging:
 
     def test_markers_from_every_source_survive_the_merge(self):
         streams = disjoint_streams(UniformRules, sources=3, rounds=200, seed=7)
-        result = MultiReplayHarness(
-            InMemoryPlatform(), streams, HarnessConfig(rate=1000, level=0)
+        result = TestHarness(
+            InMemoryPlatform(), streams, HarnessConfig(rate=3000, level=0)
         ).run()
         marker_sources = {
             record.source
@@ -223,10 +238,10 @@ class TestMultiStreamTracing:
         streams = disjoint_streams(
             UniformRules, sources=sources, rounds=200, seed=8
         )
-        return MultiReplayHarness(
+        return TestHarness(
             InMemoryPlatform(),
             streams,
-            HarnessConfig(rate=1000, level=1, trace=True, **config),
+            HarnessConfig(rate=1000 * sources, level=1, trace=True, **config),
         ).run()
 
     def test_traced_run_exposes_a_tracer_with_closed_accounting(self):
@@ -253,7 +268,7 @@ class TestMultiStreamTracing:
 
     def test_untraced_run_has_no_tracer(self):
         streams = disjoint_streams(UniformRules, sources=2, rounds=100, seed=9)
-        result = MultiReplayHarness(
-            InMemoryPlatform(), streams, HarnessConfig(rate=1000, level=0)
+        result = TestHarness(
+            InMemoryPlatform(), streams, HarnessConfig(rate=2000, level=0)
         ).run()
         assert result.tracer is None

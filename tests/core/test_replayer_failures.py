@@ -146,8 +146,11 @@ class TestTransportFailure:
         replay through chaos faults and retries over TCP into one
         receiver, whose reader threads share its id and window
         counters."""
-        path = tmp_path / "stream.csv"
-        codec.write_stream_file(path, _events(1000))
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for index, path in enumerate(paths):
+            codec.write_stream_file(
+                path, [add_vertex(index * 500 + i) for i in range(500)]
+            )
         receiver = TcpReceiver(max_connections=2)
         instrument(receiver, tsan_monitor, fields=("_next_id",))
         instrument(
@@ -155,10 +158,9 @@ class TestTransportFailure:
         )
         with receiver:
             report = ShardedReplayer(
-                str(path),
+                [str(path) for path in paths],
                 TcpSpec(port=receiver.port),
                 rate=1e6,
-                workers=2,
                 batch_size=32,
                 chaos_config=ChaosConfig(send_failure_probability=0.1, seed=11),
                 retry_policy=RetryPolicy(max_attempts=10, base_delay=0.0),

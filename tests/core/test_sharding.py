@@ -1,8 +1,8 @@
-"""Tests for the process-parallel sharded replay engine.
+"""Tests for the process-parallel replay of disjoint streams.
 
-Partitioning must preserve the graph-event multiset and replicate
-control events exactly once per shard; the sharded replayer must
-deliver the same event multiset as a single-process replay; merged
+N workers replay N disjoint sources, one each: every worker's wire must
+be what a single-process replay of its source sends, in the source's
+order (the graph-state fold of each wire equals its source's); merged
 reports must sum to the single-process counts; and every cross-process
 configuration object must pickle (so ``spawn`` platforms work).
 """
@@ -18,15 +18,13 @@ from repro.core import binfmt, codec
 from repro.core.connectors import (
     PipeSpec,
     PipeTransport,
+    ShmSpec,
     TcpReceiver,
     TcpSpec,
     TransportSpec,
 )
 from repro.core.events import (
     GraphEvent,
-    MarkerEvent,
-    PauseEvent,
-    SpeedEvent,
     add_edge,
     add_vertex,
     marker,
@@ -35,16 +33,15 @@ from repro.core.events import (
     update_vertex,
 )
 from repro.core.replayer import LiveReplayer, ReplayReport
+from repro.core.multistream import offset_stream
 from repro.core.sharding import (
     ShardedReplayer,
-    ShardPlan,
     WorkerConfig,
     merge_replay_reports,
-    partition_stream,
-    write_shards,
 )
 from repro.core.resilience import ChaosConfig, RetryPolicy
 from repro.core.stream import GraphStream
+from repro.graph.graph import fold_events
 from repro.errors import (
     DeliveryExhaustedError,
     EvaluationLevelError,
@@ -80,126 +77,24 @@ def graph_multiset(events) -> collections.Counter:
     )
 
 
-class TestPartitionStream:
-    def test_graph_multiset_preserved(self):
-        stream = mixed_stream()
-        for shard_by in ("round-robin", "hash"):
-            shards = partition_stream(stream, 3, shard_by)
-            merged = collections.Counter()
-            for shard in shards:
-                merged += graph_multiset(shard)
-            assert merged == graph_multiset(stream)
-
-    def test_control_events_reach_every_shard_exactly_once(self):
-        shards = partition_stream(mixed_stream(), 4)
-        for shard in shards:
-            labels = [e.label for e in shard if isinstance(e, MarkerEvent)]
-            assert labels == ["start", "mid", "end"]
-            speeds = [e.factor for e in shard if isinstance(e, SpeedEvent)]
-            assert speeds == [2.0]
-
-    def test_stream_shorter_than_worker_count_yields_empty_shards(self):
-        shards = partition_stream(GraphStream([add_vertex(7)]), 5)
-        sizes = [len(shard) for shard in shards]
-        assert sizes == [1, 0, 0, 0, 0]
-
-    def test_marker_at_start_and_end_replicated(self):
-        stream = GraphStream([marker("first"), add_vertex(1), marker("last")])
-        for shard in partition_stream(stream, 3):
-            events = list(shard)
-            assert isinstance(events[0], MarkerEvent)
-            assert events[0].label == "first"
-            assert isinstance(events[-1], MarkerEvent)
-            assert events[-1].label == "last"
-
-    def test_marker_only_stream(self):
-        shards = partition_stream(GraphStream([marker("m")]), 2)
-        for shard in shards:
-            assert [e.label for e in shard] == ["m"]
-
-    def test_round_robin_balances_exactly(self):
-        shards = partition_stream(mixed_stream(), 4, "round-robin")
-        counts = [sum(graph_multiset(s).values()) for s in shards]
-        assert counts == [10, 10, 10, 10]
-
-    def test_hash_is_deterministic_and_entity_sticky(self):
-        stream = mixed_stream()
-        first = partition_stream(stream, 3, "hash")
-        second = partition_stream(stream, 3, "hash")
-        assert [list(a) for a in first] == [list(b) for b in second]
-        # A vertex's events always land on the shard of its id.
-        for index, shard in enumerate(first):
-            for event in shard:
-                if isinstance(event, GraphEvent) and not event.type.is_edge_event:
-                    assert event.entity % 3 == index
-
-    def test_single_worker_is_identity(self):
-        stream = mixed_stream()
-        (shard,) = partition_stream(stream, 1)
-        assert list(shard) == list(stream)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            partition_stream(mixed_stream(), 0)
-        with pytest.raises(ValueError):
-            partition_stream(mixed_stream(), 2, "modulo")
-
-    def test_graphstream_partition_method(self):
-        shards = mixed_stream().partition(2)
-        assert len(shards) == 2
-        assert all(isinstance(s, GraphStream) for s in shards)
+def disjoint_sources(tmp_path, workers, fmt="csv") -> list[str]:
+    """``workers`` copies of :func:`mixed_stream`, 1000 ids apart."""
+    suffix = "gtb" if fmt == "binary" else "csv"
+    paths = []
+    for index in range(workers):
+        path = tmp_path / f"source-{index}.{suffix}"
+        offset_stream(mixed_stream(), 1000 * index).write(path, format=fmt)
+        paths.append(str(path))
+    return paths
 
 
-class TestWriteShards:
-    def test_plan_counts_and_files(self, tmp_path):
-        plan = write_shards(mixed_stream(), 3, tmp_path)
-        assert plan.workers == 3
-        assert len(plan.paths) == 3
-        assert plan.total_graph_events == 40
-        assert plan.control_events == 4  # 3 markers + 1 speed
-        for path in plan.paths:
-            assert (tmp_path / path).exists() or codec.parse_stream_file(path)
-
-    def test_from_file_source(self, tmp_path):
-        source = tmp_path / "stream.csv"
-        mixed_stream().write(source)
-        plan = write_shards(source, 2, tmp_path)
-        merged = collections.Counter()
-        for path in plan.paths:
-            merged += graph_multiset(codec.parse_stream_file(path))
-        assert merged == graph_multiset(mixed_stream())
-
-    def test_empty_shard_files_written(self, tmp_path):
-        plan = write_shards(GraphStream([add_vertex(1)]), 3, tmp_path)
-        assert plan.graph_events == (1, 0, 0)
-        for path in plan.paths[1:]:
-            assert codec.parse_stream_file(path) == []
-
-    def test_partial_open_failure_closes_earlier_shards(
-        self, tmp_path, monkeypatch
-    ):
-        """If opening shard k fails, shards 0..k-1 must not leak."""
-        import builtins
-
-        from repro.core.sharding import _write_shards_csv_bytes
-
-        source = tmp_path / "stream.csv"
-        mixed_stream().write(source)
-        opened = []
-        real_open = builtins.open
-
-        def failing_open(path, *args, **kwargs):
-            if str(path).endswith("shard-1.csv"):
-                raise OSError("disk full")
-            handle = real_open(path, *args, **kwargs)
-            opened.append(handle)
-            return handle
-
-        monkeypatch.setattr(builtins, "open", failing_open)
-        with pytest.raises(OSError):
-            _write_shards_csv_bytes(source, 3, tmp_path, "round-robin")
-        assert opened, "shard-0 should have been opened before the failure"
-        assert all(handle.closed for handle in opened)
+def assert_wires_fold_to_sources(sources, wires):
+    """Worker ``i``'s wire applies to a graph as source ``i`` does."""
+    assert len(wires) == len(sources)
+    for source, wire in zip(sources, wires):
+        folded = fold_events(wire)
+        assert folded == fold_events(codec.parse_stream_file(source))
+        assert folded[0] == 0
 
 
 class TestMergeReplayReports:
@@ -281,16 +176,11 @@ class TestPicklableConfigs:
             TcpSpec(host="127.0.0.1", port=4242),
             RetryPolicy(max_attempts=3, base_delay=0.02),
             ChaosConfig(send_failure_probability=0.1, seed=7),
-            ShardPlan(
-                workers=2,
-                shard_by="hash",
-                paths=("a.csv", "b.csv"),
-                graph_events=(3, 4),
-                control_events=2,
-            ),
+            ShmSpec(name="ring0"),
             WorkerConfig(
                 index=1,
-                path="shard-1.csv",
+                source="source-1.gtb",
+                wire_format="binary",
                 rate=500.0,
                 transport_spec=TcpSpec(port=9),
                 trace=(8, 12.5),
@@ -335,145 +225,77 @@ class TestShardedReplayer:
 
     @pytest.mark.parametrize("emission", ["events", "raw"])
     def test_sharded_equals_single_process_multiset(self, tmp_path, emission):
-        source = tmp_path / "stream.csv"
-        mixed_stream().write(source)
+        """Each worker sends exactly what a single-process replay of
+        its source sends, in the same order."""
+        sources = disjoint_sources(tmp_path, 3)
+        singles = []
+        single_emitted = 0
+        for index, source in enumerate(sources):
+            single_out = tmp_path / f"single-{index}.csv"
+            single_emitted += LiveReplayer(
+                source,
+                PipeSpec(target=str(single_out)).build(),
+                rate=FAST,
+                batch_size=16,
+            ).run().events_emitted
+            singles.append(single_out.read_text())
 
-        single_out = tmp_path / "single.csv"
-        single = LiveReplayer(
-            str(source),
-            PipeSpec(target=str(single_out)).build(),
-            rate=FAST,
-            batch_size=16,
-        ).run()
-
-        outs = [tmp_path / f"shard-out-{i}.csv" for i in range(3)]
+        outs = [tmp_path / f"worker-out-{i}.csv" for i in range(3)]
         sharded = ShardedReplayer(
-            str(source),
+            sources,
             [PipeSpec(target=str(o)) for o in outs],
             rate=FAST,
-            workers=3,
             emission=emission,
         ).run()
 
-        single_lines = collections.Counter(
-            line
-            for line in single_out.read_text().splitlines()
-            if line
+        assert [out.read_text() for out in outs] == singles
+        assert_wires_fold_to_sources(
+            sources, [codec.parse_stream_file(out) for out in outs]
         )
-        sharded_lines = collections.Counter(
-            line
-            for out in outs
-            for line in out.read_text().splitlines()
-            if line
-        )
-        assert sharded_lines == single_lines
         # Merged counts sum to the single-process counts.
-        assert sharded.events_emitted == single.events_emitted
-        assert sum(s.events_emitted for s in sharded.shards) == (
-            single.events_emitted
-        )
+        assert sharded.events_emitted == single_emitted == 120
+        assert [s.events_emitted for s in sharded.shards] == [40, 40, 40]
 
     def test_over_loopback_tcp(self, tmp_path):
-        source = tmp_path / "stream.csv"
-        mixed_stream().write(source)
+        sources = disjoint_sources(tmp_path, 2)
         receiver = TcpReceiver(max_connections=2)
         receiver.start()
         try:
             report = ShardedReplayer(
-                str(source),
+                sources,
                 TcpSpec(port=receiver.port),
                 rate=FAST,
                 workers=2,
             ).run()
         finally:
             receiver.close()
-        assert report.events_emitted == 40
-        assert receiver.counter.total == 40
+        assert report.events_emitted == 80
+        assert receiver.counter.total == 80
         assert len(report.shards) == 2
 
     def test_empty_shards_replay_to_empty_reports(self, tmp_path):
-        source = tmp_path / "stream.csv"
-        GraphStream([add_vertex(1), add_vertex(2)]).write(source)
+        """An empty source gives its worker an empty report."""
+        sources = []
+        for index in range(4):
+            path = tmp_path / f"s{index}.csv"
+            GraphStream([add_vertex(index)] if index < 2 else []).write(path)
+            sources.append(str(path))
         outs = [tmp_path / f"o{i}.csv" for i in range(4)]
         report = ShardedReplayer(
-            str(source),
+            sources,
             [PipeSpec(target=str(o)) for o in outs],
             rate=FAST,
-            workers=4,
         ).run()
         assert report.events_emitted == 2
-        assert sorted(s.events_emitted for s in report.shards) == [0, 0, 1, 1]
+        assert [s.events_emitted for s in report.shards] == [1, 1, 0, 0]
 
     def test_worker_failure_collects_errors(self, tmp_path):
-        source = tmp_path / "stream.csv"
-        mixed_stream().write(source)
         # Port 1 is unbound: every worker fails to connect.
         replayer = ShardedReplayer(
-            str(source), TcpSpec(port=1), rate=FAST, workers=2
+            disjoint_sources(tmp_path, 2), TcpSpec(port=1), rate=FAST
         )
         with pytest.raises(ReplayError, match="worker"):
             replayer.run()
-
-    def test_plan_exposed_after_run(self, tmp_path):
-        source = tmp_path / "stream.csv"
-        mixed_stream().write(source)
-        outs = [tmp_path / f"o{i}.csv" for i in range(2)]
-        replayer = ShardedReplayer(
-            str(source),
-            [PipeSpec(target=str(o)) for o in outs],
-            rate=FAST,
-            workers=2,
-            shard_by="hash",
-        )
-        replayer.run()
-        assert replayer.plan is not None
-        assert replayer.plan.shard_by == "hash"
-        assert replayer.plan.total_graph_events == 40
-
-    @pytest.mark.parametrize("corruption", ["gtb1-tag", "control-line"])
-    def test_partitioner_refusal_reads_as_at_one_worker(
-        self, tmp_path, corruption
-    ):
-        """A file the parent's partitioner refuses at 3 workers (its
-        entity peek or its control-line parse) fails with the same
-        ReplayError type, message position and typed cause as at 1
-        worker."""
-        graph = [add_vertex(i) for i in range(100)]
-        if corruption == "gtb1-tag":
-            path = tmp_path / "stream.gtb"
-            binfmt.write_binary_stream(path, graph, batch_records=32)
-            frames = [
-                offset
-                for offset, __, kind in binfmt.read_frame_index(path)
-                if kind == binfmt.FRAME_GRAPH
-            ]
-            data = bytearray(path.read_bytes())
-            data[frames[2] + binfmt.FRAME_HEADER_SIZE] = 200
-            path.write_bytes(bytes(data))
-        else:
-            path = tmp_path / "stream.csv"
-            lines = codec.format_lines(graph)
-            lines.insert(60, "SPEED,fast")
-            path.write_text("\n".join(lines) + "\n")
-        errors = []
-        for workers in (1, 3):
-            outs = [
-                PipeSpec(target=str(tmp_path / f"out-{workers}-{i}"))
-                for i in range(workers)
-            ]
-            with pytest.raises(ReplayError) as err:
-                ShardedReplayer(
-                    str(path), outs, rate=FAST, workers=workers, shard_by="hash"
-                ).run()
-            errors.append(err.value)
-        one, three = errors
-        assert type(three) is ReplayError
-        # "stream source failed: line N: ..." or "...: byte offset N: ..."
-        assert str(three).split(": ")[:2] == str(one).split(": ")[:2]
-        assert str(one).startswith("stream source failed: ")
-        assert type(one.__cause__) is type(three.__cause__) is StreamFormatError
-        assert three.__cause__.byte_offset == one.__cause__.byte_offset
-        assert three.__cause__.line_number == one.__cause__.line_number
 
     def test_rejects_bad_arguments(self, tmp_path):
         spec = PipeSpec(target="-")
@@ -481,12 +303,14 @@ class TestShardedReplayer:
             ShardedReplayer("s.csv", spec, rate=0)
         with pytest.raises(ValueError):
             ShardedReplayer("s.csv", spec, rate=1, workers=0)
-        with pytest.raises(ValueError):
-            ShardedReplayer("s.csv", spec, rate=1, shard_by="nope")
+        with pytest.raises(ValueError, match="each worker replays one source"):
+            ShardedReplayer("s.csv", spec, rate=1, workers=2)
+        with pytest.raises(ValueError, match="each worker replays one source"):
+            ShardedReplayer(["a.csv", "b.csv"], spec, rate=1, workers=1)
         with pytest.raises(ValueError):
             ShardedReplayer("s.csv", spec, rate=1, emission="laser")
         with pytest.raises(ValueError):
-            ShardedReplayer("s.csv", [spec], rate=1, workers=2)
+            ShardedReplayer(["a.csv", "b.csv"], [spec], rate=1)
 
     def test_in_memory_stream_source(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -531,76 +355,58 @@ def decode_wire_capture(data: bytes):
 
 
 class TestFormatAwareSharding:
-    """The binary format and decode-in-worker emission must preserve
-    replay semantics across every source-format/wire-format pairing."""
+    """Every source-format/wire-format pairing keeps each worker's
+    source on its wire."""
 
     @pytest.mark.parametrize("stream_format", ["auto", "csv"])
     def test_decode_emission_matches_events_output(
         self, tmp_path, stream_format
     ):
-        source = tmp_path / "stream.csv"
-        mixed_stream().write(source)
+        sources = disjoint_sources(tmp_path, 3)
         events_outs = [tmp_path / f"ev-{i}.csv" for i in range(3)]
         decode_outs = [tmp_path / f"de-{i}.csv" for i in range(3)]
         ShardedReplayer(
-            str(source),
+            sources,
             [PipeSpec(target=str(o)) for o in events_outs],
             rate=FAST,
             workers=3,
             emission="events",
         ).run()
         report = ShardedReplayer(
-            str(source),
+            sources,
             [PipeSpec(target=str(o)) for o in decode_outs],
             rate=FAST,
             workers=3,
             emission="decode",
             stream_format=stream_format,
         ).run()
-        events_lines = collections.Counter(
-            line
-            for out in events_outs
-            for line in out.read_text().splitlines()
-            if line
-        )
-        decode_lines = collections.Counter(
-            line
-            for out in decode_outs
-            for line in out.read_text().splitlines()
-            if line
-        )
-        assert decode_lines == events_lines
-        assert report.events_emitted == 40
+        assert [o.read_text() for o in decode_outs] == [
+            o.read_text() for o in events_outs
+        ]
+        assert report.events_emitted == 120
 
     def test_binary_source_decode_emission_emits_frames(self, tmp_path):
-        source = tmp_path / "stream.gtb"
-        mixed_stream().write(source, format="binary")
+        sources = disjoint_sources(tmp_path, 2, fmt="binary")
         outs = [tmp_path / f"o{i}.gtb" for i in range(2)]
         report = ShardedReplayer(
-            str(source),
+            sources,
             [PipeSpec(target=str(o)) for o in outs],
             rate=FAST,
             workers=2,
             emission="decode",
         ).run()
-        assert report.events_emitted == 40
-        received = [
-            event
-            for out in outs
-            for event in decode_wire_capture(out.read_bytes())
-        ]
-        assert graph_multiset(received) == graph_multiset(
-            mixed_stream().events
+        assert report.events_emitted == 80
+        assert_wires_fold_to_sources(
+            sources, [decode_wire_capture(out.read_bytes()) for out in outs]
         )
 
     def test_binary_source_over_loopback_tcp(self, tmp_path):
-        source = tmp_path / "stream.gtb"
-        mixed_stream().write(source, format="binary")
+        sources = disjoint_sources(tmp_path, 2, fmt="binary")
         receiver = TcpReceiver(max_connections=2)
         receiver.start()
         try:
             report = ShardedReplayer(
-                str(source),
+                sources,
                 TcpSpec(port=receiver.port),
                 rate=FAST,
                 workers=2,
@@ -608,87 +414,30 @@ class TestFormatAwareSharding:
             ).run()
         finally:
             receiver.close()
-        assert report.events_emitted == 40
-        assert receiver.counter.total == 40
+        assert report.events_emitted == 80
+        assert receiver.counter.total == 80
 
     def test_csv_source_transcoded_to_binary_wire(self, tmp_path):
-        """``stream_format="binary"`` on a CSV source: shards are
-        written (and delivered) in the binary format."""
-        source = tmp_path / "stream.csv"
-        mixed_stream().write(source)
-        receiver = TcpReceiver(max_connections=2)
-        receiver.start()
-        try:
-            replayer = ShardedReplayer(
-                str(source),
-                TcpSpec(port=receiver.port),
-                rate=FAST,
-                workers=2,
-                emission="decode",
-                stream_format="binary",
-            )
-            report = replayer.run()
-        finally:
-            receiver.close()
-        assert report.events_emitted == 40
-        assert receiver.counter.total == 40
-        assert all(
-            path.endswith(".gtb") for path in replayer.plan.paths
-        )
-
-    @pytest.mark.parametrize("shard_by", ["round-robin", "hash"])
-    def test_write_shards_binary_preserves_multiset(self, tmp_path, shard_by):
-        source = tmp_path / "stream.gtb"
-        mixed_stream().write(source, format="binary")
-        plan = write_shards(
-            str(source), 3, tmp_path / "shards", shard_by=shard_by
-        )
-        shards = [codec.parse_stream_file(path) for path in plan.paths]
-        merged = [event for shard in shards for event in shard]
-        assert graph_multiset(merged) == graph_multiset(
-            mixed_stream().events
-        )
-        # Control events replicate to every shard, in stream order.
-        for shard in shards:
-            controls = [
-                e for e in shard if not isinstance(e, GraphEvent)
-            ]
-            assert [type(e) for e in controls] == [
-                MarkerEvent, SpeedEvent, MarkerEvent, MarkerEvent,
-            ]
-
-    def test_write_shards_cross_format(self, tmp_path):
-        """CSV source, binary shards (and the reverse) via
-        ``stream_format``."""
-        csv_source = tmp_path / "stream.csv"
-        mixed_stream().write(csv_source)
-        plan = write_shards(
-            str(csv_source), 2, tmp_path / "to-bin", stream_format="binary"
-        )
-        assert all(path.endswith(".gtb") for path in plan.paths)
-        bin_source = tmp_path / "stream.gtb"
-        mixed_stream().write(bin_source, format="binary")
-        plan = write_shards(
-            str(bin_source), 2, tmp_path / "to-csv", stream_format="csv"
-        )
-        assert all(path.endswith(".csv") for path in plan.paths)
-        merged = [
-            event
-            for path in plan.paths
-            for event in codec.parse_stream_file(path)
-        ]
-        assert graph_multiset(merged) == graph_multiset(
-            mixed_stream().events
+        """``stream_format="binary"`` on CSV sources: each worker
+        transcodes its source and sends GTB1 frames."""
+        sources = disjoint_sources(tmp_path, 2)
+        outs = [tmp_path / f"o{i}.gtb" for i in range(2)]
+        report = ShardedReplayer(
+            sources,
+            [PipeSpec(target=str(o)) for o in outs],
+            rate=FAST,
+            emission="decode",
+            stream_format="binary",
+        ).run()
+        assert report.events_emitted == 80
+        assert_wires_fold_to_sources(
+            sources, [decode_wire_capture(out.read_bytes()) for out in outs]
         )
 
     def test_rejects_bad_format_arguments(self, tmp_path):
         spec = PipeSpec(target="-")
         with pytest.raises(ValueError):
             ShardedReplayer("s.csv", spec, rate=1, stream_format="xml")
-        with pytest.raises(ValueError):
-            write_shards(
-                mixed_stream().events, 2, tmp_path, stream_format="xml"
-            )
 
 
 class TestSpawnWorkers:
@@ -697,24 +446,19 @@ class TestSpawnWorkers:
     def test_spawn_sharded_replay(self, tmp_path):
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("platform has no spawn start method")
-        source = tmp_path / "stream.csv"
-        mixed_stream().write(source)
+        sources = disjoint_sources(tmp_path, 2)
         outs = [tmp_path / f"o{i}.csv" for i in range(2)]
         report = ShardedReplayer(
-            str(source),
+            sources,
             [PipeSpec(target=str(o)) for o in outs],
             rate=FAST,
             workers=2,
             start_method="spawn",
         ).run()
-        assert report.events_emitted == 40
-        merged = collections.Counter(
-            line
-            for out in outs
-            for line in out.read_text().splitlines()
-            if line
+        assert report.events_emitted == 80
+        assert_wires_fold_to_sources(
+            sources, [codec.parse_stream_file(out) for out in outs]
         )
-        assert merged == graph_multiset(mixed_stream())
 
 
 @dataclass(frozen=True)
@@ -749,13 +493,13 @@ def test_typed_errors_keep_their_fields_through_pickle(error, fields):
 
 class TestWorkerErrors:
     def test_typed_error_crosses_the_process_boundary(self, tmp_path):
-        source = tmp_path / "stream.csv"
-        mixed_stream().write(source)
         specs = [
             _FailingSpec(StreamFormatError("corrupt", byte_offset=offset))
             for offset in (3, 7)
         ]
-        replayer = ShardedReplayer(str(source), specs, rate=FAST, workers=2)
+        replayer = ShardedReplayer(
+            disjoint_sources(tmp_path, 2), specs, rate=FAST, workers=2
+        )
         with pytest.raises(ReplayError) as err:
             replayer.run()
         assert str(err.value) == (
@@ -768,11 +512,11 @@ class TestWorkerErrors:
         assert cause.byte_offset == 3
 
     def test_error_that_cannot_cross_arrives_as_its_text(self, tmp_path):
-        source = tmp_path / "stream.csv"
-        mixed_stream().write(source)
         error = EvaluationLevelError(2, 1)  # does not unpickle
         specs = [_FailingSpec(error), PipeSpec(target=str(tmp_path / "o.csv"))]
-        replayer = ShardedReplayer(str(source), specs, rate=FAST, workers=2)
+        replayer = ShardedReplayer(
+            disjoint_sources(tmp_path, 2), specs, rate=FAST, workers=2
+        )
         with pytest.raises(ReplayError) as err:
             replayer.run()
         cause = err.value.__cause__

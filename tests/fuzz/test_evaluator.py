@@ -67,16 +67,6 @@ def test_non_utf8_csv_is_rejected(config, baseline):
     assert verdict.kind == "StreamFormatError"
 
 
-def test_hub_skew_fires_shard_cliff(base, config, baseline):
-    events = apply_event_mutators(
-        bytes_to_events(base), ["skew_hub"], random.Random("smoke:hub")
-    )
-    verdict = evaluate(
-        Workload("csv", events_to_bytes(events, "csv")), config, baseline
-    )
-    assert verdict.signature == "cliff:shard:shard-imbalance"
-
-
 def test_burst_fires_platform_cliff(base, config, baseline):
     # Seed chosen so the burst window is wide enough to overflow the
     # bounded queue (the mutator draws window width and factor).
@@ -114,8 +104,8 @@ def test_verdict_signature_shape():
 
     assert Verdict("hang", "replay", kind="pause-budget").signature == "hang:replay"
     assert (
-        Verdict("cliff", "shard", kind="shard-imbalance").signature
-        == "cliff:shard:shard-imbalance"
+        Verdict("cliff", "platform", kind="queue-overflow").signature
+        == "cliff:platform:queue-overflow"
     )
     assert Verdict("ok", "replay").signature == "ok:replay:"
     assert not Verdict("rejected", "parse").is_finding

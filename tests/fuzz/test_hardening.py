@@ -95,15 +95,17 @@ def test_sharded_replayer_reports_each_stalled_worker(tmp_path):
     from repro.core.connectors import PipeSpec
     from repro.core.sharding import ShardedReplayer
 
-    stream = tmp_path / "stall.csv"
-    lines = [f"ADD_VERTEX,{i}," for i in range(8)]
-    lines.insert(4, "PAUSE,30,")
-    stream.write_text("\n".join(lines) + "\n")
+    sources = []
+    for index in range(2):
+        stream = tmp_path / f"stall-{index}.csv"
+        lines = [f"ADD_VERTEX,{index * 8 + i}," for i in range(8)]
+        lines.insert(4, "PAUSE,30,")
+        stream.write_text("\n".join(lines) + "\n")
+        sources.append(str(stream))
     replayer = ShardedReplayer(
-        str(stream),
+        sources,
         PipeSpec(target=str(tmp_path / "sink.txt")),
         rate=1000.0,
-        workers=2,
         worker_timeout=2.0,
     )
     with pytest.raises(ReplayError) as excinfo:

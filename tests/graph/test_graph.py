@@ -18,7 +18,7 @@ from repro.errors import (
     VertexExistsError,
     VertexNotFoundError,
 )
-from repro.graph.graph import StreamGraph
+from repro.graph.graph import StreamGraph, fold_events
 
 
 @pytest.fixture
@@ -258,3 +258,40 @@ class TestCopyAndEquality:
     def test_repr(self, path_graph):
         assert "vertices=3" in repr(path_graph)
         assert "edges=2" in repr(path_graph)
+
+
+class TestFoldEvents:
+    """The delivery oracle: an arrival order folded into a graph."""
+
+    SOURCE = [
+        add_vertex(1, "a"),
+        add_vertex(2, "b"),
+        add_edge(1, 2, "w"),
+        update_vertex(2, "c"),
+    ]
+
+    def test_source_order_folds_cleanly(self):
+        refused, digest = fold_events(self.SOURCE)
+        assert refused == 0
+        assert digest == fold_events(list(self.SOURCE))[1]
+
+    def test_edge_before_its_endpoint_is_refused(self):
+        """The oracle can fail: moving the edge ahead of its target
+        vertex refuses one apply and leaves another graph, although the
+        multiset and the count are the source's."""
+        reordered = [self.SOURCE[0], self.SOURCE[2], self.SOURCE[1], self.SOURCE[3]]
+        refused, digest = fold_events(reordered)
+        assert sorted(map(repr, reordered)) == sorted(map(repr, self.SOURCE))
+        assert refused == 1
+        assert digest != fold_events(self.SOURCE)[1]
+
+    def test_digest_covers_states(self):
+        changed = self.SOURCE[:-1] + [update_vertex(2, "d")]
+        assert fold_events(changed)[0] == 0
+        assert fold_events(changed)[1] != fold_events(self.SOURCE)[1]
+
+    def test_control_events_are_skipped(self):
+        from repro.core.events import marker, speed
+
+        mixed = [marker("m"), *self.SOURCE[:2], speed(2.0), *self.SOURCE[2:]]
+        assert fold_events(mixed) == fold_events(self.SOURCE)

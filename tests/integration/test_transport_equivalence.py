@@ -1,10 +1,13 @@
 """Transport equivalence and shared-memory lifecycle integration tests.
 
 The three local transports (pipe, TCP, shared-memory ring) must be
-*observationally identical*: for the same source stream, worker count
-and batch size, the sharded replayer's report and the receiver's
-independent count must agree across all of them — the shm fast path is
-an optimization, never a semantic change.
+*observationally identical*: for the same source streams (one per
+worker) and batch size, the sharded replayer's report and the
+receiver's independent count must agree across all of them — the shm
+fast path is an optimization, never a semantic change.  Counting is not
+enough: at 1, 2 and 4 workers, every worker's wire must fold into the
+same graph as its source (:func:`~repro.graph.graph.fold_events`), with
+no refused apply, on every transport and for CSV and GTB1 sources.
 
 The lifecycle half pins the ``/dev/shm`` guarantee: no segment survives
 a normal shutdown, a crashed producer, or a chaos-failed replay.
@@ -25,7 +28,12 @@ from repro.core.connectors import (
     TcpSpec,
 )
 from repro.core.events import add_edge, add_vertex, marker
+from repro.core.models import SocialNetworkRules
+from repro.core.multistream import disjoint_streams, offset_stream
 from repro.core.sharding import ShardedReplayer
+from repro.core.stream import GraphStream
+from repro.graph.graph import fold_events
+from tests.integration.wire import CAPTURES, wire_folds
 
 WORKERS = 2
 RATE = 2_000_000
@@ -43,20 +51,25 @@ def _events(n: int = 600):
 
 @pytest.fixture(scope="module")
 def streams(tmp_path_factory):
+    """One disjoint source per worker, in each format."""
     tmp = tmp_path_factory.mktemp("equivalence")
-    events = _events()
-    csv_path = tmp / "stream.csv"
-    codec.write_stream_file(csv_path, events, format="csv")
-    bin_path = tmp / "stream.gtb"
-    binfmt.write_binary_stream(
-        bin_path, events, witness_path=witness.witness_path(bin_path)
-    )
-    return {"csv": csv_path, "binary": bin_path}
+    paths = {"csv": [], "binary": []}
+    for index in range(WORKERS):
+        events = offset_stream(GraphStream(_events()), 1000 * index)
+        csv_path = tmp / f"stream-{index}.csv"
+        codec.write_stream_file(csv_path, events, format="csv")
+        bin_path = tmp / f"stream-{index}.gtb"
+        binfmt.write_binary_stream(
+            bin_path, events, witness_path=witness.witness_path(bin_path)
+        )
+        paths["csv"].append(str(csv_path))
+        paths["binary"].append(str(bin_path))
+    return paths
 
 
-def _replay(path, specs, batch_size):
+def _replay(paths, specs, batch_size):
     return ShardedReplayer(
-        path,
+        paths,
         specs,
         rate=RATE,
         workers=WORKERS,
@@ -123,6 +136,35 @@ class TestTransportEquivalence:
         # The replayer's own count and the receivers' independent count
         # must agree too — no transport may drop or duplicate.
         assert emitted["shm"] == delivered["shm"]
+
+
+class TestGraphStateDelivery:
+    """Every worker's wire applies to a graph as its source does."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize("transport", sorted(CAPTURES))
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_each_wire_folds_to_its_source(self, tmp_path, workers, transport, fmt):
+        sources = []
+        for index, stream in enumerate(
+            disjoint_streams(
+                SocialNetworkRules, workers, rounds=400, seed=1,
+                emit_phase_marker=False,
+            )
+        ):
+            path = tmp_path / f"source-{index}.{'gtb' if fmt == 'binary' else 'csv'}"
+            stream.write(path, format=fmt)
+            sources.append(str(path))
+        with CAPTURES[transport](tmp_path, workers) as (specs, captured):
+            report = ShardedReplayer(sources, specs, rate=RATE, batch_size=64).run()
+        expected = [fold_events(codec.parse_stream_file(path)) for path in sources]
+        assert all(refused == 0 for refused, __ in expected)
+        folds = wire_folds(captured, fmt)
+        # A TCP capture keeps accept order, not worker order.
+        assert sorted(folds) == sorted(expected)
+        if transport != "tcp":
+            assert folds == expected
+        assert report.workers == workers
 
 
 def _segment_exists(name: str) -> bool:

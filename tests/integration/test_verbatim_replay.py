@@ -6,41 +6,42 @@ its block matches the canonical line grammar, and through
 in one hazard the grammar must refuse (or accept) correctly; whatever
 the path, the receiver's bytes must equal ``format(parse(line))`` for
 each graph line — through ``LiveReplayer`` and through
-``ShardedReplayer`` at 1 and 2 workers and every byte transport.
+``ShardedReplayer`` at 1 and 2 workers (one source each) and every byte
+transport.  Every captured wire also folds into a graph exactly as its
+source does (:func:`~repro.graph.graph.fold_events`).
 
 A GTB1 file goes out as its stored frames, re-framed to at most
 ``batch_size`` records; the receiver's decoded records must be the
 stream's graph events, with or without a witness sidecar.  A malformed
 file of either format is refused with the same typed error on every
-path, and a transport failure resumes from the last marker.
+path, naming its line or byte offset in its own file, and a transport
+failure resumes from the last marker.
 """
 
 from __future__ import annotations
 
 import collections
-import contextlib
 import os
-import socket
-import threading
-import time
 
 from dataclasses import dataclass
 
 import pytest
 
-from repro.core import binfmt, codec, shm, witness
+from repro.core import binfmt, codec, witness
 from repro.core.connectors import (
     CallbackTransport,
     PipeSpec,
-    ShmSpec,
-    TcpSpec,
     Transport,
     TransportSpec,
 )
 from repro.core.events import GraphEvent, add_edge, add_vertex, marker, pause, speed
+from repro.core.multistream import offset_stream
 from repro.core.replayer import LiveReplayer
-from repro.core.sharding import ShardedReplayer, _entity_shard, write_shards
+from repro.core.sharding import ShardedReplayer
+from repro.core.stream import GraphStream
 from repro.errors import ConnectorError, ReplayError, StreamFormatError
+from repro.graph.graph import fold_events
+from tests.integration.wire import CAPTURES, tcp_capture, wire_folds, wire_frames
 
 FAST = 1e9
 
@@ -88,98 +89,9 @@ def _write(tmp_path, name: str, data: bytes):
     return path
 
 
-# -- byte-capturing receivers ------------------------------------------------
-
-
-@contextlib.contextmanager
-def _pipe_capture(tmp_path, workers):
-    """PipeTransport into one file per worker."""
-    outs = [tmp_path / f"wire-{index}.out" for index in range(workers)]
-    captured: list[bytes] = []
-    yield [PipeSpec(target=str(out)) for out in outs], captured
-    captured.extend(out.read_bytes() for out in outs)
-
-
-@contextlib.contextmanager
-def _tcp_capture(tmp_path, workers, connections_per_worker=1):
-    """A loopback server keeping each connection's bytes."""
-    server = socket.create_server(("127.0.0.1", 0))
-    server.settimeout(30.0)
-    buffers: list[bytearray] = []
-
-    def read(connection, buffer):
-        with connection:
-            while chunk := connection.recv(1 << 16):
-                buffer += chunk
-
-    def serve():
-        readers = []
-        for __ in range(workers * connections_per_worker):
-            connection, __ = server.accept()
-            buffer = bytearray()
-            buffers.append(buffer)
-            reader = threading.Thread(target=read, args=(connection, buffer))
-            reader.start()
-            readers.append(reader)
-        for reader in readers:
-            reader.join(30.0)
-
-    acceptor = threading.Thread(target=serve)
-    acceptor.start()
-    captured: list[bytes] = []
-    try:
-        yield TcpSpec(port=server.getsockname()[1]), captured
-    finally:
-        acceptor.join(30.0)
-        server.close()
-    captured.extend(bytes(buffer) for buffer in buffers)
-
-
-@contextlib.contextmanager
-def _shm_capture(tmp_path, workers):
-    """One ring per worker, drained slot by slot into bytes."""
-    rings = [shm.ShmRing.create(slots=256, arena_bytes=1 << 20) for __ in range(workers)]
-    buffers = [bytearray() for __ in rings]
-
-    def drain(ring, buffer):
-        consumer = shm.RingConsumer(ring)
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            slots = consumer.pop_available()
-            for slot in slots:
-                if slot.kind in (shm.SLOT_RAW, shm.SLOT_FRAME):
-                    buffer += slot.payload
-                if isinstance(slot.payload, memoryview):
-                    slot.payload.release()
-            consumer.advance()
-            if consumer.finished:
-                return
-            if not slots:
-                time.sleep(0.001)
-
-    drainers = [
-        threading.Thread(target=drain, args=(ring, buffer))
-        for ring, buffer in zip(rings, buffers)
-    ]
-    for drainer in drainers:
-        drainer.start()
-    captured: list[bytes] = []
-    try:
-        yield [ShmSpec(name=ring.name) for ring in rings], captured
-    finally:
-        for drainer in drainers:
-            drainer.join(30.0)
-        for ring in rings:
-            ring.close()
-            ring.unlink()
-    captured.extend(bytes(buffer) for buffer in buffers)
-
-
-CAPTURES = {"pipe": _pipe_capture, "tcp": _tcp_capture, "shm": _shm_capture}
-
-
-def _lines(wire: bytes) -> list[bytes]:
-    return wire.splitlines(keepends=True)
+def _source_fold(path):
+    """:func:`fold_events` of a stream file: the delivery reference."""
+    return fold_events(codec.parse_stream_file(path))
 
 
 # -- LiveReplayer ------------------------------------------------------------
@@ -226,13 +138,9 @@ class TestLiveReplayer:
 # -- ShardedReplayer ---------------------------------------------------------
 
 
-def _sharded(path, specs, workers):
+def _sharded(sources, specs):
     return ShardedReplayer(
-        str(path),
-        specs,
-        rate=FAST,
-        workers=workers,
-        batch_size=4,
+        [str(path) for path in sources], specs, rate=FAST, batch_size=4
     ).run()
 
 
@@ -242,48 +150,36 @@ class TestShardedReplayer:
     def test_one_worker_sends_reformatted_bytes(self, tmp_path, name, transport):
         path = _write(tmp_path, name, FIXTURES[name])
         with CAPTURES[transport](tmp_path, 1) as (specs, captured):
-            report = _sharded(path, specs, 1)
+            report = _sharded([path], specs)
         expected = _expected_lines(path)
         assert captured == [b"".join(expected)]
         assert report.events_emitted == len(expected)
+        assert wire_folds(captured, "csv") == [_source_fold(path)]
 
     @pytest.mark.parametrize("transport", sorted(CAPTURES))
     def test_two_workers_send_the_reformatted_multiset(self, tmp_path, transport):
-        # The partitioner and both workers' readers must agree on lines
-        # and on their canonical bytes.
-        path = _write(tmp_path, "all", ALL_HAZARDS)
+        # Each worker's reader must agree with the parse on lines and on
+        # their canonical bytes, whichever source it replays.
+        sources = [
+            _write(tmp_path, "all", ALL_HAZARDS),
+            _write(tmp_path, "multi", FIXTURES["multi-block"]),
+        ]
         with CAPTURES[transport](tmp_path, 2) as (specs, captured):
-            report = _sharded(path, specs, 2)
-        expected = _expected_lines(path)
-        wire_lines = [line for wire in captured for line in _lines(wire)]
-        assert collections.Counter(wire_lines) == collections.Counter(expected)
-        assert report.events_emitted == len(expected)
-        assert all(wire.endswith(b"\n") for wire in captured if wire)
-
-
-@pytest.mark.parametrize("shard_by", ["round-robin", "hash"])
-def test_partition_places_every_graph_line_once(tmp_path, shard_by):
-    """Padded and indented graph lines go to one shard, like canonical
-    ones; only control lines are replicated."""
-    path = _write(tmp_path, "all", ALL_HAZARDS)
-    plan = write_shards(str(path), 3, tmp_path / "shards", shard_by=shard_by)
-    source = codec.parse_stream_file(path)
-    graph = [event for event in source if type(event) is GraphEvent]
-    shards = [codec.parse_stream_file(shard) for shard in plan.paths]
-    placed = [event for shard in shards for event in shard if type(event) is GraphEvent]
-    assert collections.Counter(placed) == collections.Counter(graph)
-    assert plan.control_events == len(source) - len(graph)
-    if shard_by == "hash":
-        for index, shard in enumerate(shards):
-            assert all(
-                _entity_shard(event.entity, 3) == index
-                for event in shard
-                if type(event) is GraphEvent
-            )
+            report = _sharded(sources, specs)
+        expected = [b"".join(_expected_lines(path)) for path in sources]
+        # A TCP capture keeps accept order, not worker order.
+        assert sorted(captured) == sorted(expected)
+        if transport != "tcp":
+            assert captured == expected
+        assert report.events_emitted == sum(
+            len(_expected_lines(path)) for path in sources
+        )
+        assert sorted(wire_folds(captured, "csv")) == sorted(map(_source_fold, sources))
 
 
 class TestLoneCarriageReturnSharding:
-    """Lone-CR files shard on the same line boundaries as ``\\n`` files."""
+    """Lone-CR sources replay on the same line boundaries as ``\\n``
+    sources, at every worker."""
 
     LINES = [f"ADD_VERTEX,{i},v{i}" for i in range(6)] + ["MARKER,mid,"] + [
         f"ADD_VERTEX,{i},v{i}" for i in range(6, 12)
@@ -292,28 +188,26 @@ class TestLoneCarriageReturnSharding:
     def _replay(self, tmp_path, ending: str):
         directory = tmp_path / ending.encode().hex()
         directory.mkdir()
-        path = directory / "stream.csv"
-        path.write_bytes((ending.join(self.LINES) + ending).encode())
+        sources = []
+        for index in range(2):
+            path = directory / f"stream-{index}.csv"
+            lines = [line.replace(",v", f",w{index}-") for line in self.LINES]
+            path.write_bytes((ending.join(lines) + ending).encode())
+            sources.append(str(path))
         outs = [directory / f"out-{index}.csv" for index in range(2)]
-        replayer = ShardedReplayer(
-            str(path),
-            [PipeSpec(target=str(out)) for out in outs],
-            rate=FAST,
-            workers=2,
-        )
-        report = replayer.run()
-        return replayer.plan, report, [out.read_bytes() for out in outs]
+        report = ShardedReplayer(
+            sources, [PipeSpec(target=str(out)) for out in outs], rate=FAST
+        ).run()
+        return report, [out.read_bytes() for out in outs]
 
     def test_events_and_marker_reach_both_shards(self, tmp_path):
-        plan, report, wires = self._replay(tmp_path, "\r")
-        assert plan.graph_events == (6, 6)
-        assert plan.control_events == 1
-        assert [shard.events_emitted for shard in report.shards] == [6, 6]
+        report, wires = self._replay(tmp_path, "\r")
+        assert [shard.events_emitted for shard in report.shards] == [12, 12]
         assert [[label for label, __ in shard.marker_times] for shard in report.shards] == [
             ["mid"],
             ["mid"],
         ]
-        assert wires == self._replay(tmp_path, "\n")[2]
+        assert wires == self._replay(tmp_path, "\n")[1]
 
 
 # -- typed refusals ----------------------------------------------------------
@@ -362,75 +256,86 @@ class TestSourceErrors:
             tmp_path, "bad", CANONICAL.encode() + b"ADD_VERTEX,1,caf\xe9\n"
         )
         with pytest.raises(ReplayError, match="stream source failed") as err:
-            _sharded(path, PipeSpec(target=str(tmp_path / "out")), 1)
+            _sharded([path], PipeSpec(target=str(tmp_path / "out")))
         assert isinstance(err.value.__cause__, StreamFormatError)
         assert err.value.__cause__.byte_offset == 84796
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_csv_refusal_keeps_its_type_across_workers(self, tmp_path, workers):
+        """A bad line in the last source refuses with that file's own
+        line number, and the failure names its worker."""
+        good = _write(tmp_path, "good", CANONICAL.encode())
         lines = [f"ADD_VERTEX,{i},v" for i in range(4000)] + ["ADD_VERTEX,abc,x"]
         path = _write(tmp_path, "bad", "\n".join(lines * 2).encode() + b"\n")
+        sources = [good, path][-workers:]
         outs = [PipeSpec(target=str(tmp_path / f"out-{i}")) for i in range(workers)]
         with pytest.raises(ReplayError, match="stream source failed") as err:
-            _sharded(path, outs, workers)
+            _sharded(sources, outs)
         cause = err.value.__cause__
         assert isinstance(cause, StreamFormatError)
         assert str(cause) == "line 4001: vertex id 'abc' is not an integer"
-        # At 2 workers the bad line is line 2001 of shard-0.csv: the
-        # refusal names its line in the source all the same.
         assert cause.line_number == 4001
         assert "line 4001: vertex id" in str(err.value)
+        if workers == 2:
+            assert "worker 1: ReplayError: stream source failed" in str(err.value)
+            assert "worker 0" not in str(err.value)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("sidecar", [False, True], ids=["walk", "witness"])
     def test_gtb_refusal_keeps_its_type_across_workers(
         self, tmp_path, workers, sidecar
     ):
+        """A bad record in the last source refuses at that file's own
+        byte offset, and the failure names its worker."""
+        good = _write_gtb(tmp_path, sidecar, index=1)
         path, offset = _corrupt_gtb(tmp_path, sidecar)
+        sources = [good, path][-workers:]
         outs = [PipeSpec(target=str(tmp_path / f"out-{i}")) for i in range(workers)]
         with pytest.raises(ReplayError, match="stream source failed") as err:
-            _sharded(path, outs, workers)
+            _sharded(sources, outs)
         cause = err.value.__cause__
         assert isinstance(cause, StreamFormatError)
-        # At 2 workers the record sits elsewhere in its shard file: the
-        # refusal names its offset in the source all the same.
         assert cause.byte_offset == offset
         assert str(cause).startswith(f"byte offset {offset}: ")
-        assert "shard-" not in str(cause)
+        if workers == 2:
+            assert f"worker 1: ReplayError: stream source failed: {cause}" in str(
+                err.value
+            )
 
-    def test_hash_sharded_refusal_names_its_source_line(self, tmp_path):
-        """Under entity-hash sharding, with control lines copied to every
-        shard, a worker's refusal still names the source line."""
-        lines = [f"ADD_VERTEX,{i},v" for i in range(2000)] + ["MARKER,half"]
-        lines += [f"ADD_VERTEX,{i},v" for i in range(2000, 4000)]
-        lines += ["ADD_EDGE,7-x,w"] + [f"ADD_VERTEX,{i},v" for i in range(4000, 4100)]
-        path = _write(tmp_path, "bad", "\n".join(lines).encode() + b"\n")
-        outs = [PipeSpec(target=str(tmp_path / f"out-{i}")) for i in range(3)]
-        with pytest.raises(ReplayError, match="stream source failed") as err:
-            ShardedReplayer(
-                str(path), outs, rate=FAST, workers=3, shard_by="hash"
-            ).run()
-        cause = err.value.__cause__
-        assert isinstance(cause, StreamFormatError)
-        assert cause.line_number == 4002
-        assert str(cause).startswith("line 4002: edge id '7-x'")
-
-    def test_hash_sharding_refuses_a_bad_tag_at_its_source_offset(self, tmp_path):
-        """The partitioner's own entity peek refuses an unknown tag at
-        the record's offset in the file, not in its frame."""
-        path, offset = _corrupt_gtb(tmp_path, sidecar=False)
-        outs = [PipeSpec(target=str(tmp_path / f"out-{i}")) for i in range(3)]
-        with pytest.raises((ReplayError, StreamFormatError)) as err:
-            ShardedReplayer(
-                str(path), outs, rate=FAST, workers=3, shard_by="hash"
-            ).run()
-        refusal = err.value
-        if isinstance(refusal, ReplayError):
-            refusal = refusal.__cause__
-        assert refusal.byte_offset == offset
-        assert str(refusal) == (
-            f"byte offset {offset}: record tag 200 is not a graph event"
+    def test_transcoding_sends_what_the_stored_path_sends_before_a_refusal(
+        self, tmp_path
+    ):
+        """A bad tag in the seventh 256-record frame of a 3,000-event
+        GTB1 file: a CSV wire (the file decoded in 1,024-event chunks)
+        gets the same 1,536 events before the refusal as a GTB1 wire
+        (stored frames), and both name the same byte."""
+        path = tmp_path / "stream.gtb"
+        binfmt.write_binary_stream(
+            path, [add_vertex(i) for i in range(3000)], batch_records=256
         )
+        offset = _graph_frames(path)[6] + binfmt.FRAME_HEADER_SIZE
+        data = bytearray(path.read_bytes())
+        data[offset] = 200
+        path.write_bytes(bytes(data))
+        sent = {}
+        for wire_format in ("csv", "binary"):
+            out = tmp_path / f"out.{wire_format}"
+            with pytest.raises(ReplayError, match="stream source failed") as err:
+                ShardedReplayer(
+                    str(path),
+                    PipeSpec(target=str(out)),
+                    rate=FAST,
+                    stream_format=wire_format,
+                    batch_size=64,
+                ).run()
+            assert err.value.__cause__.byte_offset == offset
+            wire = out.read_bytes()
+            sent[wire_format] = (
+                sum(map(len, wire_frames(wire)))
+                if wire_format == "binary"
+                else len(wire.splitlines())
+            )
+        assert sent == {"csv": 1536, "binary": 1536}
 
     @pytest.mark.parametrize("batch_size", [4, 512], ids=["split", "whole"])
     def test_frame_count_refusal_has_the_witness_offset(self, tmp_path, batch_size):
@@ -485,11 +390,13 @@ def _gtb_events():
     return events
 
 
-def _write_gtb(tmp_path, sidecar: bool):
-    path = tmp_path / "stream.gtb"
+def _write_gtb(tmp_path, sidecar: bool, index: int = 0):
+    """Source ``index``: :func:`_gtb_events` with ids ``index * 100000``
+    up, so the sources of one replay are disjoint streams."""
+    path = tmp_path / f"stream-{index}.gtb"
     binfmt.write_binary_stream(
         path,
-        _gtb_events(),
+        offset_stream(GraphStream(_gtb_events()), index * 100_000),
         batch_records=300,
         witness_path=witness.witness_path(path) if sidecar else None,
     )
@@ -516,22 +423,6 @@ def _corrupt_gtb(tmp_path, sidecar: bool):
     return path, offset
 
 
-def _wire_frames(wire: bytes) -> list[list]:
-    """Every GTB1 frame on a captured wire, decoded (each connection's
-    stream magic is skipped)."""
-    frames = []
-    position = 0
-    while position < len(wire):
-        if wire.startswith(binfmt.MAGIC, position):
-            position += len(binfmt.MAGIC)
-            continue
-        __, __, body = binfmt._FRAME_HEADER.unpack_from(wire, position)
-        end = position + binfmt.FRAME_HEADER_SIZE + body
-        frames.append(binfmt.decode_frame_events(wire[position:end]))
-        position = end
-    return frames
-
-
 def _graph_multiset(events) -> collections.Counter:
     return collections.Counter(event for event in events if type(event) is GraphEvent)
 
@@ -544,16 +435,24 @@ class TestGtbReplay:
     def test_receiver_decodes_the_stream_graph_events(
         self, tmp_path, workers, transport, batch_size, sidecar
     ):
-        path = _write_gtb(tmp_path, sidecar)
+        sources = [_write_gtb(tmp_path, sidecar, index) for index in range(workers)]
         with CAPTURES[transport](tmp_path, workers) as (specs, captured):
             report = ShardedReplayer(
-                str(path), specs, rate=FAST, workers=workers, batch_size=batch_size
+                [str(path) for path in sources],
+                specs,
+                rate=FAST,
+                batch_size=batch_size,
             ).run()
-        frames = [frame for wire in captured for frame in _wire_frames(wire)]
-        expected = _graph_multiset(_gtb_events())
+        frames = [frame for wire in captured for frame in wire_frames(wire)]
+        expected = _graph_multiset(
+            event for path in sources for event in codec.parse_stream_file(path)
+        )
         assert _graph_multiset(e for frame in frames for e in frame) == expected
         assert all(0 < len(frame) <= batch_size for frame in frames)
         assert report.events_emitted == sum(expected.values())
+        assert sorted(wire_folds(captured, "binary")) == sorted(
+            map(_source_fold, sources)
+        )
         assert [label for label, __ in report.marker_times] == [
             f"m{block}" for block in range(5)
         ]
@@ -584,8 +483,11 @@ class TestGtbReplay:
     def test_connector_error_resumes_from_the_last_marker(
         self, tmp_path, workers, transport, batch_size
     ):
-        path = _write_gtb(tmp_path, sidecar=True)
-        fail_at = 384 // batch_size  # past the first marker of every shard
+        sources = [
+            str(_write_gtb(tmp_path, sidecar=True, index=index))
+            for index in range(workers)
+        ]
+        fail_at = 384 // batch_size  # past the first marker of every source
         if transport == "pipe":
             captured: list[bytes] = []
             outs = [tmp_path / f"wire-{index}.out" for index in range(workers)]
@@ -594,20 +496,21 @@ class TestGtbReplay:
                 for out in outs
             ]
             report = ShardedReplayer(
-                str(path), specs, rate=FAST, workers=workers,
-                batch_size=batch_size, max_resumes=1,
+                sources, specs, rate=FAST, batch_size=batch_size, max_resumes=1,
             ).run()
             captured.extend(out.read_bytes() for out in outs)
         else:
-            with _tcp_capture(tmp_path, workers, 2) as (spec, captured):
+            with tcp_capture(tmp_path, workers, 2) as (spec, captured):
                 report = ShardedReplayer(
-                    str(path), _FailOnceSpec(spec, fail_at), rate=FAST,
-                    workers=workers, batch_size=batch_size, max_resumes=1,
+                    sources, _FailOnceSpec(spec, fail_at), rate=FAST,
+                    batch_size=batch_size, max_resumes=1,
                 ).run()
         received = _graph_multiset(
-            e for wire in captured for frame in _wire_frames(wire) for e in frame
+            e for wire in captured for frame in wire_frames(wire) for e in frame
         )
-        expected = _graph_multiset(_gtb_events())
+        expected = _graph_multiset(
+            event for path in sources for event in codec.parse_stream_file(path)
+        )
         assert report.resumes == workers
         assert not expected - received
         assert sum((received - expected).values()) == report.redeliveries > 0

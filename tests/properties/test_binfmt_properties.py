@@ -118,17 +118,6 @@ class TestCsvBinaryEquivalence:
         via_csv = codec.parse_line(codec.format_event(event))
         assert _approx_equal(via_binary, via_csv)
 
-    @given(graph_events)
-    def test_entity_extraction_agrees(self, event):
-        record = binfmt.encode_event(event)
-        entity = binfmt.record_entity_id(record)
-        expected = (
-            event.entity.source
-            if hasattr(event.entity, "source")
-            else event.entity
-        )
-        assert entity == expected
-
 
 class TestFileConversion:
     @given(st.lists(any_events(), max_size=30))

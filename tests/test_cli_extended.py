@@ -299,7 +299,8 @@ class TestTraceCommands:
 
 
 class TestReplayScaleOut:
-    """The replay command's --workers path (process-parallel replay)."""
+    """The replay command with N stream files: N worker processes, one
+    disjoint stream each."""
 
     @pytest.fixture
     def small_stream(self, tmp_path):
@@ -307,57 +308,83 @@ class TestReplayScaleOut:
         main(["generate", "--rounds", "40", "--seed", "3", "-o", str(path)])
         return path
 
-    def test_sharded_tcp_replay_counts_all_events(
-        self, small_stream, capsys
-    ):
-        from repro.core.connectors import TcpReceiver
+    @pytest.fixture
+    def two_streams(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        main(["generate", "--rounds", "40", "--seed", "3", "-o", *map(str, paths)])
+        return paths
+
+    @staticmethod
+    def _graph_events(paths) -> int:
         from repro.core.stream import GraphStream
 
-        expected = len(list(GraphStream.read(small_stream).graph_events()))
+        return sum(len(list(GraphStream.read(p).graph_events())) for p in paths)
+
+    def test_generate_writes_disjoint_streams(self, small_stream, two_streams):
+        from repro.core.stream import GraphStream
+        from repro.graph.graph import fold_events
+
+        # The first of N streams is the stream one path gets.
+        assert two_streams[0].read_bytes() == small_stream.read_bytes()
+        ids = []
+        for path in two_streams:
+            stream = GraphStream.read(path)
+            assert fold_events(stream)[0] == 0
+            ids.append({
+                event.vertex_id
+                for event in stream.graph_events()
+                if event.event_type.is_vertex_event
+            })
+        assert ids[0] and ids[1] and not ids[0] & ids[1]
+
+    def test_sharded_tcp_replay_counts_all_events(
+        self, two_streams, capsys
+    ):
+        from repro.core.connectors import TcpReceiver
+
+        expected = self._graph_events(two_streams)
         with TcpReceiver(max_connections=2) as receiver:
             code = main([
-                "replay", str(small_stream),
-                "--rate", "100000", "--workers", "2",
+                "replay", *map(str, two_streams),
+                "--rate", "100000",
                 "--transport", "tcp", "--port", str(receiver.port),
             ])
         assert code == 0
         assert receiver.counter.total == expected
         err = capsys.readouterr().err
-        assert "shards: 2 workers (round-robin): #0 " in err
+        assert "workers: 2 sources: #0 " in err
         assert f"replayed {expected} events" in err
 
-    def test_raw_emission_over_tcp(self, small_stream, capsys):
+    def test_raw_emission_over_tcp(self, two_streams, capsys):
         """Stored CSV runs of 256 lines reach every worker's receiver."""
         from repro.core.connectors import TcpReceiver
-        from repro.core.stream import GraphStream
 
-        expected = len(list(GraphStream.read(small_stream).graph_events()))
+        expected = self._graph_events(two_streams)
         with TcpReceiver(max_connections=2) as receiver:
             code = main([
-                "replay", str(small_stream),
-                "--rate", "100000", "--workers", "2", "--batch-size", "256",
+                "replay", *map(str, two_streams),
+                "--rate", "100000", "--batch-size", "256",
                 "--transport", "tcp", "--port", str(receiver.port),
             ])
         assert code == 0
         assert receiver.counter.total == expected
-        assert "(round-robin)" in capsys.readouterr().err
+        assert "workers: 2 sources" in capsys.readouterr().err
 
     def test_decode_emission_binary_format_over_tcp(
-        self, small_stream, capsys
+        self, two_streams, capsys
     ):
         from repro.core.connectors import TcpReceiver
-        from repro.core.stream import GraphStream
 
-        expected = len(list(GraphStream.read(small_stream).graph_events()))
+        expected = self._graph_events(two_streams)
         with TcpReceiver(max_connections=2) as receiver:
             code = main([
-                "replay", str(small_stream),
-                "--rate", "100000", "--workers", "2", "--format", "binary",
+                "replay", *map(str, two_streams),
+                "--rate", "100000", "--format", "binary",
                 "--transport", "tcp", "--port", str(receiver.port),
             ])
         assert code == 0
         assert receiver.counter.total == expected
-        assert "(round-robin)" in capsys.readouterr().err
+        assert "workers: 2 sources" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     def test_one_worker_replay_counts_all_events(self, small_stream, fmt, capsys):
@@ -374,29 +401,32 @@ class TestReplayScaleOut:
         assert receiver.counter.total == expected
         err = capsys.readouterr().err
         assert f"replayed {expected} events" in err
-        assert "shards:" not in err
+        assert "workers:" not in err
 
     @pytest.mark.parametrize("suffix", ["csv", "gtb"])
     @pytest.mark.parametrize("transport", ["pipe", "tcp", "shm"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_trace_out_at_every_worker_count(
-        self, small_stream, tmp_path, workers, transport, suffix, capfdbinary
+        self, tmp_path, workers, transport, suffix, capfdbinary
     ):
         import json
 
         from repro.core.connectors import ShmReceiver, TcpReceiver
         from repro.core.tracing import validate_chrome_trace
 
-        source = small_stream
+        sources = [tmp_path / f"s{index}.csv" for index in range(workers)]
+        main(["generate", "--rounds", "40", "--seed", "3",
+              "-o", *map(str, sources)])
+        expected = self._graph_events(sources)
         if suffix == "gtb":
-            source = tmp_path / "small.gtb"
-            assert main(["convert", str(small_stream), "--to", "binary",
-                         "-o", str(source)]) == 0
-        expected = len(list(GraphStream.read(small_stream).graph_events()))
+            for index, source in enumerate(sources):
+                sources[index] = tmp_path / f"s{index}.gtb"
+                assert main(["convert", str(source), "--to", "binary",
+                             "-o", str(sources[index])]) == 0
         trace_path = tmp_path / "trace.json"
         argv = [
-            "replay", str(source), "--rate", "100000",
-            "--workers", str(workers), "--transport", transport,
+            "replay", *map(str, sources), "--rate", "100000",
+            "--transport", transport,
             "--trace-out", str(trace_path), "--trace-sample", "16",
         ]
         capfdbinary.readouterr()
@@ -449,13 +479,13 @@ class TestReplayScaleOut:
         assert main(["replay", str(binary), "--rate", "1000000"]) == 0
         assert capfdbinary.readouterr().out.startswith(b"GTB1")
 
-    def test_per_worker_fault_breakdown_printed(self, small_stream, capsys):
+    def test_per_worker_fault_breakdown_printed(self, two_streams, capsys):
         from repro.core.connectors import TcpReceiver
 
         with TcpReceiver(max_connections=2) as receiver:
             code = main([
-                "replay", str(small_stream),
-                "--rate", "100000", "--workers", "2",
+                "replay", *map(str, two_streams),
+                "--rate", "100000",
                 "--transport", "tcp", "--port", str(receiver.port),
                 "--chaos-send-failure", "0.05", "--chaos-seed", "5",
                 "--retry-attempts", "4",
