@@ -26,6 +26,7 @@ selection functions can rank by degree etc.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -65,6 +66,14 @@ class GeneratorContext:
     selection rules can draw uniform random entities in O(1) instead of
     materialising ``list(graph.vertices())`` per round — the difference
     between quadratic and linear stream generation at paper scale.
+
+    :meth:`vertex_by_in_degree_rank` reads ``vertex_pool`` in in-degree
+    order without sorting it.  Its index keeps one bucket per in-degree,
+    each a sorted list of pool positions, so ties go by pool position,
+    exactly as in a stable ``sorted(vertex_pool, key=graph.in_degree,
+    reverse=True)``.  The index is built on first use; from then on the
+    engine updates it per event, and rules that never ask for it pay
+    nothing.
     """
 
     graph: StreamGraph
@@ -76,6 +85,12 @@ class GeneratorContext:
     edge_pool: list = field(default_factory=list)
     _vertex_index: dict[int, int] = field(default_factory=dict)
     _edge_index: dict = field(default_factory=dict)
+    #: In-degree -> sorted pool positions; ``None`` until first used.
+    _rank_buckets: dict[int, list[int]] | None = None
+    #: The bucket keys, ascending.
+    _rank_degrees: list[int] = field(default_factory=list)
+    #: Pool position -> the in-degree it is filed under.
+    _rank_degree_at: list[int] = field(default_factory=list)
 
     def fresh_vertex_id(self) -> int:
         """Allocate the next unused vertex id."""
@@ -102,15 +117,45 @@ class GeneratorContext:
         pool = self.vertex_pool
         return [pool[self.rng.randrange(len(pool))] for __ in range(k)]
 
+    def vertex_by_in_degree_rank(self, rank: int) -> int:
+        """The live vertex at 0-based ``rank`` of ``vertex_pool`` ranked
+        by in-degree, highest first and ties by pool position: what
+        ``sorted(vertex_pool, key=graph.in_degree, reverse=True)[rank]``
+        returns.  Raises :class:`IndexError` outside the pool."""
+        buckets = self._rank_buckets
+        if buckets is None:
+            buckets = self._build_rank_index()
+        if rank >= 0:
+            for degree in reversed(self._rank_degrees):
+                positions = buckets[degree]
+                if rank < len(positions):
+                    return self.vertex_pool[positions[rank]]
+                rank -= len(positions)
+        raise IndexError("in-degree rank out of range")
+
     # -- pool maintenance (engine-internal) --------------------------------
 
     def _pool_add_vertex(self, vertex: int) -> None:
-        self._vertex_index[vertex] = len(self.vertex_pool)
+        position = len(self.vertex_pool)
+        self._vertex_index[vertex] = position
         self.vertex_pool.append(vertex)
+        if self._rank_buckets is not None:
+            degree = self.graph.in_degree(vertex)
+            self._rank_degree_at.append(degree)
+            self._rank_file(position, degree)
 
     def _pool_remove_vertex(self, vertex: int) -> None:
         index = self._vertex_index.pop(vertex)
         last = self.vertex_pool.pop()
+        if self._rank_buckets is not None:
+            # Swap-remove: the last position's vertex moves into ``index``.
+            degree_at = self._rank_degree_at
+            self._rank_unfile(index, degree_at[index])
+            moved = degree_at.pop()
+            if last != vertex:
+                self._rank_unfile(len(degree_at), moved)
+                self._rank_file(index, moved)
+                degree_at[index] = moved
         if last != vertex:
             self.vertex_pool[index] = last
             self._vertex_index[last] = index
@@ -125,6 +170,44 @@ class GeneratorContext:
         if last != edge:
             self.edge_pool[index] = last
             self._edge_index[last] = index
+
+    def _build_rank_index(self) -> dict[int, list[int]]:
+        in_degree = self.graph.in_degree
+        self._rank_degree_at = [in_degree(vertex) for vertex in self.vertex_pool]
+        buckets: dict[int, list[int]] = {}
+        for position, degree in enumerate(self._rank_degree_at):
+            buckets.setdefault(degree, []).append(position)
+        self._rank_buckets = buckets
+        self._rank_degrees = sorted(buckets)
+        return buckets
+
+    def _rank_refresh(self, vertex: int) -> None:
+        """Refile ``vertex`` after its in-degree changed."""
+        position = self._vertex_index[vertex]
+        old = self._rank_degree_at[position]
+        new = self.graph.in_degree(vertex)
+        if new != old:
+            self._rank_unfile(position, old)
+            self._rank_file(position, new)
+            self._rank_degree_at[position] = new
+
+    def _rank_file(self, position: int, degree: int) -> None:
+        assert self._rank_buckets is not None
+        positions = self._rank_buckets.get(degree)
+        if positions is None:
+            self._rank_buckets[degree] = [position]
+            bisect.insort(self._rank_degrees, degree)
+        else:
+            bisect.insort(positions, position)
+
+    def _rank_unfile(self, position: int, degree: int) -> None:
+        assert self._rank_buckets is not None
+        positions = self._rank_buckets[degree]
+        del positions[bisect.bisect_left(positions, position)]
+        if not positions:
+            del self._rank_buckets[degree]
+            degrees = self._rank_degrees
+            del degrees[bisect.bisect_left(degrees, degree)]
 
 
 class GeneratorRules:
@@ -341,16 +424,24 @@ class StreamGenerator:
                 f"generator produced inconsistent event {event}: {error}"
             ) from error
         event_type = event.event_type
+        ranked = context._rank_buckets is not None
         if event_type is EventType.ADD_VERTEX:
             context.next_vertex_id = max(
                 context.next_vertex_id, event.vertex_id + 1
             )
             context._pool_add_vertex(event.vertex_id)
         elif event_type is EventType.REMOVE_VERTEX:
-            context._pool_remove_vertex(event.vertex_id)
+            vertex = event.vertex_id
+            context._pool_remove_vertex(vertex)
             for edge in delta.removed_edges:
                 context._pool_remove_edge(edge)
+                if ranked and edge.source == vertex:
+                    context._rank_refresh(edge.target)
         elif event_type is EventType.ADD_EDGE:
             context._pool_add_edge(event.edge_id)
+            if ranked:
+                context._rank_refresh(event.edge_id.target)
         elif event_type is EventType.REMOVE_EDGE:
             context._pool_remove_edge(event.edge_id)
+            if ranked:
+                context._rank_refresh(event.edge_id.target)

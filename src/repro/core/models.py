@@ -278,17 +278,20 @@ class SocialNetworkRules(GeneratorRules):
     ) -> tuple[int, int]:
         graph = context.graph
         if event_type is EventType.ADD_EDGE:
-            if len(context.vertex_pool) < 2:
+            users = len(context.vertex_pool)
+            if users < 2:
                 raise GeneratorError("need at least two users")
             selector = ZipfSelector(context.rng)
-            pool = (
-                list(context.vertex_pool)
-                if len(context.vertex_pool) <= 2_000
-                else context.sample_vertices(64)
-            )
+            # Up to 2,000 users, every user is ranked: the context's
+            # in-degree index gives the rank order without a sort.
+            sample = context.sample_vertices(64) if users > 2_000 else None
             for __ in range(50):
                 source = context.random_vertex()
-                target = selector.select(pool, key=graph.in_degree)
+                if sample is None:
+                    rank = selector.select_rank(users)
+                    target = context.vertex_by_in_degree_rank(rank)
+                else:
+                    target = selector.select(sample, key=graph.in_degree)
                 if source != target and not graph.has_edge(source, target):
                     return source, target
             raise GeneratorError("no free follow edge found")

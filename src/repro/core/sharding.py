@@ -127,28 +127,34 @@ def replay_shard(
     frames; any other source is transcoded inline by the
     :class:`LiveReplayer` (with checkpoint resume when
     ``config.max_resumes`` allows it).  With a tracer, every transport
-    it sends through records ``transported`` spans.
+    it sends through records ``transported`` spans.  The transport is
+    closed on every exit path, a refused argument included.
     """
 
     def traced(built: Transport) -> Transport:
         return built if tracer is None else TracingTransport(built, tracer)
 
-    return LiveReplayer(
-        config.source,
-        traced(transport),
-        rate=config.rate,
-        window_seconds=config.window_seconds,
-        batch_size=config.batch_size,
-        wire_format=config.wire_format,
-        max_resumes=config.max_resumes,
-        resume_delay=config.resume_delay,
-        transport_factory=(
-            (lambda: traced(config.build_transport()))
-            if config.max_resumes and config.transport_spec is not None
-            else None
-        ),
-        tracer=tracer,
-    ).run()
+    try:
+        replayer = LiveReplayer(
+            config.source,
+            traced(transport),
+            rate=config.rate,
+            window_seconds=config.window_seconds,
+            batch_size=config.batch_size,
+            wire_format=config.wire_format,
+            max_resumes=config.max_resumes,
+            resume_delay=config.resume_delay,
+            transport_factory=(
+                (lambda: traced(config.build_transport()))
+                if config.max_resumes and config.transport_spec is not None
+                else None
+            ),
+            tracer=tracer,
+        )
+    except BaseException as exc:
+        close_transport(transport, exc)
+        raise
+    return replayer.run()
 
 
 def _root_error(exc: BaseException) -> BaseException:
@@ -164,23 +170,29 @@ def _worker_main(config: WorkerConfig, barrier, results) -> None:
     """Worker process entry point: build, sync, replay, report.
 
     The transport is built *before* the barrier so no worker starts
-    pacing until every worker is connected; a failure anywhere aborts
-    the barrier, releasing the siblings and the parent immediately.
-    A traced worker returns its spans and exact counts with its report.
+    pacing until every worker is connected; a failure before the start
+    aborts the barrier, releasing the siblings and the parent
+    immediately.  A failure after it leaves the barrier alone: every
+    party has passed, and an abort would only break a sibling that has
+    not yet woken from its wait.  A traced worker returns its spans and
+    exact counts with its report.
     """
     transport: Transport | None = None
     tracer = None
+    started = False
     if config.trace is not None:
         sample_every, origin = config.trace
         tracer = Tracer(clock=TraceClock(origin=origin), sample_every=sample_every)
     try:
         transport = config.build_transport()
         barrier.wait(timeout=_START_TIMEOUT)
+        started = True
         report = replay_shard(config, transport, tracer)
         trace = None if tracer is None else (tracer.spans, tracer.counts)
         results.put((config.index, report, None, trace))
     except BaseException as exc:
-        barrier.abort()
+        if not started:
+            barrier.abort()
         if transport is not None:
             close_transport(transport, exc)
         message = f"{type(exc).__name__}: {exc}"

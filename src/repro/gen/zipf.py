@@ -10,7 +10,6 @@ Zipf-like power of its rank in a caller-supplied scoring.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import random
 from typing import Callable, Sequence, TypeVar
@@ -27,11 +26,24 @@ def zipf_weights(n: int, exponent: float = 1.0) -> list[float]:
     return [1.0 / (rank**exponent) for rank in range(1, n + 1)]
 
 
-@functools.lru_cache(maxsize=64)
-def _cumulative_weights(n: int, exponent: float) -> tuple[float, ...]:
-    """Running sums of :func:`zipf_weights`; selections recur with the
-    same pool size, so they share one table instead of rebuilding it."""
-    return tuple(itertools.accumulate(zipf_weights(n, exponent)))
+#: Exponent -> running sums of :func:`zipf_weights`, grown on demand.
+_PREFIX_SUMS: dict[float, list[float]] = {}
+
+
+def _cumulative_weights(n: int, exponent: float) -> list[float]:
+    """Running sums of :func:`zipf_weights` for at least ``n`` ranks.
+
+    The sums are a left fold, so the first ``n`` entries of a longer
+    table are bit for bit the table for ``n``: every pool size shares
+    one table per exponent (callers read only its first ``n`` entries).
+    It grows by at least doubling, so it is rebuilt a handful of times.
+    """
+    table = _PREFIX_SUMS.get(exponent, [])
+    if len(table) < n:
+        size = max(n, 2 * len(table))
+        table = list(itertools.accumulate(zipf_weights(size, exponent)))
+        _PREFIX_SUMS[exponent] = table
+    return table
 
 
 class ZipfSelector:
@@ -63,11 +75,7 @@ class ZipfSelector:
         if not items:
             raise ValueError("cannot select from an empty sequence")
         ranked = sorted(items, key=key, reverse=not self._ascending)
-        cumulative = _cumulative_weights(len(ranked), self._exponent)
-        pick = self._rng.random() * cumulative[-1]
-        index = bisect.bisect_left(cumulative, pick)
-        index = min(index, len(ranked) - 1)
-        return ranked[index]
+        return ranked[self.select_rank(len(ranked))]
 
     def select_rank(self, n: int) -> int:
         """Pick a 0-based rank out of ``n`` with Zipf weighting.
@@ -78,6 +86,6 @@ class ZipfSelector:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         cumulative = _cumulative_weights(n, self._exponent)
-        pick = self._rng.random() * cumulative[-1]
-        index = bisect.bisect_left(cumulative, pick)
+        pick = self._rng.random() * cumulative[n - 1]
+        index = bisect.bisect_left(cumulative, pick, 0, n)
         return min(index, n - 1)

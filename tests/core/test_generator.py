@@ -1,11 +1,26 @@
 """Unit tests for the round-based stream generator engine (Listing 1 API)."""
 
-import pytest
+import random
 
-from repro.core.events import EventType, GraphEvent, MarkerEvent, PauseEvent
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.events import (
+    EventType,
+    GraphEvent,
+    MarkerEvent,
+    PauseEvent,
+    add_edge,
+    add_vertex,
+    remove_edge,
+    remove_vertex,
+    update_vertex,
+)
 from repro.core.generator import GeneratorContext, GeneratorRules, StreamGenerator
 from repro.core.stream import BOOTSTRAP_END_MARKER
 from repro.graph.builders import build_graph
+from repro.graph.graph import StreamGraph
 
 
 class AddOnlyRules(GeneratorRules):
@@ -149,3 +164,91 @@ class TestGeneratorContext:
         assert not report.failed
         assert graph.has_vertex(100)
         assert graph.vertex_count == 3
+
+
+def stable_in_degree_order(context):
+    return sorted(context.vertex_pool, key=context.graph.in_degree, reverse=True)
+
+
+def in_degree_ranks(context):
+    return [
+        context.vertex_by_in_degree_rank(rank)
+        for rank in range(len(context.vertex_pool))
+    ]
+
+
+#: Operations for the index property, weighted towards edge adds so a
+#: few vertices reach distinct and tied in-degrees.
+OPERATIONS = st.sampled_from(
+    ["add_vertex"] * 2
+    + ["add_edge"] * 5
+    + ["remove_edge"] * 2
+    + ["remove_vertex", "update_vertex"]
+)
+
+
+class TestInDegreeRankIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_ranks_equal_a_stable_sort_after_every_event(self, data):
+        """Adds, removals (cascading, swap-removing a pool entry) and
+        updates keep every rank equal to a stable sort of the pool,
+        whether the index was built at the start or mid-stream."""
+        context = GeneratorContext(graph=StreamGraph(), rng=random.Random(0))
+        engine = StreamGenerator(GeneratorRules(), rounds=0)
+        operations = data.draw(st.lists(OPERATIONS, max_size=80))
+        build_at = data.draw(st.integers(0, len(operations)))
+        for step, operation in enumerate(operations + [None]):
+            if step == build_at:
+                context._build_rank_index()
+            if context._rank_buckets is not None:
+                assert in_degree_ranks(context) == stable_in_degree_order(context)
+            if operation is None:
+                break
+            pool = context.vertex_pool
+            pick = st.integers(0, max(len(pool) - 1, 0))
+            if operation == "add_vertex" or not pool:
+                event = add_vertex(context.fresh_vertex_id())
+            elif operation == "remove_vertex":
+                event = remove_vertex(pool[data.draw(pick)])
+            elif operation == "update_vertex":
+                event = update_vertex(pool[data.draw(pick)], "x")
+            elif operation == "remove_edge" and context.edge_pool:
+                edge = context.edge_pool[
+                    data.draw(st.integers(0, len(context.edge_pool) - 1))
+                ]
+                event = remove_edge(edge.source, edge.target)
+            else:
+                source, target = pool[data.draw(pick)], pool[data.draw(pick)]
+                if source == target or context.graph.has_edge(source, target):
+                    continue
+                event = add_edge(source, target)
+            engine._mirror(event, context)
+
+    def test_ties_go_by_pool_position_not_vertex_id(self):
+        context = GeneratorContext(graph=StreamGraph(), rng=random.Random(0))
+        engine = StreamGenerator(GeneratorRules(), rounds=0)
+        for event in (
+            add_vertex(0), add_vertex(1), add_vertex(2), add_vertex(3),
+            add_edge(0, 3), remove_vertex(0),  # 3 moves into position 0
+        ):
+            engine._mirror(event, context)
+        assert context.vertex_pool == [3, 1, 2]
+        assert in_degree_ranks(context) == [3, 1, 2]
+
+    def test_rank_outside_the_pool_raises(self):
+        context = GeneratorContext(graph=StreamGraph(), rng=random.Random(0))
+        StreamGenerator(GeneratorRules(), rounds=0)._mirror(add_vertex(7), context)
+        assert context.vertex_by_in_degree_rank(0) == 7
+        for rank in (1, -1):
+            with pytest.raises(IndexError):
+                context.vertex_by_in_degree_rank(rank)
+
+    def test_built_only_on_first_use(self):
+        context = GeneratorContext(graph=StreamGraph(), rng=random.Random(0))
+        engine = StreamGenerator(GeneratorRules(), rounds=0)
+        for event in (add_vertex(0), add_vertex(1), add_edge(0, 1)):
+            engine._mirror(event, context)
+        assert context._rank_buckets is None
+        assert context.vertex_by_in_degree_rank(0) == 1
+        assert context._rank_buckets == {0: [0], 1: [1]}

@@ -271,6 +271,21 @@ class TestPinnedStreams:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert (len(stream), digest) == self.DIGESTS[model]
 
+    def test_social_stream_across_the_exact_ranking_limit(self):
+        """Edge targets are ranked over every user up to 2,000 users
+        and over a sample above: this stream starts below the limit and
+        crosses it, so both branches draw (about 120 follows below,
+        74 above), and users leave before it crosses, so ranks tie
+        between users whose pool positions differ from their ids."""
+        rules = SocialNetworkRules(seed_users=1_950)
+        stream = StreamGenerator(rules, rounds=600, seed=11).generate()
+        text = codec.format_events(list(stream))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert (len(stream), digest) == (
+            4502,
+            "15fe1799a6f65fbfee8a43d160e1b93f3fe68d8f80eae70d5f75a161f312ff49",
+        )
+
     def test_zipf_draws(self):
         rng = random.Random(5)
         heavy = ZipfSelector(rng, exponent=1.5)

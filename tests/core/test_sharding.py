@@ -8,9 +8,13 @@ configuration object must pickle (so ``spawn`` platforms work).
 """
 
 import collections
+import gc
 import multiprocessing
 import pickle
+import sys
+import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,6 +41,7 @@ from repro.core.multistream import offset_stream
 from repro.core.sharding import (
     ShardedReplayer,
     WorkerConfig,
+    _worker_main,
     merge_replay_reports,
 )
 from repro.core.resilience import ChaosConfig, RetryPolicy
@@ -222,6 +227,21 @@ class TestShardedReplayer:
         assert [label for label, __ in report.marker_times] == [
             "start", "mid", "end",
         ]
+
+    def test_refused_argument_closes_the_transport(self, tmp_path, monkeypatch):
+        """One worker builds its transport before the replayer checks
+        its arguments; a refused argument must still close it, or the
+        pipe's file leaks (a ResourceWarning, raised here as an error
+        from the file's finaliser)."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        spec = PipeSpec(target=str(tmp_path / "leak.out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(ValueError, match="batch_size"):
+                ShardedReplayer([add_vertex(1)], spec, rate=10, batch_size=0).run()
+            gc.collect()
+        assert [hook.exc_value for hook in unraisable] == []
 
     @pytest.mark.parametrize("emission", ["events", "raw"])
     def test_sharded_equals_single_process_multiset(self, tmp_path, emission):
@@ -523,6 +543,44 @@ class TestWorkerErrors:
         assert type(cause) is ReplayError
         assert str(cause) == f"EvaluationLevelError: {error}"
         assert f"worker 0: EvaluationLevelError: {error}" in str(err.value)
+
+
+class _RecordingBarrier:
+    def __init__(self):
+        self.calls = []
+
+    def wait(self, timeout=None):
+        self.calls.append("wait")
+
+    def abort(self):
+        self.calls.append("abort")
+
+
+class TestWorkerStartBarrier:
+    """A worker aborts the start barrier only while its siblings may
+    still wait at it: after the start, an abort broke a sibling that
+    had not yet woken from its wait, and that sibling's
+    ``BrokenBarrierError`` could stand in for the real refusal."""
+
+    def test_failure_before_the_start_aborts(self):
+        barrier, results = _RecordingBarrier(), []
+        config = WorkerConfig(index=0, source=[add_vertex(1)], rate=FAST)
+        _worker_main(config, barrier, SimpleNamespace(put=results.append))
+        assert barrier.calls == ["abort"]  # no transport spec to build
+        assert results[0][2] is not None
+
+    def test_failure_after_the_start_leaves_the_barrier(self, tmp_path):
+        barrier, results = _RecordingBarrier(), []
+        config = WorkerConfig(
+            index=0,
+            source=str(tmp_path / "missing.csv"),
+            rate=FAST,
+            transport_spec=PipeSpec(target=str(tmp_path / "out.csv")),
+        )
+        _worker_main(config, barrier, SimpleNamespace(put=results.append))
+        assert barrier.calls == ["wait"]
+        message, __ = results[0][2]
+        assert message.startswith("ReplayError: stream source failed")
 
 
 def test_retried_raw_runs_reach_the_byte_verb(tmp_path, monkeypatch):

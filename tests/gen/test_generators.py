@@ -1,5 +1,6 @@
 """Unit tests for the streaming graph generators (BA, ER, R-MAT, Zipf)."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from repro.core.stream import GraphStream
 from repro.gen.barabasi_albert import barabasi_albert_stream
 from repro.gen.erdos_renyi import erdos_renyi_stream
 from repro.gen.rmat import rmat_stream
+from repro.gen import zipf
 from repro.gen.zipf import ZipfSelector, zipf_weights
 from repro.graph.builders import build_graph
 
@@ -194,3 +196,12 @@ class TestZipf:
     def test_invalid_exponent(self, rng):
         with pytest.raises(ValueError):
             ZipfSelector(rng, exponent=0)
+
+    def test_prefix_table_is_each_sizes_own_running_sum(self):
+        """One growing table per exponent serves every size: its first
+        ``n`` entries are bit for bit the running sums for ``n``,
+        whatever order the sizes were asked for in."""
+        for n in (7, 3, 50, 2, 1000, 50, 1):
+            table = zipf._cumulative_weights(n, 1.25)
+            assert len(table) >= n
+            assert table[:n] == list(itertools.accumulate(zipf_weights(n, 1.25)))
