@@ -24,8 +24,9 @@ Decoding bytes into lines is the adapter at the edge: the base class's
 into :meth:`~Transport.send_many` for line targets (callbacks, text
 files), while the byte-stream transports write the bytes verbatim.
 The wrappers in :mod:`repro.core.resilience` and
-:mod:`repro.core.tracing` forward each verb to the same verb of their
-inner transport, so one batch keeps its shape down the whole chain.
+:mod:`repro.core.tracing` are :class:`WrappingTransport`\\ s: each verb
+goes through one delivery hook to the same verb of the inner transport,
+so one batch keeps its shape down the whole chain.
 The verbs stay separate methods on each byte-stream class because
 ``benchmarks/e2e`` times a run by patching ``send_many``, ``send_raw``,
 ``send_frame`` and ``close`` on each of those classes by name.
@@ -64,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "Transport",
+    "WrappingTransport",
     "CallbackTransport",
     "PipeTransport",
     "TcpTransport",
@@ -146,6 +148,45 @@ class Transport:
 
     def close(self) -> None:
         """Release resources; further sends raise :class:`ConnectorError`."""
+
+
+class WrappingTransport(Transport):
+    """A transport that delivers through another one, :attr:`inner`.
+
+    Every verb calls the one :meth:`_deliver` hook with the inner
+    transport's same verb, so a subclass handles all three payload
+    shapes in one place; :meth:`flush` and :meth:`close` are forwarded.
+    """
+
+    def __init__(self, inner: Transport):
+        self.inner = inner
+
+    def send_many(self, lines: Iterable[str]) -> None:
+        if not isinstance(lines, list):
+            lines = list(lines)
+        if lines:
+            self._deliver(self._send_lines, lines, len(lines))
+
+    def _send_lines(self, lines: list[str], count: int) -> None:
+        self.inner.send_many(lines)
+
+    def send_raw(self, data: "bytes | memoryview", count: int) -> None:
+        self._deliver(self.inner.send_raw, data, count)
+
+    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
+        self._deliver(self.inner.send_frame, frame, count)
+
+    def _deliver(self, send: Callable, payload, count: int) -> None:
+        """Deliver one batch through ``send(payload, count)``, the inner
+        verb: ``payload`` is a list of lines, or the bytes of a raw run
+        or a frame, holding ``count`` records."""
+        raise NotImplementedError  # pragma: no cover - interface
+
+    def flush(self) -> None:
+        self.inner.flush()
+
+    def close(self) -> None:
+        self.inner.close()
 
 
 class CallbackTransport(Transport):
@@ -610,16 +651,6 @@ class ShmSpec(TransportSpec):
         if not self.name:
             raise ConnectorError("ShmSpec needs a ring segment name")
         return ShmTransport(self.name, stall_timeout=self.stall_timeout)
-
-
-@dataclass(frozen=True, slots=True)
-class _Window:
-    start: float
-    count: int
-
-    @property
-    def rate(self) -> float:
-        return self.count  # windows are 1 second by construction below
 
 
 class WindowCounter:

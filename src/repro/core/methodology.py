@@ -28,6 +28,7 @@ __all__ = [
     "ComparisonVerdict",
     "ComparisonResult",
     "compare",
+    "compare_aggregates",
     "MINIMUM_RECOMMENDED_RUNS",
 ]
 
@@ -175,9 +176,18 @@ def compare(
     legitimately feed single-repeat runs.  Mismatched sample counts and
     zero-variance sides (zero-width intervals) compare normally.
     """
-    a = Aggregate.of(a_values, confidence=confidence)
-    b = Aggregate.of(b_values, confidence=confidence)
-    if len(a_values) < 2 or len(b_values) < 2:
+    return compare_aggregates(
+        Aggregate.of(a_values, confidence=confidence),
+        Aggregate.of(b_values, confidence=confidence),
+        higher_is_better,
+    )
+
+
+def compare_aggregates(
+    a: Aggregate, b: Aggregate, higher_is_better: bool = True
+) -> ComparisonResult:
+    """:func:`compare` on two sides already aggregated."""
+    if a.count < 2 or b.count < 2:
         overlap = True
     else:
         overlap = a.overlaps(b)

@@ -70,7 +70,7 @@ from repro.core.events import (
     SpeedEvent,
 )
 from repro.core.metrics import percentile
-from repro.core.resilience import collect_fault_counters
+from repro.core.resilience import FaultCounters, collect_fault_counters
 from repro.core.stream import GraphStream
 from repro.core.tracing import TraceClock, Tracer, shared_clock
 from repro.errors import ConnectorError, ReplayError
@@ -305,11 +305,11 @@ class PacedLoop:
         self.duration = perf_counter() - self.start
 
     def report(
-        self, transport: Transport, resumes: int = 0, redeliveries: int = 0
+        self, counters: FaultCounters, resumes: int = 0, redeliveries: int = 0
     ) -> ReplayReport:
-        """The replay's report, with ``transport``'s fault counters;
-        ``redeliveries`` adds checkpoint-rewind re-emissions."""
-        counters = collect_fault_counters(transport)
+        """The replay's report, with the fault ``counters`` of every
+        transport it sent through; ``redeliveries`` adds
+        checkpoint-rewind re-emissions."""
         return ReplayReport(
             events_emitted=self.emitted,
             duration=self.duration,
@@ -651,6 +651,8 @@ class LiveReplayer:
 
         resumes = 0
         resume_redeliveries = 0
+        # Fault counters of the transports a resume replaced.
+        replaced = FaultCounters()
         while True:
             transport = self._transport
             items = paced_items()
@@ -674,6 +676,7 @@ class LiveReplayer:
                 )
                 del loop.marker_times[checkpoint.marker_count :]
                 if self._transport_factory is not None:
+                    replaced = replaced.merged(collect_fault_counters(transport))
                     try:
                         transport.close()
                     except ConnectorError:
@@ -692,5 +695,7 @@ class LiveReplayer:
                 f"stream source failed: {source_error}"
             ) from source_error
         return loop.report(
-            transport, resumes=resumes, redeliveries=resume_redeliveries
+            replaced.merged(collect_fault_counters(transport)),
+            resumes=resumes,
+            redeliveries=resume_redeliveries,
         )

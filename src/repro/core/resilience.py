@@ -30,9 +30,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
-from repro.core.connectors import Transport
+from repro.core.connectors import Transport, WrappingTransport
+from repro.core.faults import _validated_probability
 from repro.errors import (
     CircuitOpenError,
     ConnectorError,
@@ -52,12 +53,6 @@ __all__ = [
     "collect_fault_counters",
     "build_transport_chain",
 ]
-
-
-def _validated_probability(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
 
 
 # -- chaos injection ---------------------------------------------------------
@@ -122,7 +117,7 @@ class ChaosStats:
         return self.send_failures + self.resets + self.partial_batches
 
 
-class ChaosTransport(Transport):
+class ChaosTransport(WrappingTransport):
     """Injects seeded runtime faults around an inner transport.
 
     Every operation draws the same fixed number of random values
@@ -134,7 +129,7 @@ class ChaosTransport(Transport):
     """
 
     def __init__(self, inner: Transport, config: ChaosConfig, sleep: Callable[[float], None] = time.sleep):
-        self._inner = inner
+        super().__init__(inner)
         self.config = config
         self._rng = random.Random(config.seed)
         self._sleep = sleep
@@ -172,18 +167,6 @@ class ChaosTransport(Transport):
         self.trace.append((operation, "ok"))
         return "ok", 0
 
-    def send_many(self, lines: Iterable[str]) -> None:
-        if not isinstance(lines, list):
-            lines = list(lines)
-        if lines:
-            self._deliver(self._inner.send_many, lines, len(lines))
-
-    def send_raw(self, data: "bytes | memoryview", count: int) -> None:
-        self._deliver(self._inner.send_raw, data, count)
-
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
-        self._deliver(self._inner.send_frame, frame, count)
-
     def _deliver(self, send: Callable, payload, count: int) -> None:
         """Run one operation's fault through ``send``, the inner verb.
 
@@ -192,37 +175,27 @@ class ChaosTransport(Transport):
         "partial" delivers nothing and the retrier resends the whole
         unit — the at-least-once contract with a coarser unit.
         """
-        lines = type(payload) is list
         kind, cut = self._next_fault(count)
         if kind == "send_failure":
             raise TransientTransportError("injected send failure")
         if kind == "partial":
-            if not lines:
+            if type(payload) is not list:
                 cut = 0
             elif cut:
-                send(payload[:cut])
+                send(payload[:cut], cut)
             raise TransientTransportError(
                 f"injected partial batch failure ({cut}/{count} delivered)",
                 delivered=cut,
             )
         if kind == "latency":
             self._sleep(self.config.latency_seconds)
-        if lines:
-            send(payload)
-        else:
-            send(payload, count)
+        send(payload, count)
         if kind == "reset":
             # Delivered but never acknowledged: the retrier will resend.
             raise TransientTransportError(
                 "injected connection reset (batch unacknowledged)",
                 unacknowledged=count,
             )
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 # -- retry / backoff ---------------------------------------------------------
@@ -344,7 +317,7 @@ class CircuitBreaker:
         self.openings += 1
 
 
-class RetryingTransport(Transport):
+class RetryingTransport(WrappingTransport):
     """Retries transient failures of an inner transport.
 
     Only :class:`~repro.errors.TransientTransportError` is retried —
@@ -354,7 +327,8 @@ class RetryingTransport(Transport):
     and counted as redeliveries (at-least-once).  With a breaker
     attached, an open circuit raises
     :class:`~repro.errors.CircuitOpenError` without touching the inner
-    transport.
+    transport.  A unit given up on is resent whole by the caller's
+    resume, so its delivered prefix is counted as redelivered too.
     """
 
     def __init__(
@@ -365,25 +339,13 @@ class RetryingTransport(Transport):
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ):
-        self._inner = inner
+        super().__init__(inner)
         self.policy = policy if policy is not None else RetryPolicy()
         self.breaker = breaker
         self._sleep = sleep
         self._clock = clock
         self._rng = random.Random(self.policy.seed)
         self.stats = DeliveryStats()
-
-    def send_many(self, lines: Iterable[str]) -> None:
-        if not isinstance(lines, list):
-            lines = list(lines)
-        if lines:
-            self._deliver(self._inner.send_many, lines, len(lines))
-
-    def send_raw(self, data: "bytes | memoryview", count: int) -> None:
-        self._deliver(self._inner.send_raw, data, count)
-
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
-        self._deliver(self._inner.send_frame, frame, count)
 
     def _deliver(self, send: Callable, payload, count: int) -> None:
         """Retry one unit through ``send``, the inner verb.
@@ -403,6 +365,7 @@ class RetryingTransport(Transport):
         while True:
             if breaker is not None and not breaker.allow():
                 stats.breaker_rejections += 1
+                stats.redelivered_lines += offset
                 raise CircuitOpenError(
                     f"circuit open after {breaker.openings} opening(s); "
                     f"{count - offset} record(s) undelivered"
@@ -410,10 +373,7 @@ class RetryingTransport(Transport):
             attempt += 1
             stats.attempts += 1
             try:
-                if lines:
-                    send(payload[offset:] if offset else payload)
-                else:
-                    send(payload, count)
+                send(payload[offset:] if offset else payload, count - offset)
             except TransientTransportError as exc:
                 if lines:
                     offset += exc.delivered
@@ -427,6 +387,7 @@ class RetryingTransport(Transport):
                 )
                 if out_of_attempts or out_of_time:
                     stats.exhausted += 1
+                    stats.redelivered_lines += offset
                     reason = "attempts" if out_of_attempts else "deadline"
                     raise DeliveryExhaustedError(
                         f"gave up after {attempt} attempt(s) ({reason} "
@@ -439,12 +400,6 @@ class RetryingTransport(Transport):
                 if breaker is not None:
                     breaker.record_success()
                 return
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 # -- counter collection ------------------------------------------------------
@@ -473,16 +428,15 @@ class FaultCounters:
 def collect_fault_counters(transport: Transport | None) -> FaultCounters:
     """Sum resilience counters along a transport wrapper chain.
 
-    Walks ``_inner`` links (``RetryingTransport`` around
-    ``ChaosTransport`` around a base transport, in any order/depth) and
-    aggregates whatever stats it finds; plain transports contribute
-    zeros, so callers can use this unconditionally.
+    Walks the :attr:`~repro.core.connectors.WrappingTransport.inner`
+    links (``RetryingTransport`` around ``ChaosTransport`` around a base
+    transport, in any order/depth) and aggregates whatever stats it
+    finds; plain transports contribute zeros, so callers can use this
+    unconditionally.
     """
     counters = FaultCounters()
-    seen: set[int] = set()
     current = transport
-    while current is not None and id(current) not in seen:
-        seen.add(id(current))
+    while isinstance(current, WrappingTransport):
         if isinstance(current, RetryingTransport):
             stats = current.stats
             breaker = current.breaker
@@ -498,7 +452,7 @@ def collect_fault_counters(transport: Transport | None) -> FaultCounters:
             counters = counters.merged(
                 FaultCounters(chaos_faults=current.stats.total_faults)
             )
-        current = getattr(current, "_inner", None)
+        current = current.inner
     return counters
 
 

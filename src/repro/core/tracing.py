@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
-from repro.core.connectors import Transport
+from repro.core.connectors import Transport, WrappingTransport
 from repro.core.resultlog import Record, ResultLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -343,17 +343,17 @@ class Tracer:
         write_chrome_trace(path, self)
 
 
-class TracingTransport(Transport):
+class TracingTransport(WrappingTransport):
     """Transport wrapper recording a ``transported`` span per batch.
 
-    Sits anywhere in a delivery chain (typically directly around the
-    base transport, under any retry/chaos layers, so retried deliveries
-    show up as repeated spans).  Event ids are assigned in send order,
-    matching the replayer's emit ids for ordered transports.
+    Sits anywhere in a delivery chain; the sharded replayer wraps it
+    outside the retry/chaos layers, so one span covers one replayer
+    batch, its retries and backoff included.  Event ids are assigned in
+    send order, matching the replayer's emit ids for ordered transports.
     """
 
     def __init__(self, inner: Transport, tracer: Tracer):
-        self._inner = inner
+        super().__init__(inner)
         self._tracer = tracer
         self._sent = 0
         # Hot-path sampling state (same scheme as the live replayer):
@@ -363,10 +363,6 @@ class TracingTransport(Transport):
         self._step = tracer.sample_every
         self._next_sample = 0
         self._counted = 0
-
-    @property
-    def inner(self) -> Transport:
-        return self._inner
 
     def _record(self, start: float, end: float, first_id: int, count: int) -> None:
         tracer = self._tracer
@@ -383,28 +379,13 @@ class TracingTransport(Transport):
         tracer.count("transported", end_pos - self._counted)
         self._counted = end_pos
 
-    def send_many(self, lines: Iterable[str]) -> None:
-        if not isinstance(lines, list):
-            lines = list(lines)
-        if lines:
-            self._deliver(self._inner.send_many, lines, len(lines))
-
-    def send_raw(self, data: "bytes | memoryview", count: int) -> None:
-        self._deliver(self._inner.send_raw, data, count)
-
-    def send_frame(self, frame: "bytes | memoryview", count: int) -> None:
-        self._deliver(self._inner.send_frame, frame, count)
-
     def _deliver(self, send: Callable, payload, count: int) -> None:
         """Deliver through ``send``, the inner verb, timing sampled sends."""
         first_id = self._sent
         sampled = first_id + count > self._next_sample
         if sampled:
             start = self._tracer.clock.now()
-        if type(payload) is list:
-            send(payload)
-        else:
-            send(payload, count)
+        send(payload, count)
         if sampled:
             self._record(start, self._tracer.clock.now(), first_id, count)
         self._sent = first_id + count
@@ -415,12 +396,9 @@ class TracingTransport(Transport):
             self._tracer.count("transported", self._sent - self._counted)
             self._counted = self._sent
 
-    def flush(self) -> None:
-        self._inner.flush()
-
     def close(self) -> None:
         self.flush_counts()
-        self._inner.close()
+        super().close()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from repro.core.analysis import reflection_latency_profile
 from repro.core.generator import StreamGenerator
 from repro.core.harness import HarnessConfig, TestHarness
-from repro.core.methodology import ComparisonVerdict
+from repro.core.methodology import compare_aggregates
 from repro.core.metrics import Aggregate
 from repro.core.shaping import with_periodic_markers
 from repro.core.models import (
@@ -148,13 +148,9 @@ class SuiteReport:
         Uses the confidence-interval overlap rule of section 4.5 on the
         cells' aggregated throughput.
         """
-        cell_a = self.cell(a, workload)
-        cell_b = self.cell(b, workload)
-        if cell_a.throughput.overlaps(cell_b.throughput):
-            return ComparisonVerdict.INDISTINGUISHABLE
-        if cell_a.throughput.mean > cell_b.throughput.mean:
-            return ComparisonVerdict.A_BETTER
-        return ComparisonVerdict.B_BETTER
+        return compare_aggregates(
+            self.cell(a, workload).throughput, self.cell(b, workload).throughput
+        ).verdict
 
     def render(self) -> str:
         """Human-readable comparison table."""

@@ -5,6 +5,7 @@ outliving a failed run."""
 from __future__ import annotations
 
 import collections
+import itertools
 import threading
 import time
 
@@ -309,6 +310,48 @@ class TestCheckpointResume:
                 _events(1), CallbackTransport(lambda l: None), rate=1.0,
                 resume_delay=-0.1,
             )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_resumed_report_counts_every_chain(self, seed):
+        """Two attempts per send cannot ride out resets and partial
+        batches, so the replay resumes on a new chain each time retries
+        run out.  The report sums every chain's counters, and counts as
+        redelivered the prefix a given-up batch had already delivered:
+        the receiver sees each event plus exactly the redeliveries."""
+        received: list[str] = []
+        chains: list[tuple[ChaosTransport, RetryingTransport]] = []
+        chaos_seeds = itertools.count(seed * 1000)
+
+        def build():
+            chaos = ChaosTransport(
+                CallbackTransport(received.append),
+                ChaosConfig(
+                    reset_probability=0.1,
+                    partial_batch_probability=0.05,
+                    seed=next(chaos_seeds),
+                ),
+            )
+            retrying = RetryingTransport(
+                chaos, RetryPolicy(max_attempts=2, base_delay=0.0)
+            )
+            chains.append((chaos, retrying))
+            return retrying
+
+        report = LiveReplayer(
+            _marked_stream(total=2000, every=50),
+            build(),
+            rate=1e7,
+            batch_size=8,
+            max_resumes=50,
+            transport_factory=build,
+        ).run()
+        assert report.resumes > 0
+        assert len(chains) == report.resumes + 1
+        assert len(received) == 2000 + report.redeliveries
+        assert report.retries == sum(r.stats.retries for __, r in chains)
+        assert report.chaos_faults == sum(
+            chaos.stats.total_faults for chaos, __ in chains
+        )
 
 
 class TestInlineSources:

@@ -227,6 +227,27 @@ class TestRetryingTransport:
         assert err.value.attempts == 3
         assert transport.stats.exhausted == 1
 
+    @pytest.mark.parametrize(
+        "breaker, error",
+        [
+            (None, DeliveryExhaustedError),
+            (CircuitBreaker(failure_threshold=1, recovery_time=1e9), CircuitOpenError),
+        ],
+    )
+    def test_given_up_unit_counts_its_delivered_prefix(self, breaker, error):
+        """The caller resends a given-up unit whole, so the prefix that
+        already reached the inner transport is a redelivery."""
+        inner = RecordingTransport(
+            failures=[TransientTransportError("partial", delivered=2)] * 2
+        )
+        transport = RetryingTransport(
+            inner, RetryPolicy(max_attempts=2, base_delay=0.0), breaker=breaker
+        )
+        with pytest.raises(error):
+            transport.send_many(["a", "b", "c", "d", "e"])
+        assert inner.lines == (["a", "b"] if breaker else ["a", "b", "c", "d"])
+        assert transport.stats.redelivered_lines == len(inner.lines)
+
     def test_deadline_exhaustion_raises(self):
         clock = [0.0]
 
