@@ -48,13 +48,13 @@ format must stay stable even if the enum is ever reordered.  The
 
 from __future__ import annotations
 
+import itertools
 import struct
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.codec import RawBatch
-    from repro.core.tracing import Tracer
 
 from repro.core.events import (
     EdgeId,
@@ -84,8 +84,6 @@ __all__ = [
     "write_binary_stream",
     "iter_binary_batches",
     "iter_wire_frame_counts",
-    "iter_parse_binary_chunks",
-    "parse_binary_stream",
     "read_frame_index",
     "convert_stream",
 ]
@@ -699,22 +697,14 @@ def read_frame_index(path: str | Path) -> list[tuple[int, int, int]] | None:
     mapped = _open_binary_view(path)
     try:
         size = len(mapped)
+        index_offset = _frames_end(mapped)
+        entries_start = index_offset + len(INDEX_MAGIC) + _INDEX_COUNT.size
         tail = _INDEX_OFFSET.size + len(END_MAGIC)
-        if size < tail or mapped[size - len(END_MAGIC) :] != END_MAGIC:
-            return None
-        (index_offset,) = _INDEX_OFFSET.unpack_from(
-            mapped, size - tail
-        )
-        if (
-            index_offset + len(INDEX_MAGIC) + _INDEX_COUNT.size > size
-            or mapped[index_offset : index_offset + len(INDEX_MAGIC)]
-            != INDEX_MAGIC
-        ):
+        if index_offset == size or entries_start > size - tail:
             return None
         (count,) = _INDEX_COUNT.unpack_from(
             mapped, index_offset + len(INDEX_MAGIC)
         )
-        entries_start = index_offset + len(INDEX_MAGIC) + _INDEX_COUNT.size
         if entries_start + count * _INDEX_ENTRY.size > size - tail:
             return None
         return [
@@ -868,124 +858,25 @@ def iter_wire_frame_counts(file) -> Iterator[int]:
         yield count
 
 
-def iter_parse_binary_chunks(
-    path: str | Path,
-    *,
-    chunk_events: int = 1024,
-    tracer: "Tracer | None" = None,
-) -> Iterator[list[Event]]:
-    """Yield chunks (lists) of decoded events from a binary stream file.
-
-    The binary sibling of :func:`repro.core.codec.iter_parse_chunks`,
-    through which the replayer reads a GTB1 file it transcodes to CSV.
-    A refused frame raises once the events decoded before it are
-    yielded.  With a tracer, each decoded frame gets a sampled ``decoded`` span.
-    """
-    if chunk_events <= 0:
-        raise ValueError(f"chunk_events must be positive, got {chunk_events}")
-    pending: list[Event] = []
-    decoded = 0
-    try:
-        for item in iter_binary_batches(path):
-            if isinstance(item, Event):
-                pending.append(item)
-            elif tracer is None:
-                pending.extend(decode_frame_events(item.data, item.offset))
-            else:
-                decode_start = tracer.clock.now()
-                events = decode_frame_events(item.data, item.offset)
-                if events and tracer.sample_batch(decoded, len(events)):
-                    tracer.record_span(
-                        "decoded",
-                        "reader",
-                        decode_start,
-                        tracer.clock.now() - decode_start,
-                        event_id=decoded,
-                        count=len(events),
-                    )
-                decoded += len(events)
-                pending.extend(events)
-            while len(pending) >= chunk_events:
-                yield pending[:chunk_events]
-                del pending[:chunk_events]
-    except Exception:
-        # The events decoded before a refused frame go out first, as
-        # from a stored-frame replay of the same file.
-        if pending:
-            yield pending
-        raise
-    if pending:
-        yield pending
-
-
-def parse_binary_stream(path: str | Path) -> list[Event]:
-    """Decode a whole binary stream file into a list of events."""
-    events: list[Event] = []
-    for chunk in iter_parse_binary_chunks(path, chunk_events=4096):
-        events.extend(chunk)
-    return events
-
-
 # ---------------------------------------------------------------------------
 # Conversion
 # ---------------------------------------------------------------------------
 
 
 def convert_stream(
-    source: str | Path,
-    destination: str | Path,
-    to_format: str,
-    *,
-    batch_records: int = 256,
+    source: str | Path, destination: str | Path, to_format: str
 ) -> int:
     """Convert a stream file between CSV and binary, streaming.
 
-    ``to_format`` is ``"csv"`` or ``"binary"``; the source format is
+    ``to_format`` is ``"csv"`` or ``"binary"`` (anything else raises
+    :class:`ValueError` before the source is read); the source format is
     autodetected, so both directions (and format-preserving copies,
-    which normalise framing) go through the same call.  Events stream
-    through in chunks — neither side is ever fully materialised.
-    Returns the number of events converted.
+    which normalise framing) go through the same call: the events of
+    :func:`repro.core.codec.iter_parse_chunks`, written by
+    :func:`repro.core.codec.write_stream_file`.  Neither side is ever
+    fully materialised.  Returns the number of events converted.
     """
     from repro.core import codec
 
-    if to_format not in ("csv", "binary"):
-        raise ValueError(
-            f"unknown target format {to_format!r}; expected 'csv' or 'binary'"
-        )
-    chunks = codec.iter_parse_chunks(source, chunk_events=4096)
-    written = 0
-    if to_format == "binary":
-        writer = BinaryStreamWriter(destination, batch_records=batch_records)
-        with writer:
-            for chunk in chunks:
-                writer.extend(chunk)
-        written = writer.events_written
-    else:
-        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-            for chunk in chunks:
-                handle.write(codec.format_events(chunk))
-                written += len(chunk)
-    return written
-
-
-def stream_summary(path: str | Path) -> dict[str, int]:
-    """Cheap event counts from the trailing frame index (O(frames)).
-
-    Falls back to frame-header jumping when the index is missing.
-    Returns ``{"graph_events": ..., "control_events": ..., "frames": ...}``.
-    """
-    index = read_frame_index(path)
-    if index is None:
-        index = []
-        for item in iter_binary_batches(path):
-            if isinstance(item, Event):
-                index.append((0, 1, FRAME_CONTROL))
-            else:
-                index.append((0, item.count, FRAME_GRAPH))
-    graph = sum(count for __, count, kind in index if kind == FRAME_GRAPH)
-    control = sum(count for __, count, kind in index if kind == FRAME_CONTROL)
-    return {
-        "graph_events": graph,
-        "control_events": control,
-        "frames": len(index),
-    }
+    events = itertools.chain.from_iterable(codec.iter_parse_chunks(source))
+    return codec.write_stream_file(destination, events, format=to_format)

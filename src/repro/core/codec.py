@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import mmap
 import re
 from pathlib import Path
@@ -68,6 +69,8 @@ __all__ = [
 
 #: File block size for chunked decoding (satisfies one syscall ≈ many lines).
 BLOCK_SIZE = 1 << 16
+#: Events formatted per buffered write of a CSV stream file.
+_WRITE_CHUNK = 4096
 
 
 def detect_stream_format(path: str | Path) -> str:
@@ -463,21 +466,6 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
-def _iter_line_blocks_mmap(path: str | Path) -> Iterator[list[str]]:
-    """Yield lists of newline-free lines from an mmap'd stream file,
-    one list per :func:`_iter_blocks` block (see :func:`_split_lines`)."""
-    mapped = _open_stream_mmap(path)
-    if mapped is None:
-        return
-    try:
-        for __, text in _iter_blocks(mapped):
-            lines = _split_lines(text)
-            if lines:
-                yield lines
-    finally:
-        mapped.close()
-
-
 # -- the canonical line grammar ------------------------------------------------
 #
 # A graph line is canonical when it is spelled exactly as ``format_event``
@@ -658,103 +646,89 @@ def iter_raw_batches(
 
 
 def parse_stream_file(path: str | Path) -> list[Event]:
-    """Parse a whole stream file with chunked decoding.
-
-    Equivalent to the legacy per-line reader (universal newlines,
-    comments/blanks skipped, :class:`StreamFormatError` with line
-    numbers), reading blocks through the file's mmap.
-
-    Binary stream files (magic-byte autodetected) decode through
-    :mod:`repro.core.binfmt`.
-    """
-    if detect_stream_format(path) == "binary":
-        from repro.core import binfmt
-
-        return binfmt.parse_binary_stream(path)
+    """Parse a whole stream file of either format: the events of every
+    :func:`iter_parse_chunks` block, refusals included."""
     events: list[Event] = []
-    line_number = 1
-    blocks = _iter_line_blocks_mmap(path)
-    try:
-        for lines in blocks:
-            events.extend(
-                parse_lines(
-                    lines, skip_comments=True, first_line_number=line_number
-                )
-            )
-            line_number += len(lines)
-    finally:
-        # A parse error leaves the generator suspended with the mapping
-        # open for as long as the exception's traceback lives.
-        blocks.close()
+    for block in iter_parse_chunks(path):
+        events.extend(block)
     return events
 
 
 # hot-path
 def iter_parse_chunks(
-    path: str | Path,
-    *,
-    chunk_events: int = 1024,
-    tracer: "Tracer | None" = None,
+    path: str | Path, *, tracer: "Tracer | None" = None
 ) -> Iterator[list[Event]]:
-    """Yield chunks (lists) of parsed events from a stream file.
+    """Yield a stream file's events, one list per decoded block.
 
-    The replayer reads a transcoded file through this, on its emitting
-    thread.  A refused block raises once the events parsed before it
-    are yielded.  With a :class:`~repro.core.tracing.Tracer`, each decoded
-    file block gets a sampled ``decoded`` span (stamped on the tracer's
+    The one decoder of stream files, for both formats (magic-byte
+    autodetected): :func:`parse_stream_file` (and so
+    ``GraphStream.read``), :func:`repro.core.binfmt.convert_stream` and
+    a transcoding replay all read through it.  A CSV block is one
+    :func:`_iter_blocks` block run through :func:`parse_lines`; a GTB1
+    block is one graph frame of
+    :func:`repro.core.binfmt.iter_binary_batches`, after the control
+    events that precede it.  A refused block raises once the events
+    before it are yielded.  With a :class:`~repro.core.tracing.Tracer`,
+    each block gets a sampled ``decoded`` span (stamped on the tracer's
     clock) so the read side of the pipeline is visible in exported
     traces.
     """
-    if chunk_events <= 0:
-        raise ValueError(f"chunk_events must be positive, got {chunk_events}")
+    decoded = 0
+
+    def decode(parse: Callable[..., list[Event]], *args, **kwargs) -> list[Event]:
+        nonlocal decoded
+        start = 0.0 if tracer is None else tracer.clock.now()
+        events = parse(*args, **kwargs)
+        if tracer is not None and tracer.sample_batch(decoded, len(events)):
+            tracer.record_span(
+                "decoded",
+                "reader",
+                start,
+                tracer.clock.now() - start,
+                event_id=decoded,
+                count=len(events),
+            )
+        decoded += len(events)
+        return events
+
     if detect_stream_format(path) == "binary":
         from repro.core import binfmt
 
-        yield from binfmt.iter_parse_binary_chunks(
-            path, chunk_events=chunk_events, tracer=tracer
-        )
+        controls: list[Event] = []
+        try:
+            for item in binfmt.iter_binary_batches(path):
+                if isinstance(item, Event):
+                    controls.append(item)
+                    continue
+                events = decode(
+                    binfmt.decode_frame_events, item.data, item.offset
+                )
+                if controls:
+                    events[:0] = controls
+                    controls = []
+                if events:
+                    yield events
+        except Exception:
+            # The control events before a refused frame go out first.
+            if controls:
+                yield controls
+            raise
+        if controls:
+            yield controls
         return
-    pending: list[Event] = []
+    mapped = _open_stream_mmap(path)
+    if mapped is None:
+        return
     line_number = 1
-    decoded = 0
-    blocks = _iter_line_blocks_mmap(path)
     try:
-        for lines in blocks:
-            if tracer is None:
-                pending.extend(
-                    parse_lines(
-                        lines, skip_comments=True, first_line_number=line_number
-                    )
-                )
-            else:
-                decode_start = tracer.clock.now()
-                parsed = parse_lines(
-                    lines, skip_comments=True, first_line_number=line_number
-                )
-                if parsed and tracer.sample_batch(decoded, len(parsed)):
-                    tracer.record_span(
-                        "decoded",
-                        "reader",
-                        decode_start,
-                        tracer.clock.now() - decode_start,
-                        event_id=decoded,
-                        count=len(parsed),
-                    )
-                decoded += len(parsed)
-                pending.extend(parsed)
+        for __, text in _iter_blocks(mapped):
+            lines = _split_lines(text)
+            events = decode(parse_lines, lines, first_line_number=line_number)
             line_number += len(lines)
-            while len(pending) >= chunk_events:
-                yield pending[:chunk_events]
-                del pending[:chunk_events]
-    except Exception:
-        # The events parsed before a refused block go out first.
-        if pending:
-            yield pending
-        raise
+            if events:
+                yield events
     finally:
-        blocks.close()
-    if pending:
-        yield pending
+        mapped.close()
 
 
 # ---------------------------------------------------------------------------
@@ -864,19 +838,18 @@ def write_stream_file(
     path: str | Path,
     events: Iterable[Event],
     *,
-    chunk_events: int = 4096,
     format: str = "csv",
 ) -> int:
     """Write events to a stream file with chunked bulk writes.
 
-    ``format`` selects the representation: ``"csv"`` (the default, one
-    line per event) or ``"binary"`` (the length-prefixed frame format
-    of :mod:`repro.core.binfmt`).  Returns the number of events
-    written.  Works with lazy iterables, so callers can stream
-    arbitrarily long generators to disk without materialising them.
+    The one writer of stream files.  ``format`` selects the
+    representation: ``"csv"`` (the default, one line per event, written
+    :data:`_WRITE_CHUNK` events at a time) or ``"binary"`` (the
+    length-prefixed frame format of :mod:`repro.core.binfmt`).  Returns
+    the number of events written.  Works with lazy iterables, so
+    callers can stream arbitrarily long generators to disk without
+    materialising them.
     """
-    if chunk_events <= 0:
-        raise ValueError(f"chunk_events must be positive, got {chunk_events}")
     if format == "binary":
         from repro.core import binfmt
 
@@ -884,15 +857,9 @@ def write_stream_file(
     if format != "csv":
         raise ValueError(f"unknown stream format {format!r}")
     written = 0
-    buffer: list[Event] = []
+    events = iter(events)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for event in events:
-            buffer.append(event)
-            if len(buffer) >= chunk_events:
-                handle.write(format_events(buffer))
-                written += len(buffer)
-                buffer.clear()
-        if buffer:
-            handle.write(format_events(buffer))
-            written += len(buffer)
+        while chunk := list(itertools.islice(events, _WRITE_CHUNK)):
+            handle.write(format_events(chunk))
+            written += len(chunk)
     return written

@@ -319,19 +319,16 @@ class StreamGenerator:
         """Run bootstrap + evolution and return the full stream."""
         return GraphStream(self.iter_events())
 
-    def write(self, path, *, chunk_events: int = 4096) -> int:
+    def write(self, path) -> int:
         """Generate directly into a stream file; returns the event count.
 
-        Events are serialized with the codec's bulk formatter in
-        ``chunk_events``-sized batches as they are produced, so
-        arbitrarily long streams reach disk without materialising a
-        :class:`GraphStream` in memory first.
+        Events go through :func:`repro.core.codec.write_stream_file` as
+        they are produced, so arbitrarily long streams reach disk
+        without materialising a :class:`GraphStream` in memory first.
         """
         from repro.core import codec
 
-        return codec.write_stream_file(
-            path, self.iter_events(), chunk_events=chunk_events
-        )
+        return codec.write_stream_file(path, self.iter_events())
 
     def iter_events(self):
         """Yield stream events lazily (bootstrap, marker, evolution)."""

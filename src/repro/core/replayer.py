@@ -73,7 +73,7 @@ from repro.core.metrics import percentile
 from repro.core.resilience import FaultCounters, collect_fault_counters
 from repro.core.stream import GraphStream
 from repro.core.tracing import TraceClock, Tracer, shared_clock
-from repro.errors import ConnectorError, ReplayError
+from repro.errors import ConnectorError, ReplayError, TransientTransportError
 
 __all__ = [
     "LiveReplayer",
@@ -674,6 +674,11 @@ class LiveReplayer:
                 resume_redeliveries += loop.emitted - max(
                     checkpoint.emitted, attempt_start
                 )
+                if isinstance(exc, TransientTransportError):
+                    # No retrier caught it (one that gives up counts its
+                    # own prefix), so what of the failed batch arrived
+                    # arrives again with the rewind.
+                    resume_redeliveries += exc.delivered + exc.unacknowledged
                 del loop.marker_times[checkpoint.marker_count :]
                 if self._transport_factory is not None:
                     replaced = replaced.merged(collect_fault_counters(transport))

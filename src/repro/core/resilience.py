@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, TypeVar
 
 from repro.core.connectors import Transport, WrappingTransport
 from repro.core.faults import _validated_probability
@@ -52,6 +52,7 @@ __all__ = [
     "FaultCounters",
     "collect_fault_counters",
     "build_transport_chain",
+    "reseeded",
 ]
 
 
@@ -491,3 +492,20 @@ def build_transport_chain(
             breaker=breaker,
         )
     return transport
+
+
+_Seeded = TypeVar("_Seeded", ChaosConfig, RetryPolicy)
+
+
+def reseeded(config: _Seeded | None, rebuild: int) -> _Seeded | None:
+    """``config`` for the ``rebuild``-th chain a resume builds.
+
+    Rebuild 0 (the first chain) keeps ``config``; a later one draws its
+    chaos faults or retry jitter from a seed derived from ``(seed,
+    rebuild)``, so it does not repeat, from operation 0, the fault
+    sequence that ended its predecessor.
+    """
+    if config is None or rebuild == 0:
+        return config
+    seed = random.Random(f"{config.seed}/{rebuild}").getrandbits(31)
+    return replace(config, seed=seed)

@@ -38,6 +38,7 @@ started with either the ``fork`` or ``spawn`` method.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import pickle
 import queue
@@ -51,7 +52,12 @@ from repro.core import codec
 from repro.core.connectors import Transport, TransportSpec
 from repro.core.events import Event
 from repro.core.replayer import LiveReplayer, ReplayReport, close_transport
-from repro.core.resilience import ChaosConfig, RetryPolicy, build_transport_chain
+from repro.core.resilience import (
+    ChaosConfig,
+    RetryPolicy,
+    build_transport_chain,
+    reseeded,
+)
 from repro.core.stream import GraphStream
 from repro.core.tracing import Span, TraceClock, Tracer, TracingTransport
 from repro.errors import ReplayError
@@ -134,6 +140,18 @@ def replay_shard(
     def traced(built: Transport) -> Transport:
         return built if tracer is None else TracingTransport(built, tracer)
 
+    rebuilds = itertools.count(1)
+
+    def rebuild() -> Transport:
+        """A resume's chain, its chaos and jitter seeded afresh."""
+        n = next(rebuilds)
+        rebuilt = replace(
+            config,
+            chaos_config=reseeded(config.chaos_config, n),
+            retry_policy=reseeded(config.retry_policy, n),
+        )
+        return traced(rebuilt.build_transport())
+
     try:
         replayer = LiveReplayer(
             config.source,
@@ -145,7 +163,7 @@ def replay_shard(
             max_resumes=config.max_resumes,
             resume_delay=config.resume_delay,
             transport_factory=(
-                (lambda: traced(config.build_transport()))
+                rebuild
                 if config.max_resumes and config.transport_spec is not None
                 else None
             ),

@@ -38,6 +38,7 @@ Oracle verdicts (:class:`Verdict.status`):
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -48,7 +49,12 @@ from repro.core.connectors import CallbackTransport
 from repro.core.events import Event, PauseEvent, SpeedEvent, pause, speed
 from repro.core.harness import HarnessConfig, TestHarness
 from repro.core.replayer import LiveReplayer
-from repro.core.resilience import ChaosConfig, RetryPolicy, build_transport_chain
+from repro.core.resilience import (
+    ChaosConfig,
+    RetryPolicy,
+    build_transport_chain,
+    reseeded,
+)
 from repro.core.stream import GraphStream
 from repro.errors import GraphTidesError
 from repro.fuzz.workload import Workload
@@ -325,23 +331,29 @@ def _stage_replay(
     # Per-candidate sub-seed: stable across runs and processes, distinct
     # per workload content.
     chaos_seed = (config.seed * 0x9E3779B1 + workload.digest) & 0x7FFFFFFF
+    chaos = ChaosConfig(
+        send_failure_probability=config.send_failure_probability,
+        reset_probability=config.reset_probability,
+        partial_batch_probability=config.partial_batch_probability,
+        seed=chaos_seed,
+    )
+    retry = RetryPolicy(
+        max_attempts=config.retry_attempts,
+        base_delay=config.retry_base_delay,
+        seed=chaos_seed,
+    )
+    # The n-th chain draws from (chaos_seed, n): a resume's chain does
+    # not repeat the faults that ended the one before it.
+    builds = itertools.count()
 
     def build_transport():
+        n = next(builds)
         return build_transport_chain(
             CallbackTransport(
                 lambda line: resilient.__setitem__(0, resilient[0] + 1)
             ),
-            chaos_config=ChaosConfig(
-                send_failure_probability=config.send_failure_probability,
-                reset_probability=config.reset_probability,
-                partial_batch_probability=config.partial_batch_probability,
-                seed=chaos_seed,
-            ),
-            retry_policy=RetryPolicy(
-                max_attempts=config.retry_attempts,
-                base_delay=config.retry_base_delay,
-                seed=chaos_seed,
-            ),
+            chaos_config=reseeded(chaos, n),
+            retry_policy=reseeded(retry, n),
         )
 
     LiveReplayer(

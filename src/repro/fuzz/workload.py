@@ -14,12 +14,12 @@ small :class:`BaseConfig` the engine's config mutators perturb — the
 
 from __future__ import annotations
 
-import io
+import tempfile
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.core import binfmt, codec
+from repro.core import codec
 from repro.core.events import Event
 from repro.core.generator import StreamGenerator
 from repro.core.models import SocialNetworkRules, UniformRules
@@ -70,20 +70,16 @@ class Workload:
 
 
 def events_to_bytes(events: list[Event], fmt: str) -> bytes:
-    """Serialize events to stream-file bytes in ``fmt``."""
-    if fmt == "binary":
-        buffer = io.BytesIO()
-        binfmt.write_binary_stream(buffer, events)
-        return buffer.getvalue()
-    if fmt != "csv":
-        raise ValueError(f"unknown workload format {fmt!r}")
-    return codec.format_events(events).encode("utf-8")
+    """Serialize events to stream-file bytes in ``fmt``, through
+    :func:`repro.core.codec.write_stream_file`."""
+    with tempfile.TemporaryDirectory(prefix="graphtides-fuzz-") as tmp:
+        path = Path(tmp) / "workload"
+        codec.write_stream_file(path, events, format=fmt)
+        return path.read_bytes()
 
 
 def bytes_to_events(workload: Workload) -> list[Event]:
     """Parse a workload's bytes back into events (raises on malformed)."""
-    import tempfile
-
     with tempfile.TemporaryDirectory(prefix="graphtides-fuzz-") as tmp:
         path = workload.write(Path(tmp) / f"workload{workload.suffix}")
         return codec.parse_stream_file(path)

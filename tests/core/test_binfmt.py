@@ -175,7 +175,7 @@ class TestStreamFiles:
     def test_write_then_parse(self, tmp_path):
         path = tmp_path / "s.gtb"
         assert binfmt.write_binary_stream(path, ALL_NINE) == len(ALL_NINE)
-        assert binfmt.parse_binary_stream(path) == ALL_NINE
+        assert codec.parse_stream_file(path) == ALL_NINE
         assert path.read_bytes().startswith(binfmt.MAGIC)
 
     def test_codec_autodetects(self, tmp_path):
@@ -190,7 +190,7 @@ class TestStreamFiles:
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "empty.gtb"
         assert binfmt.write_binary_stream(path, []) == 0
-        assert binfmt.parse_binary_stream(path) == []
+        assert codec.parse_stream_file(path) == []
         assert binfmt.read_frame_index(path) == []
 
     def test_frame_index_matches_frames(self, tmp_path):
@@ -217,7 +217,7 @@ class TestStreamFiles:
         footer_start = data.rindex(binfmt.INDEX_MAGIC)
         cut.write_bytes(data[:footer_start])
         assert binfmt.read_frame_index(cut) is None
-        assert binfmt.parse_binary_stream(cut) == ALL_NINE
+        assert codec.parse_stream_file(cut) == ALL_NINE
 
     def test_writer_control_events_split_frames(self):
         buffer = io.BytesIO()
@@ -239,21 +239,13 @@ class TestStreamFiles:
         path = tmp_path / "bogus.gtb"
         path.write_bytes(b"not a binary stream")
         with pytest.raises(StreamFormatError, match="magic"):
-            binfmt.parse_binary_stream(path)
+            list(binfmt.iter_binary_batches(path))
 
     def test_rejects_nonpositive_batch_records(self, tmp_path):
         with pytest.raises(ValueError):
             binfmt.write_binary_stream(
                 tmp_path / "s.gtb", ALL_NINE, batch_records=0
             )
-
-    def test_stream_summary(self, tmp_path):
-        path = tmp_path / "s.gtb"
-        binfmt.write_binary_stream(path, ALL_NINE, batch_records=4)
-        summary = binfmt.stream_summary(path)
-        assert summary["graph_events"] == 6
-        assert summary["control_events"] == 3
-        assert summary["frames"] >= 5
 
 
 class TestIterBinaryBatches:
@@ -341,7 +333,7 @@ class TestConvertStream:
         b = tmp_path / "b.gtb"
         binfmt.write_binary_stream(a, ALL_NINE, batch_records=2)
         assert binfmt.convert_stream(a, b, "binary") == len(ALL_NINE)
-        assert binfmt.parse_binary_stream(b) == ALL_NINE
+        assert codec.parse_stream_file(b) == ALL_NINE
 
     def test_unknown_target_format_rejected(self, tmp_path):
         path = tmp_path / "a.csv"

@@ -115,8 +115,9 @@ class TestStreamFile:
 
     def test_chunked_write(self, tmp_path):
         path = tmp_path / "stream.csv"
-        events = ALL_NINE * 7
-        codec.write_stream_file(path, events, chunk_events=5)
+        # Two full write chunks and a partial one.
+        events = ALL_NINE * (2 * codec._WRITE_CHUNK // len(ALL_NINE) + 7)
+        assert codec.write_stream_file(path, events) == len(events)
         assert codec.parse_stream_file(path) == events
 
     def test_write_accepts_lazy_iterable(self, tmp_path):
@@ -151,16 +152,19 @@ class TestStreamFile:
         ]
 
     def test_iter_parse_chunks_sizes_and_content(self, tmp_path):
+        """One chunk per 64 KiB file block, holding that block's lines."""
         path = tmp_path / "stream.csv"
-        events = [add_vertex(i) for i in range(1000)]
+        events = [add_vertex(i) for i in range(10_000)]
         codec.write_stream_file(path, events)
-        chunks = list(codec.iter_parse_chunks(path, chunk_events=128))
-        assert all(len(chunk) <= 128 for chunk in chunks)
+        chunks = list(codec.iter_parse_chunks(path))
+        assert len(chunks) == -(-path.stat().st_size // codec.BLOCK_SIZE)
+        lines = path.read_bytes().splitlines(keepends=True)
+        first = 0
+        for chunk in chunks:
+            size = sum(len(line) for line in lines[first : first + len(chunk)])
+            assert size <= codec.BLOCK_SIZE
+            first += len(chunk)
         assert [e for chunk in chunks for e in chunk] == events
-
-    def test_iter_parse_chunks_rejects_bad_chunk_size(self, tmp_path):
-        with pytest.raises(ValueError):
-            list(codec.iter_parse_chunks(tmp_path / "x.csv", chunk_events=0))
 
 
 class TestFormatEvents:

@@ -81,9 +81,7 @@ READERS = {
     "GraphStream.read": lambda path: list(GraphStream.read(path)),
     "parse_stream_file": codec.parse_stream_file,
     "iter_parse_chunks": lambda path: [
-        event
-        for chunk in codec.iter_parse_chunks(path, chunk_events=2)
-        for event in chunk
+        event for chunk in codec.iter_parse_chunks(path) for event in chunk
     ],
     "LiveReplayer": _via_live_replayer,
     "ShardedReplayer": _via_sharded_replayer,

@@ -15,6 +15,7 @@ from repro.check.tsan import Monitor, instrument, watch_threads
 from repro.core import codec
 from repro.core.connectors import (
     CallbackTransport,
+    PipeSpec,
     TcpReceiver,
     TcpSpec,
     Transport,
@@ -27,7 +28,7 @@ from repro.core.resilience import (
     RetryPolicy,
     RetryingTransport,
 )
-from repro.core.sharding import ShardedReplayer
+from repro.core.sharding import ShardedReplayer, WorkerConfig, replay_shard
 from repro.core.stream import GraphStream
 from repro.core.tracing import shared_clock
 from repro.errors import ConnectorError, ReplayError, TransientTransportError
@@ -352,6 +353,65 @@ class TestCheckpointResume:
         assert report.chaos_faults == sum(
             chaos.stats.total_faults for chaos, __ in chains
         )
+
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            ChaosConfig(reset_probability=0.02),
+            ChaosConfig(partial_batch_probability=0.05),
+        ],
+        ids=["reset", "partial"],
+    )
+    def test_chaos_only_resume_counts_the_failed_batch(self, fault, seed):
+        """With no retrier in the chain, a reset or a partial batch
+        escapes to the replayer, and the resume sends the failed batch
+        again: what of it had arrived counts as redelivered."""
+        received: list[str] = []
+        chaos_seeds = itertools.count(seed * 1000)
+
+        def build():
+            config = ChaosConfig(
+                reset_probability=fault.reset_probability,
+                partial_batch_probability=fault.partial_batch_probability,
+                seed=next(chaos_seeds),
+            )
+            return ChaosTransport(CallbackTransport(received.append), config)
+
+        report = LiveReplayer(
+            _marked_stream(total=2000, every=50),
+            build(),
+            rate=1e7,
+            batch_size=8,
+            max_resumes=100,
+            transport_factory=build,
+        ).run()
+        assert report.resumes > 0
+        assert len(received) == 2000 + report.redeliveries
+
+    def test_rebuilt_chain_draws_new_faults(self, tmp_path):
+        """A worker's rebuilt chain seeds its chaos and retry jitter
+        from (seed, rebuild), so a resume from the only marker does not
+        meet the fault that exhausted the chain before it."""
+        out = tmp_path / "out.csv"
+        config = WorkerConfig(
+            index=0,
+            source=[marker("start"), *_events(400)],
+            rate=1e7,
+            batch_size=8,
+            transport_spec=PipeSpec(target=str(out), append=True),
+            chaos_config=ChaosConfig(
+                reset_probability=0.05, partial_batch_probability=0.05, seed=7
+            ),
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
+            max_resumes=8,
+        )
+        report = replay_shard(config, config.build_transport())
+        assert report.resumes > 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 400 + report.redeliveries
+        assert set(lines) == {f"ADD_VERTEX,{i}," for i in range(400)}
 
 
 class TestInlineSources:
